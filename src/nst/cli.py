@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .augment import AugmentPolicy, apply_policy
@@ -222,15 +223,7 @@ def cmd_balance(args) -> int:
     result = submodular_sample(pool, target, config)
     by_id = {s.utterance_id: s.multiplicity for s in result.samples}
     balanced = Dataset(
-        Utterance(
-            id=u.id,
-            features=u.features,
-            transcript=u.transcript,
-            score=u.score,
-            multiplicity=by_id[u.id],
-        )
-        for u in dataset
-        if u.id in by_id
+        replace(u, multiplicity=by_id[u.id]) for u in dataset if u.id in by_id
     )
     save_manifest(balanced, args.out)
     status = "infeasible floor, pool exhausted" if result.infeasible else "ok"

@@ -4,14 +4,21 @@ Utterances carry a feature matrix (frames x channels, float32) plus optional
 transcript, score, and sampling multiplicity. Manifests are JSON Lines with
 one object per utterance; feature matrices live in binary sidecar files so
 manifests stay diffable.
+
+Only new feature matrices get new sidecars. An utterance loaded from a
+manifest remembers the sidecar its features came from, and a manifest derived
+from it (relabeled, filtered, rebalanced) references that sidecar by relative
+path instead of copying it. A derived manifest therefore stays loadable only
+while the input files it points into exist unchanged.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -232,6 +239,10 @@ class Utterance:
     data, the pseudo-label for generated data). ``score`` is the fused decode
     score attached by transcription. Instances are immutable; the feature
     matrix is frozen on construction.
+
+    ``feature_source`` is set by ``load_manifest``: the sidecar path and the
+    array read from it. ``save_manifest`` references that sidecar while
+    ``features`` is still that array, so ``replace`` may carry it along.
     """
 
     id: str
@@ -239,6 +250,7 @@ class Utterance:
     transcript: tuple[str, ...] | None = None
     score: float | None = None
     multiplicity: int = 1
+    feature_source: tuple[str, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.id or not isinstance(self.id, str):
@@ -357,27 +369,41 @@ def read_features(path: str | Path) -> np.ndarray:
     return np.frombuffer(data, dtype="<f4", offset=12).reshape(rows, cols)
 
 
-def save_manifest(
-    dataset: Dataset,
-    path: str | Path,
-    features_dirname: str | None = None,
-) -> None:
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` so readers see the old file or the new one, never a torn one."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8", newline="\n")
+    os.replace(tmp, path)
+
+
+def save_manifest(dataset: Dataset, path: str | Path) -> None:
     """Write ``dataset`` as a JSONL manifest plus binary feature sidecars.
 
-    Feature files land in ``features_dirname`` next to the manifest (default
-    ``<stem>_features``) and are referenced by relative path.
+    An utterance whose features are still the array ``load_manifest`` read
+    references that sidecar by a path relative to the manifest. Any other
+    feature matrix is written to ``<stem>_features/<id>.nstf`` next to the
+    manifest. Sidecars are written before the manifest, which is replaced
+    atomically.
     """
     manifest_path = Path(path)
-    if features_dirname is None:
-        features_dirname = manifest_path.stem + "_features"
+    manifest_dir = os.path.abspath(manifest_path.parent)
+    features_dirname = manifest_path.stem + "_features"
     feature_dir = manifest_path.parent / features_dirname
-    feature_dir.mkdir(parents=True, exist_ok=True)
+    feature_dir_made = False
     lines = []
     for u in dataset:
         if not _SAFE_ID.match(u.id):
             raise CorpusError(f"utterance id not filesystem-safe: {u.id!r}")
-        rel = f"{features_dirname}/{u.id}.nstf"
-        write_features(manifest_path.parent / features_dirname / f"{u.id}.nstf", u.features)
+        source = u.feature_source
+        if source is not None and source[1] is u.features:
+            rel = os.path.relpath(source[0], manifest_dir)
+        else:
+            if not feature_dir_made:
+                feature_dir.mkdir(parents=True, exist_ok=True)
+                feature_dir_made = True
+            rel = f"{features_dirname}/{u.id}.nstf"
+            write_features(feature_dir / f"{u.id}.nstf", u.features)
         record: dict[str, object] = {"id": u.id, "features": rel}
         if u.transcript is not None:
             record["transcript"] = list(u.transcript)
@@ -386,9 +412,7 @@ def save_manifest(
         if u.multiplicity != 1:
             record["multiplicity"] = u.multiplicity
         lines.append(json.dumps(record, ensure_ascii=False))
-    manifest_path.write_text(
-        "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8", newline="\n"
-    )
+    atomic_write_text(manifest_path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def _parse_manifest_record(path: Path, line_number: int, line: str) -> dict:
@@ -425,13 +449,15 @@ def load_manifest(path: str | Path) -> Dataset:
     raises MissingFeatureFileError naming the resolved path.
     """
     manifest_path = Path(path)
+    manifest_dir = os.path.abspath(manifest_path.parent)
     utterances: list[Utterance] = []
     with open(manifest_path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, 1):
             if not line.strip():
                 continue
             record = _parse_manifest_record(manifest_path, line_number, line)
-            features = read_features(manifest_path.parent / Path(record["features"]))
+            sidecar = os.path.join(manifest_dir, record["features"])
+            features = read_features(sidecar)
             transcript = record.get("transcript")
             utterances.append(
                 Utterance(
@@ -440,6 +466,7 @@ def load_manifest(path: str | Path) -> Dataset:
                     transcript=tuple(transcript) if transcript is not None else None,
                     score=record.get("score"),
                     multiplicity=record.get("multiplicity", 1),
+                    feature_source=(sidecar, features),
                 )
             )
     return Dataset(utterances)
@@ -450,5 +477,9 @@ def save_vocab(vocab: TokenVocab, path: str | Path) -> None:
 
 
 def load_vocab(path: str | Path) -> TokenVocab:
+    """One token per line; the line index is the token id, so no line may be blank."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return TokenVocab([line for line in lines if line])
+    for line_number, line in enumerate(lines, 1):
+        if not line.strip():
+            raise CorpusError(f"{path}: line {line_number}: blank line in vocabulary")
+    return TokenVocab(lines)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -31,6 +30,7 @@ from .corpus import (
     TokenVocab,
     Utterance,
     WeightedSample,
+    atomic_write_text,
     load_manifest,
     load_vocab,
     save_manifest,
@@ -333,16 +333,10 @@ class PipelineState:
         )
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
-
-
 def save_state(state: PipelineState) -> Path:
     state.workdir.mkdir(parents=True, exist_ok=True)
     path = state.workdir / STATE_FILENAME
-    _atomic_write_text(path, state.to_json())
+    atomic_write_text(path, state.to_json())
     return path
 
 
@@ -400,12 +394,7 @@ def _pseudo_label(
     for u, hyps in zip(unlabeled, hyp_lists):
         best = best_hypothesis(hyps, fusion)
         labeled.append(
-            Utterance(
-                id=u.id,
-                features=u.features,
-                transcript=vocab.decode(best.transcript),
-                score=best.fused,
-            )
+            replace(u, transcript=vocab.decode(best.transcript), score=best.fused)
         )
     return Dataset(labeled)
 
@@ -578,7 +567,7 @@ def run_generation(state: PipelineState, config: GenerationConfig) -> PipelineSt
         best_index = min(range(len(table)), key=lambda i: (table[i].dev_wer, i))
         fusion = table[best_index].params
         dev_wer = table[best_index].dev_wer
-        _atomic_write_text(
+        atomic_write_text(
             workdir / f"fusion_gen{g}.json",
             json.dumps(
                 {"params": fusion.to_dict(), "dev_wer": dev_wer}, sort_keys=True, indent=2
@@ -592,7 +581,7 @@ def run_generation(state: PipelineState, config: GenerationConfig) -> PipelineSt
             (len(b.transcript), b.fused) for b in best_hyps if len(b.transcript) >= 1
         ]
         filter_model = fit_filter(pairs)
-        _atomic_write_text(
+        atomic_write_text(
             workdir / f"filter_gen{g}.json",
             json.dumps(filter_model.to_dict(), sort_keys=True, indent=2) + "\n",
         )
@@ -617,7 +606,7 @@ def run_generation(state: PipelineState, config: GenerationConfig) -> PipelineSt
             for u, b in zip(dev, best_hyps)
         }
         curves = score_curves(dev, scored, filter_model, default_thresholds())
-        _atomic_write_text(workdir / f"curves_gen{g}.tsv", curves_to_tsv(curves))
+        atomic_write_text(workdir / f"curves_gen{g}.tsv", curves_to_tsv(curves))
 
     semi_examples = sum(u.multiplicity for u in semi)
     info = {
@@ -628,7 +617,7 @@ def run_generation(state: PipelineState, config: GenerationConfig) -> PipelineSt
         "training_utterances": len(training_set),
         "training_examples": sum(u.multiplicity for u in training_set),
     }
-    _atomic_write_text(
+    atomic_write_text(
         workdir / f"info_gen{g}.json", json.dumps(info, sort_keys=True, indent=2) + "\n"
     )
 
@@ -682,7 +671,7 @@ def run_pipeline(
         )
     for gen_config in config.generations[state.generation :]:
         state = run_generation(state, gen_config)
-    _atomic_write_text(workdir / "metrics.tsv", metrics_tsv(state.metrics))
+    atomic_write_text(workdir / "metrics.tsv", metrics_tsv(state.metrics))
     return state
 
 
@@ -713,7 +702,7 @@ def emit_reports(state: PipelineState) -> dict[str, Path]:
     for m in state.metrics:
         lines.append(f"{m.generation}\t{m.dev_wer:.6g}")
     out["wer_by_generation"] = workdir / "report_wer_by_generation.tsv"
-    _atomic_write_text(out["wer_by_generation"], "\n".join(lines) + "\n")
+    atomic_write_text(out["wer_by_generation"], "\n".join(lines) + "\n")
 
     survival = ["generation\tthreshold\tutt_frac\ttok_frac"]
     wer_above = ["generation\tthreshold\twer"]
@@ -723,9 +712,9 @@ def emit_reports(state: PipelineState) -> dict[str, Path]:
             survival.append(f"{m.generation}\t{threshold}\t{utt_frac}\t{tok_frac}")
             wer_above.append(f"{m.generation}\t{threshold}\t{wer_cell}")
     out["score_survival"] = workdir / "report_score_survival.tsv"
-    _atomic_write_text(out["score_survival"], "\n".join(survival) + "\n")
+    atomic_write_text(out["score_survival"], "\n".join(survival) + "\n")
     out["wer_above_score"] = workdir / "report_wer_above_score.tsv"
-    _atomic_write_text(out["wer_above_score"], "\n".join(wer_above) + "\n")
+    atomic_write_text(out["wer_above_score"], "\n".join(wer_above) + "\n")
 
     sizes = ["generation\tsemi_utterances\tsemi_examples\tdev_wer"]
     for m in state.metrics:
@@ -733,8 +722,8 @@ def emit_reports(state: PipelineState) -> dict[str, Path]:
             f"{m.generation}\t{m.semi_utterances}\t{m.semi_examples}\t{m.dev_wer:.6g}"
         )
     out["wer_vs_semi_size"] = workdir / "report_wer_vs_semi_size.tsv"
-    _atomic_write_text(out["wer_vs_semi_size"], "\n".join(sizes) + "\n")
+    atomic_write_text(out["wer_vs_semi_size"], "\n".join(sizes) + "\n")
 
     out["metrics"] = workdir / "metrics.tsv"
-    _atomic_write_text(out["metrics"], metrics_tsv(state.metrics))
+    atomic_write_text(out["metrics"], metrics_tsv(state.metrics))
     return out

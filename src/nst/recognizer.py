@@ -28,6 +28,7 @@ from .corpus import (
     TokenVocab,
     Transcript,
     Utterance,
+    atomic_write_text,
 )
 from .errors import NstError
 from .scoring import ScoredHypothesis
@@ -199,9 +200,7 @@ class ToyModel:
 
 
 def save_model(model: ToyModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(model.to_dict(), sort_keys=True), encoding="utf-8", newline="\n"
-    )
+    atomic_write_text(path, json.dumps(model.to_dict(), sort_keys=True))
 
 
 def load_model(path: str | Path) -> ToyModel:

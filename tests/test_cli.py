@@ -132,6 +132,7 @@ def test_filter_and_curves(task_dir, model_path, filter_model_path, tmp_path):
     assert code == 0
     kept = load_manifest(kept_path)
     assert 0 < len(kept) < len(scored)
+    assert not (tmp_path / "kept_features").exists()
 
     everything = tmp_path / "all.jsonl"
     # argparse needs the '=' form for values that begin with a dash
@@ -139,6 +140,7 @@ def test_filter_and_curves(task_dir, model_path, filter_model_path, tmp_path):
           "--filter-model", str(filter_model_path),
           "--cutoff=-inf", "--out", str(everything)])
     assert len(load_manifest(everything)) == len(scored)
+    assert not (tmp_path / "all_features").exists()
 
     curves = tmp_path / "curves.tsv"
     code = main(["curves", "--refs", str(task_dir / "dev.jsonl"),
@@ -158,6 +160,7 @@ def test_filter_and_curves(task_dir, model_path, filter_model_path, tmp_path):
                  "--out", str(balanced)])
     assert code == 0
     assert all(1 <= u.multiplicity <= 2 for u in load_manifest(balanced))
+    assert not (tmp_path / "balanced_features").exists()
 
 
 def test_augment_cli(task_dir, tmp_path):
@@ -172,6 +175,8 @@ def test_augment_cli(task_dir, tmp_path):
     augmented = load_manifest(out)
     assert augmented.ids() == original.ids()
     assert augmented[0].features.shape == original[0].features.shape
+    sidecars = sorted(p.stem for p in (tmp_path / "aug_features").iterdir())
+    assert sidecars == sorted(original.ids())
 
 
 def test_mix_cli(task_dir, tmp_path):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,12 @@ class TestVocab:
         vocab = TokenVocab([f"tok{i}" for i in range(5)])
         save_vocab(vocab, tmp_path / "vocab.txt")
         assert load_vocab(tmp_path / "vocab.txt") == vocab
+
+    def test_blank_line_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("a\n\nb\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="line 2"):
+            load_vocab(path)
 
 
 class TestTokenDistribution:
@@ -239,3 +246,44 @@ class TestManifests:
             record = json.loads(line)
             assert not record["features"].startswith("/")
             assert set(record) <= {"id", "features", "transcript", "score", "multiplicity"}
+
+    def test_derived_manifest_references_source_sidecars(self, tmp_path, small_dataset):
+        source = tmp_path / "in" / "data.jsonl"
+        source.parent.mkdir()
+        save_manifest(small_dataset, source)
+        loaded = load_manifest(source)
+        derived = tmp_path / "out" / "derived.jsonl"
+        derived.parent.mkdir()
+        save_manifest(loaded, derived)
+        assert list(derived.parent.iterdir()) == [derived]
+        for line in derived.read_text(encoding="utf-8").splitlines():
+            assert json.loads(line)["features"].startswith("../in/data_features/")
+        for a, b in zip(load_manifest(derived), small_dataset):
+            assert a.features.tobytes() == b.features.astype(np.float32).tobytes()
+
+    def test_replaced_features_get_their_own_sidecar(self, tmp_path, small_dataset):
+        source = tmp_path / "data.jsonl"
+        save_manifest(small_dataset, source)
+        loaded = load_manifest(source)
+        changed = replace(loaded[1], features=loaded[1].features + 1)
+        derived = tmp_path / "derived.jsonl"
+        save_manifest(Dataset([loaded[0], changed]), derived)
+        assert sorted(p.name for p in (tmp_path / "derived_features").iterdir()) == [
+            "u-1.nstf"
+        ]
+        reloaded = load_manifest(derived)
+        assert np.array_equal(reloaded[0].features, loaded[0].features)
+        assert np.array_equal(reloaded[1].features, loaded[1].features + 1)
+
+    def test_failed_save_leaves_previous_manifest(self, tmp_path, small_dataset, monkeypatch):
+        path = tmp_path / "data.jsonl"
+        save_manifest(small_dataset, path)
+        before = path.read_bytes()
+
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("nst.corpus.os.replace", fail_replace)
+        with pytest.raises(OSError):
+            save_manifest(small_dataset.strip_labels(), path)
+        assert path.read_bytes() == before

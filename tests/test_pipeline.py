@@ -148,6 +148,21 @@ class TestFullLoop:
         assert sizes[2] == len(load_manifest(task / "unlab.jsonl"))
         assert sizes[1] <= sizes[2]
 
+    def test_derived_manifests_reference_unlabeled_sidecars(self, task, tmp_path):
+        config = make_config(
+            task, [gen_config(0), gen_config(1, cutoff=NEG_INF, balance=True)]
+        )
+        workdir = tmp_path / "work"
+        run_pipeline(workdir, config, seed=4)
+        for stem in ("pseudo", "filtered", "balanced"):
+            assert (workdir / f"{stem}_gen1.jsonl").exists()
+        assert list(workdir.glob("*_features")) == []
+        pseudo = load_manifest(workdir / "pseudo_gen1.jsonl")
+        unlab = load_manifest(task / "unlab.jsonl")
+        assert pseudo.ids() == unlab.ids()
+        for a, b in zip(pseudo, unlab):
+            assert a.features.tobytes() == b.features.tobytes()
+
     def test_resume_is_a_noop_after_completion(self, task, tmp_path):
         config = make_config(task, [gen_config(0)])
         workdir = tmp_path / "work"
