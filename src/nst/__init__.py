@@ -28,9 +28,9 @@ from .corpus import (
 )
 from .errors import NstError
 from .scoring import FusionParams, ScoredHypothesis, fuse_score, grid_search_fusion, wer
-from .filtering import FilterModel, FilterSchedule, apply_filter, filter_score, fit_filter
+from .filtering import FilterModel, apply_filter, filter_score, fit_filter
 from .balancing import SamplerConfig, cost_benefit, kl_divergence, submodular_sample
-from .augment import AugmentPolicy, AugmentSchedule, apply_policy
+from .augment import AugmentPolicy, apply_policy
 from .mixing import MixPlan, mix_batchwise, mix_uniform
 from .recognizer import ToyRecognizer, ToyWorld, synth_generate, toy_train, toy_transcribe
 from .pipeline import (
@@ -46,10 +46,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentPolicy",
-    "AugmentSchedule",
     "Dataset",
     "FilterModel",
-    "FilterSchedule",
     "FusionParams",
     "GenerationConfig",
     "MixPlan",

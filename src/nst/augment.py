@@ -203,19 +203,3 @@ def apply_policy(
     out = time_mask(out, policy, rng)
     return out
 
-
-@dataclass(frozen=True)
-class AugmentSchedule:
-    """Per-generation augmentation policies."""
-
-    policies: tuple[tuple[int, AugmentPolicy], ...]
-
-    @classmethod
-    def from_mapping(cls, policies: Mapping[int, AugmentPolicy]) -> "AugmentSchedule":
-        return cls(tuple(sorted(policies.items())))
-
-    def policy_for(self, generation: int) -> AugmentPolicy:
-        for gen, policy in self.policies:
-            if gen == generation:
-                return policy
-        raise AugmentError(f"no augmentation policy for generation {generation}")

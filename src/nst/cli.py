@@ -8,17 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .augment import AugmentPolicy, apply_policy
-from .balancing import SamplerConfig, submodular_sample
-from .corpus import (
-    Dataset,
-    Utterance,
-    WeightedSample,
-    load_manifest,
-    load_vocab,
-    save_manifest,
-    save_vocab,
-    token_distribution,
-)
+from .corpus import Dataset, load_manifest, load_vocab, save_manifest, save_vocab
 from .errors import NstError
 from .filtering import (
     FilterModel,
@@ -31,7 +21,9 @@ from .filtering import (
 )
 from .mixing import MixPlan, mix_batchwise, mix_uniform
 from .pipeline import (
+    BalanceSettings,
     PipelineConfig,
+    balance_sample,
     emit_reports,
     load_state,
     parse_cutoff,
@@ -50,6 +42,7 @@ from .scoring import (
     FusionParams,
     HypothesisRecord,
     fuse_components,
+    hypothesis_records,
     read_hypotheses,
     write_hypotheses,
 )
@@ -98,20 +91,8 @@ def cmd_toy_train(args) -> int:
 def cmd_toy_transcribe(args) -> int:
     model = load_model(args.model)
     dataset = load_manifest(args.manifest)
-    vocab = model.vocab
     hyp_lists = toy_transcribe(model, list(dataset), args.beam, args.lm_weight)
-    records = []
-    for u, hyps in zip(dataset, hyp_lists):
-        for h in hyps:
-            records.append(
-                HypothesisRecord(
-                    utterance_id=u.id,
-                    tokens=vocab.decode(h.transcript),
-                    am=h.am_score,
-                    lm=h.lm_score,
-                    coverage=h.coverage,
-                )
-            )
+    records = hypothesis_records(dataset, hyp_lists, model.vocab)
     write_hypotheses(records, args.out)
     print(f"wrote {len(records)} hypotheses to {args.out}")
     return 0
@@ -204,23 +185,15 @@ def cmd_balance(args) -> int:
     dataset = load_manifest(args.manifest)
     target_set = load_manifest(args.target)
     vocab = load_vocab(args.vocab)
-    pool = [
-        WeightedSample(u.id, vocab.encode_tokens(u.transcript), 1) for u in dataset
-    ]
-    target = token_distribution(
-        [vocab.encode_tokens(u.transcript) for u in target_set], vocab.size
+    settings = BalanceSettings.from_dict(
+        {
+            "multiplicity_cap": args.cap,
+            "batch_fraction": args.batch_frac,
+            "min_tokens": args.min_tokens,
+            "smoothing_epsilon": args.epsilon,
+        }
     )
-    if args.min_tokens == "auto":
-        floor = target_set.total_tokens()
-    else:
-        floor = int(args.min_tokens)
-    config = SamplerConfig(
-        multiplicity_cap=args.cap,
-        batch_fraction=args.batch_frac,
-        min_token_total=floor,
-        smoothing_epsilon=args.epsilon,
-    )
-    result = submodular_sample(pool, target, config)
+    result = balance_sample(dataset, target_set, vocab, settings)
     by_id = {s.utterance_id: s.multiplicity for s in result.samples}
     balanced = Dataset(
         replace(u, multiplicity=by_id[u.id]) for u in dataset if u.id in by_id
@@ -237,12 +210,8 @@ def cmd_augment(args) -> int:
     dataset = load_manifest(args.manifest)
     policy = _load_policy(args.policy)
     augmented = Dataset(
-        Utterance(
-            id=u.id,
-            features=apply_policy(u.features, policy, derive_rng(args.seed, "augment", u.id)),
-            transcript=u.transcript,
-            score=u.score,
-            multiplicity=u.multiplicity,
+        replace(
+            u, features=apply_policy(u.features, policy, derive_rng(args.seed, "augment", u.id))
         )
         for u in dataset
     )

@@ -384,13 +384,15 @@ def save_manifest(dataset: Dataset, path: str | Path) -> None:
     references that sidecar by a path relative to the manifest. Any other
     feature matrix is written to ``<stem>_features/<id>.nstf`` next to the
     manifest. Sidecars are written before the manifest, which is replaced
-    atomically.
+    atomically. A fresh sidecar may not land on a file that any utterance's
+    features were loaded from, since other manifests may reference it; that
+    is refused before anything is written.
     """
     manifest_path = Path(path)
     manifest_dir = os.path.abspath(manifest_path.parent)
     features_dirname = manifest_path.stem + "_features"
     feature_dir = manifest_path.parent / features_dirname
-    feature_dir_made = False
+    fresh: list[Utterance] = []
     lines = []
     for u in dataset:
         if not _SAFE_ID.match(u.id):
@@ -399,11 +401,8 @@ def save_manifest(dataset: Dataset, path: str | Path) -> None:
         if source is not None and source[1] is u.features:
             rel = os.path.relpath(source[0], manifest_dir)
         else:
-            if not feature_dir_made:
-                feature_dir.mkdir(parents=True, exist_ok=True)
-                feature_dir_made = True
+            fresh.append(u)
             rel = f"{features_dirname}/{u.id}.nstf"
-            write_features(feature_dir / f"{u.id}.nstf", u.features)
         record: dict[str, object] = {"id": u.id, "features": rel}
         if u.transcript is not None:
             record["transcript"] = list(u.transcript)
@@ -412,6 +411,24 @@ def save_manifest(dataset: Dataset, path: str | Path) -> None:
         if u.multiplicity != 1:
             record["multiplicity"] = u.multiplicity
         lines.append(json.dumps(record, ensure_ascii=False))
+    if fresh:
+        sources = {
+            os.path.normpath(u.feature_source[0])
+            for u in dataset
+            if u.feature_source is not None
+        }
+        for u in fresh:
+            target = os.path.normpath(
+                os.path.join(manifest_dir, features_dirname, f"{u.id}.nstf")
+            )
+            if target in sources:
+                raise CorpusError(
+                    f"refusing to overwrite {target}: utterance features were "
+                    "loaded from it and other manifests may reference it"
+                )
+        feature_dir.mkdir(parents=True, exist_ok=True)
+        for u in fresh:
+            write_features(feature_dir / f"{u.id}.nstf", u.features)
     atomic_write_text(manifest_path, "\n".join(lines) + ("\n" if lines else ""))
 
 

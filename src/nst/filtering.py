@@ -128,29 +128,6 @@ def apply_filter(dataset: Dataset, model: FilterModel, cutoff: float) -> Dataset
 
 
 @dataclass(frozen=True)
-class FilterSchedule:
-    """Per-generation cutoffs, applied from ``start_generation`` onward.
-
-    Generations before the start are unfiltered (``cutoff_for`` returns
-    None); generations past the end stick at the last cutoff.
-    """
-
-    cutoffs: tuple[float, ...]
-    start_generation: int = 1
-
-    def __post_init__(self):
-        if len(self.cutoffs) < 1:
-            raise FilteringError("schedule needs at least one cutoff")
-        object.__setattr__(self, "cutoffs", tuple(float(c) for c in self.cutoffs))
-
-    def cutoff_for(self, generation: int) -> float | None:
-        if generation < self.start_generation:
-            return None
-        index = min(generation - self.start_generation, len(self.cutoffs) - 1)
-        return self.cutoffs[index]
-
-
-@dataclass(frozen=True)
 class ScoredTranscript:
     """A generated transcript with its fused score, keyed by utterance id."""
 

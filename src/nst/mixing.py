@@ -7,7 +7,7 @@ utterance contributes m pool entries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -20,6 +20,8 @@ SEMI = "semi"
 
 BATCHWISE = "batchwise"
 UNIFORM = "uniform"
+
+_PLAN_KEYS = frozenset({"mode", "ratio", "batch_size"})
 
 
 class MixingError(NstError):
@@ -35,28 +37,20 @@ class MixPlan:
     """How to compose training batches.
 
     In batchwise mode the ratio terms must divide the batch size exactly so
-    each batch's composition is exact, not just in expectation. A ratio
-    schedule, when present, overrides ``ratio`` per generation.
+    each batch's composition is exact, not just in expectation.
     """
 
     mode: str = BATCHWISE
     ratio: tuple[int, int] = (1, 1)
     batch_size: int = 2
-    ratio_schedule: tuple[tuple[int, tuple[int, int]], ...] | None = None
 
     def __post_init__(self):
         if self.mode not in (BATCHWISE, UNIFORM):
             raise MixingError(f"unknown mixing mode: {self.mode!r}")
         sup, semi = (int(self.ratio[0]), int(self.ratio[1]))
         object.__setattr__(self, "ratio", (sup, semi))
-        if self.mode == BATCHWISE:
-            self._check_ratio(self.ratio)
-            if self.ratio_schedule is not None:
-                for _, ratio in self.ratio_schedule:
-                    self._check_ratio(ratio)
-
-    def _check_ratio(self, ratio: tuple[int, int]) -> None:
-        sup, semi = ratio
+        if self.mode != BATCHWISE:
+            return
         if sup < 1 or semi < 1:
             raise MixingError("ratio terms must be positive")
         if self.batch_size < 1:
@@ -66,16 +60,6 @@ class MixPlan:
                 f"ratio {sup}:{semi} does not divide batch size {self.batch_size}"
             )
 
-    def ratio_for(self, generation: int) -> tuple[int, int]:
-        if self.ratio_schedule is not None:
-            for gen, ratio in self.ratio_schedule:
-                if gen == generation:
-                    return ratio
-        return self.ratio
-
-    def for_generation(self, generation: int) -> "MixPlan":
-        return replace(self, ratio=self.ratio_for(generation), ratio_schedule=None)
-
     def batch_composition(self) -> tuple[int, int]:
         """(supervised, semi-supervised) example counts per batch."""
         sup, semi = self.ratio
@@ -84,20 +68,14 @@ class MixPlan:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "MixPlan":
-        schedule = record.get("ratio_schedule")
-        parsed_schedule = None
-        if schedule is not None:
-            parsed_schedule = tuple(
-                (int(gen), (int(r[0]), int(r[1]))) for gen, r in sorted(schedule.items(), key=lambda kv: int(kv[0]))
-            ) if isinstance(schedule, Mapping) else tuple(
-                (int(gen), (int(r[0]), int(r[1]))) for gen, r in schedule
-            )
+        unknown = sorted(str(key) for key in record if key not in _PLAN_KEYS)
+        if unknown:
+            raise MixingError(f"unknown mix settings: {', '.join(unknown)}")
         ratio = record.get("ratio", (1, 1))
         return cls(
             mode=str(record.get("mode", BATCHWISE)),
             ratio=(int(ratio[0]), int(ratio[1])),
             batch_size=int(record.get("batch_size", 2)),
-            ratio_schedule=parsed_schedule,
         )
 
     def to_dict(self) -> dict:
@@ -105,10 +83,6 @@ class MixPlan:
         if self.mode == BATCHWISE:
             record["ratio"] = list(self.ratio)
             record["batch_size"] = self.batch_size
-            if self.ratio_schedule is not None:
-                record["ratio_schedule"] = {
-                    str(gen): list(ratio) for gen, ratio in self.ratio_schedule
-                }
         return record
 
 

@@ -1,15 +1,25 @@
 """Generation loop orchestration, persisted state, and analysis reports.
 
-Each generation: the previous model (the teacher) transcribes the unlabeled
-set with fused scores, the pseudo-labels are filtered and balanced per the
-generation's config, mixed with the supervised set, and a new model is
-trained on the mix with that generation's augmentation policy. The new
-model is then tuned on the dev set (fusion grid search), a fresh filter
-model is fit on its dev transcripts for the next generation to use, and the
-dev WER and semi-supervised set size are recorded.
+Each generation runs these stages in order (the ``_Stage`` names):
 
-Generation 0 is the degenerate first cycle: no teacher, training on the
-supervised set alone.
+    load                  vocab, supervised and dev manifests
+    load_teacher          the previous model, tuned fusion and filter model,
+                          and the unlabeled manifest
+    transcribe_unlabeled  the teacher's fused top hypotheses as pseudo-labels
+    filter                keep pseudo-labels above the generation's cutoff
+    balance               resample toward the supervised token distribution
+    mix                   draw the supervised/semi-supervised training set
+    train                 train the student with the generation's
+                          augmentation policy and save it as the new model
+    tune_fusion           decode dev once and grid-search the fusion weights
+    fit_filter            fit the next generation's filter model on the
+                          fused dev transcripts; write the dev hypotheses
+    score_curves          survival and WER-above-score curves on dev
+
+Generation 0 is the degenerate first cycle: no teacher, so it skips
+``load_teacher`` through ``mix`` and trains on the supervised set alone.
+Each generation's settings are its ``GenerationConfig``; there is no other
+per-generation schedule.
 
 State is a single JSON document written atomically, so an interrupted run
 leaves either the previous or the next state file, never a torn one. All
@@ -24,7 +34,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .augment import AugmentPolicy
-from .balancing import SamplerConfig, submodular_sample
+from .balancing import BalanceResult, SamplerConfig, submodular_sample
 from .corpus import (
     Dataset,
     TokenVocab,
@@ -50,10 +60,9 @@ from .mixing import BATCHWISE, MixPlan, mix_batchwise, mix_uniform
 from .recognizer import ToyRecognizer, load_model, save_model
 from .scoring import (
     FusionParams,
-    HypothesisRecord,
     best_hypothesis,
-    corpus_wer,
     grid_search_table,
+    hypothesis_records,
     write_hypotheses,
 )
 from .seeding import derive_rng, derive_seed
@@ -399,40 +408,33 @@ def _pseudo_label(
     return Dataset(labeled)
 
 
+def balance_sample(
+    pool: Dataset, target: Dataset, vocab: TokenVocab, settings: BalanceSettings
+) -> BalanceResult:
+    """Sample ``pool`` toward the token distribution of ``target``.
+
+    A ``min_tokens`` of None takes ``target``'s token total as the floor.
+    """
+    samples = [WeightedSample(u.id, vocab.encode_tokens(u.transcript), 1) for u in pool]
+    distribution = token_distribution(
+        [vocab.encode_tokens(u.transcript) for u in target], vocab.size
+    )
+    return submodular_sample(samples, distribution, settings.resolve(target.total_tokens()))
+
+
 def _balance(
     filtered: Dataset,
     supervised: Dataset,
     vocab: TokenVocab,
     settings: BalanceSettings,
 ) -> tuple[Dataset, bool]:
-    pool = [
-        WeightedSample(u.id, vocab.encode_tokens(u.transcript), 1) for u in filtered
-    ]
-    target = token_distribution(
-        [vocab.encode_tokens(u.transcript) for u in supervised], vocab.size
-    )
-    sampler = settings.resolve(supervised.total_tokens())
-    result = submodular_sample(pool, target, sampler)
+    """The balanced semi set, in sample order."""
+    result = balance_sample(filtered, supervised, vocab, settings)
     semi = Dataset(
         replace(filtered.by_id(s.utterance_id), multiplicity=s.multiplicity)
         for s in result.samples
     )
     return semi, result.infeasible
-
-
-def select_checkpoint(candidates, evaluate) -> object:
-    """Pick the candidate with the lowest dev score; earliest wins ties.
-
-    The toy trainer emits a single checkpoint per generation, so the choice
-    is trivial here, but this hook is where a multi-checkpoint trainer would
-    plug in its dev-WER-based selection.
-    """
-    candidates = list(candidates)
-    if not candidates:
-        raise PipelineError("no checkpoints to select from")
-    scores = [float(evaluate(c)) for c in candidates]
-    best = min(range(len(candidates)), key=lambda i: (scores[i], i))
-    return candidates[best]
 
 
 def _draw_training_set(
@@ -450,7 +452,6 @@ def _draw_training_set(
     semi_examples = sum(u.multiplicity for u in semi)
     target = len(supervised) + semi_examples
     rng = derive_rng(seed, generation, "mix")
-    plan_g = plan.for_generation(generation)
     counts: dict[tuple[str, str], int] = {}
     sources: dict[tuple[str, str], Utterance] = {}
 
@@ -459,9 +460,9 @@ def _draw_training_set(
         counts[key] = counts.get(key, 0) + 1
         sources[key] = utt
 
-    if plan_g.mode == BATCHWISE:
-        stream = mix_batchwise(supervised, semi, plan_g, rng)
-        n_batches = math.ceil(target / plan_g.batch_size)
+    if plan.mode == BATCHWISE:
+        stream = mix_batchwise(supervised, semi, plan, rng)
+        n_batches = math.ceil(target / plan.batch_size)
         for _ in range(n_batches):
             for utt, origin in next(stream):
                 record(utt, origin)
@@ -541,21 +542,6 @@ def run_generation(state: PipelineState, config: GenerationConfig) -> PipelineSt
         recognizer.train(
             training_set, config.augment_policy, derive_seed(state.seed, g, "train")
         )
-
-    with _Stage(g, "select_checkpoint"):
-
-        def unfused_dev_wer(candidate) -> float:
-            rec = ToyRecognizer(
-                vocab, state.frames_per_token, state.decode_lm_weight, model=candidate
-            )
-            lists = rec.transcribe(list(dev), state.beam)
-            pairs = []
-            for u, hyps in zip(dev, lists):
-                chosen = best_hypothesis(hyps, FusionParams())
-                pairs.append((u.transcript, vocab.decode(chosen.transcript)))
-            return corpus_wer(pairs).wer
-
-        recognizer.model = select_checkpoint([recognizer.model], unfused_dev_wer)
         model_file = f"model_gen{g}.json"
         save_model(recognizer.model, workdir / model_file)
 
@@ -585,20 +571,10 @@ def run_generation(state: PipelineState, config: GenerationConfig) -> PipelineSt
             workdir / f"filter_gen{g}.json",
             json.dumps(filter_model.to_dict(), sort_keys=True, indent=2) + "\n",
         )
-        records = []
-        for u, hyps in zip(dev, dev_hyp_lists):
-            for h in hyps:
-                records.append(
-                    HypothesisRecord(
-                        utterance_id=u.id,
-                        tokens=vocab.decode(h.transcript),
-                        am=h.am_score,
-                        lm=h.lm_score,
-                        coverage=h.coverage,
-                        fused=None,
-                    )
-                )
-        write_hypotheses(records, workdir / f"dev_hyps_gen{g}.jsonl")
+        write_hypotheses(
+            hypothesis_records(dev, dev_hyp_lists, vocab),
+            workdir / f"dev_hyps_gen{g}.jsonl",
+        )
 
     with _Stage(g, "score_curves"):
         scored = {

@@ -296,6 +296,25 @@ class HypothesisRecord:
     fused: float | None = None
 
 
+def hypothesis_records(
+    dataset: Dataset,
+    hyp_lists: Sequence[Sequence[ScoredHypothesis]],
+    vocab: TokenVocab,
+) -> list[HypothesisRecord]:
+    """Unfused records of every hypothesis, utterance by utterance, in list order."""
+    return [
+        HypothesisRecord(
+            utterance_id=u.id,
+            tokens=vocab.decode(h.transcript),
+            am=h.am_score,
+            lm=h.lm_score,
+            coverage=h.coverage,
+        )
+        for u, hyps in zip(dataset, hyp_lists)
+        for h in hyps
+    ]
+
+
 def read_hypotheses(path: str | Path) -> list[HypothesisRecord]:
     records = []
     with open(path, encoding="utf-8") as handle:

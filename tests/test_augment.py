@@ -4,7 +4,6 @@ import pytest
 from nst.augment import (
     AugmentError,
     AugmentPolicy,
-    AugmentSchedule,
     apply_policy,
     freq_mask,
     identity_policy,
@@ -199,18 +198,3 @@ class TestApplyPolicy:
             fully_masked = float((out == 0.0).all(axis=1).mean())
             assert fully_masked <= bound
 
-
-class TestSchedule:
-    def test_gradational_time_masks_nondecreasing(self):
-        policies = {
-            gen: AugmentPolicy(27, 2, width, None, 2, 40)
-            for gen, width in enumerate([40, 40, 80, 80, 100, 100])
-        }
-        schedule = AugmentSchedule.from_mapping(policies)
-        widths = [schedule.policy_for(g).time_mask_param for g in range(6)]
-        assert widths == sorted(widths)
-
-    def test_missing_generation_rejected(self):
-        schedule = AugmentSchedule.from_mapping({0: identity_policy()})
-        with pytest.raises(AugmentError):
-            schedule.policy_for(3)

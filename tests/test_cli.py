@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from nst.cli import main
-from nst.corpus import load_manifest
+from nst.corpus import load_manifest, save_manifest
 from nst.scoring import read_hypotheses
 
 
@@ -177,6 +178,26 @@ def test_augment_cli(task_dir, tmp_path):
     assert augmented[0].features.shape == original[0].features.shape
     sidecars = sorted(p.stem for p in (tmp_path / "aug_features").iterdir())
     assert sidecars == sorted(original.ids())
+
+
+def test_augment_in_place_refused(task_dir, tmp_path, capsys):
+    # A derived copy references the dev sidecars; augmenting dev in place
+    # would rewrite them under the copy.
+    dev = task_dir / "dev.jsonl"
+    copy = tmp_path / "copy.jsonl"
+    save_manifest(load_manifest(dev), copy)
+    before = [u.features.copy() for u in load_manifest(copy)]
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"freq_mask_param": 2, "num_freq_masks": 1,
+                                  "time_mask_param": 2, "num_time_masks": 1}))
+    manifest_bytes = dev.read_bytes()
+    code = main(["augment", "--manifest", str(dev), "--policy", str(policy),
+                 "--seed", "3", "--out", str(dev)])
+    assert code == 2
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert dev.read_bytes() == manifest_bytes
+    after = load_manifest(copy)
+    assert all(np.array_equal(a, u.features) for a, u in zip(before, after))
 
 
 def test_mix_cli(task_dir, tmp_path):

@@ -275,6 +275,21 @@ class TestManifests:
         assert np.array_equal(reloaded[0].features, loaded[0].features)
         assert np.array_equal(reloaded[1].features, loaded[1].features + 1)
 
+    def test_overwriting_a_loaded_sidecar_is_refused_before_any_write(
+        self, tmp_path, small_dataset
+    ):
+        path = tmp_path / "data.jsonl"
+        save_manifest(small_dataset, path)
+        loaded = load_manifest(path)
+        fresh = Utterance(id="new", features=np.ones((2, 3)))
+        changed = replace(loaded[1], features=loaded[1].features + 1)
+        before = path.read_bytes()
+        with pytest.raises(CorpusError, match="u-1.nstf"):
+            save_manifest(Dataset([fresh, changed]), path)
+        assert not (tmp_path / "data_features" / "new.nstf").exists()
+        assert path.read_bytes() == before
+        assert_datasets_equal(load_manifest(path), small_dataset)
+
     def test_failed_save_leaves_previous_manifest(self, tmp_path, small_dataset, monkeypatch):
         path = tmp_path / "data.jsonl"
         save_manifest(small_dataset, path)

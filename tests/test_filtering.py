@@ -8,7 +8,6 @@ from nst.filtering import (
     CurvePoint,
     DegenerateDesignError,
     FilterModel,
-    FilterSchedule,
     FilteringError,
     MissingScoreError,
     ScoredTranscript,
@@ -193,20 +192,6 @@ class TestApplyFilter:
         with pytest.raises(MissingScoreError) as err:
             apply_filter(dataset, self.identity_model, 0.0)
         assert err.value.utterance_id == "u9"
-
-
-class TestFilterSchedule:
-    def test_gradational_lookup(self):
-        schedule = FilterSchedule((1.0, 0.5, 0.0, -1.0, NEG_INF))
-        assert schedule.cutoff_for(0) is None
-        assert schedule.cutoff_for(1) == 1.0
-        assert schedule.cutoff_for(3) == 0.0
-        assert schedule.cutoff_for(5) == NEG_INF
-        assert schedule.cutoff_for(9) == NEG_INF
-
-    def test_needs_cutoffs(self):
-        with pytest.raises(FilteringError):
-            FilterSchedule(())
 
 
 def survival(x: float) -> float:

@@ -36,24 +36,17 @@ class TestMixPlan:
         plan = MixPlan(mode="batchwise", ratio=(2, 8), batch_size=10)
         assert plan.batch_composition() == (2, 8)
 
-    def test_schedule_lookup(self):
-        plan = MixPlan(
-            mode="batchwise",
-            ratio=(4, 6),
-            batch_size=10,
-            ratio_schedule=((1, (4, 6)), (3, (3, 7)), (4, (2, 8))),
-        )
-        assert plan.ratio_for(1) == (4, 6)
-        assert plan.ratio_for(3) == (3, 7)
-        assert plan.ratio_for(4) == (2, 8)
-        assert plan.ratio_for(2) == (4, 6)  # falls back to the base ratio
-        assert plan.for_generation(4).batch_composition() == (2, 8)
-
     def test_dict_roundtrip(self):
         plan = MixPlan(mode="batchwise", ratio=(3, 7), batch_size=20)
         assert MixPlan.from_dict(plan.to_dict()) == plan
         uniform = MixPlan(mode="uniform")
         assert MixPlan.from_dict(uniform.to_dict()).mode == "uniform"
+
+    def test_unknown_keys_rejected(self):
+        # A misspelled or retired key must not silently run at the defaults.
+        record = {"mode": "batchwise", "ratios": [1, 3], "batch_size": 4}
+        with pytest.raises(MixingError, match="ratios"):
+            MixPlan.from_dict(record)
 
     def test_positive_ratio_required(self):
         with pytest.raises(MixingError):

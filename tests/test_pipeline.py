@@ -18,9 +18,8 @@ from nst.pipeline import (
     parse_cutoff,
     run_generation,
     run_pipeline,
-    select_checkpoint,
 )
-from nst.recognizer import MarkovSentenceSource, ToyWorld, synth_generate
+from nst.recognizer import MarkovSentenceSource, ToyRecognizer, ToyWorld, synth_generate
 from nst.scoring import FusionParams
 from nst.seeding import derive_rng
 
@@ -200,6 +199,30 @@ class TestDeterminism:
         assert (workdir / "pseudo_gen1.jsonl").read_bytes() == first_manifest
 
 
+class TestDecodeCount:
+    def test_dev_is_decoded_once_per_generation(self, task, tmp_path, monkeypatch):
+        # Generation 0 decodes dev once (tune_fusion); later generations also
+        # decode the unlabeled set (transcribe_unlabeled) first.
+        calls = []
+        transcribe = ToyRecognizer.transcribe
+
+        def counting(self, utterances, beam):
+            calls.append(len(utterances))
+            return transcribe(self, utterances, beam)
+
+        monkeypatch.setattr(ToyRecognizer, "transcribe", counting)
+        config = make_config(
+            task, [gen_config(0), gen_config(1, cutoff=0.0), gen_config(2, cutoff=NEG_INF)]
+        )
+        state = init_state(tmp_path / "work", config, seed=6)
+        per_generation = []
+        for gen in config.generations:
+            calls.clear()
+            state = run_generation(state, gen)
+            per_generation.append(list(calls))
+        assert per_generation == [[30], [80, 30], [80, 30]]
+
+
 class TestGradationalSchedules:
     def test_six_generation_cutoff_relaxation_grows_semi_sets(self, tmp_path):
         # Filtering only (no balancing): the semi set is the filtered set,
@@ -280,19 +303,6 @@ class TestReports:
         state = init_state(tmp_path / "work", config, seed=1)
         with pytest.raises(PipelineError, match="no generations completed"):
             emit_reports(state)
-
-
-class TestCheckpointSelection:
-    def test_lowest_score_wins(self):
-        scores = {"a": 0.4, "b": 0.1, "c": 0.2}
-        assert select_checkpoint(["a", "b", "c"], scores.__getitem__) == "b"
-
-    def test_tie_goes_to_earliest(self):
-        assert select_checkpoint(["x", "y"], lambda _: 0.5) == "x"
-
-    def test_empty_rejected(self):
-        with pytest.raises(PipelineError):
-            select_checkpoint([], lambda _: 0.0)
 
 
 class TestConfigParsing:
