@@ -7,7 +7,7 @@ Modules:
     balancing   greedy token-distribution balancing
     augment     frequency/time masking and time warping
     mixing      batchwise and uniform training-stream composition
-    recognizer  pluggable recognizer interface plus a synthetic toy recognizer
+    recognizer  the Recognizer protocol plus a synthetic toy recognizer
     pipeline    the generation loop, persisted state, analysis reports
 """
 

@@ -7,8 +7,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .augment import AugmentPolicy, apply_policy
-from .corpus import Dataset, load_manifest, load_vocab, save_manifest, save_vocab
+from .augment import AugmentPolicy, apply_policy, identity_policy
+from .corpus import (
+    Dataset,
+    atomic_write_json,
+    atomic_write_text,
+    load_manifest,
+    load_vocab,
+    save_manifest,
+    save_vocab,
+)
 from .errors import NstError
 from .filtering import (
     FilterModel,
@@ -29,15 +37,7 @@ from .pipeline import (
     parse_cutoff,
     run_pipeline,
 )
-from .recognizer import (
-    MarkovSentenceSource,
-    ToyWorld,
-    load_model,
-    save_model,
-    synth_generate,
-    toy_train,
-    toy_transcribe,
-)
+from .recognizer import MarkovSentenceSource, ToyRecognizer, ToyWorld, synth_generate
 from .scoring import (
     FusionParams,
     HypothesisRecord,
@@ -78,21 +78,19 @@ def cmd_synth(args) -> int:
 
 def cmd_toy_train(args) -> int:
     dataset = load_manifest(args.manifest)
-    vocab = load_vocab(args.vocab)
-    policy = _load_policy(args.policy) if args.policy else AugmentPolicy(
-        freq_mask_param=0, num_freq_masks=0, time_mask_param=0, num_time_masks=0
-    )
-    model = toy_train(dataset, vocab, args.frames_per_token, policy, args.seed)
-    save_model(model, args.out)
+    recognizer = ToyRecognizer(load_vocab(args.vocab), args.frames_per_token)
+    policy = _load_policy(args.policy) if args.policy else identity_policy()
+    recognizer.train(dataset, policy, args.seed)
+    recognizer.save(args.out)
     print(f"wrote model to {args.out}")
     return 0
 
 
 def cmd_toy_transcribe(args) -> int:
-    model = load_model(args.model)
+    recognizer = ToyRecognizer.from_file(args.model, args.lm_weight)
     dataset = load_manifest(args.manifest)
-    hyp_lists = toy_transcribe(model, list(dataset), args.beam, args.lm_weight)
-    records = hypothesis_records(dataset, hyp_lists, model.vocab)
+    hyp_lists = recognizer.transcribe(list(dataset), args.beam)
+    records = hypothesis_records(dataset, hyp_lists, recognizer.vocab)
     write_hypotheses(records, args.out)
     print(f"wrote {len(records)} hypotheses to {args.out}")
     return 0
@@ -114,14 +112,7 @@ def cmd_score(args) -> int:
     params = _parse_params(args)
     records = read_hypotheses(args.hyps)
     fused = [
-        HypothesisRecord(
-            utterance_id=r.utterance_id,
-            tokens=r.tokens,
-            am=r.am,
-            lm=r.lm,
-            coverage=r.coverage,
-            fused=fuse_components(r.am, r.lm, r.coverage, len(r.tokens), params),
-        )
+        replace(r, fused=fuse_components(r.am, r.lm, r.coverage, len(r.tokens), params))
         for r in records
     ]
     write_hypotheses(fused, args.out)
@@ -145,9 +136,7 @@ def cmd_fit_filter(args) -> int:
     best = _best_fused_by_utterance(records)
     pairs = [(len(r.tokens), r.fused) for r in best.values() if len(r.tokens) >= 1]
     model = fit_filter(pairs)
-    Path(args.out).write_text(
-        json.dumps(model.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    atomic_write_json(args.out, model.to_dict())
     print(f"fit mu={model.mu:.6g} beta={model.beta:.6g} sigma={model.sigma:.6g}")
     return 0
 
@@ -176,7 +165,7 @@ def cmd_curves(args) -> int:
         utt_id: ScoredTranscript(rec.tokens, rec.fused) for utt_id, rec in best.items()
     }
     points = score_curves(dev, scored, model, default_thresholds(args.low, args.high, args.step))
-    Path(args.out).write_text(curves_to_tsv(points), encoding="utf-8", newline="\n")
+    atomic_write_text(args.out, curves_to_tsv(points))
     print(f"wrote {len(points)} curve rows to {args.out}")
     return 0
 
@@ -237,7 +226,7 @@ def cmd_mix(args) -> int:
         for index in range(args.num_batches):
             utt, origin = next(stream)
             lines.append(f"{index}\t{utt.id}\t{origin}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote mix stream to {args.out}")
     return 0
 

@@ -343,13 +343,16 @@ class Dataset:
         )
 
 
-def write_features(path: str | Path, features: np.ndarray) -> None:
+def _feature_bytes(features: np.ndarray) -> bytes:
     arr = np.ascontiguousarray(features, dtype="<f4")
     if arr.ndim != 2:
         raise CorpusError("features must be 2-d")
     rows, cols = arr.shape
-    payload = FEATURE_MAGIC + struct.pack("<II", rows, cols) + arr.tobytes()
-    Path(path).write_bytes(payload)
+    return FEATURE_MAGIC + struct.pack("<II", rows, cols) + arr.tobytes()
+
+
+def write_features(path: str | Path, features: np.ndarray) -> None:
+    Path(path).write_bytes(_feature_bytes(features))
 
 
 def read_features(path: str | Path) -> np.ndarray:
@@ -377,6 +380,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def atomic_write_json(path: str | Path, record: object) -> None:
+    """``record`` as indented, key-sorted JSON and a newline, written atomically."""
+    atomic_write_text(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
 def save_manifest(dataset: Dataset, path: str | Path) -> None:
     """Write ``dataset`` as a JSONL manifest plus binary feature sidecars.
 
@@ -384,14 +392,16 @@ def save_manifest(dataset: Dataset, path: str | Path) -> None:
     references that sidecar by a path relative to the manifest. Any other
     feature matrix is written to ``<stem>_features/<id>.nstf`` next to the
     manifest. Sidecars are written before the manifest, which is replaced
-    atomically. A fresh sidecar may not land on a file that any utterance's
-    features were loaded from, since other manifests may reference it; that
-    is refused before anything is written.
+    atomically. Other manifests may reference an existing sidecar, so a fresh
+    one may not replace an existing file with different bytes: every target
+    is checked, and such a save refused, before anything is written. An
+    identical existing file is left in place.
     """
     manifest_path = Path(path)
     manifest_dir = os.path.abspath(manifest_path.parent)
     features_dirname = manifest_path.stem + "_features"
     feature_dir = manifest_path.parent / features_dirname
+    existing = set(os.listdir(feature_dir)) if feature_dir.is_dir() else set()
     fresh: list[Utterance] = []
     lines = []
     for u in dataset:
@@ -401,8 +411,15 @@ def save_manifest(dataset: Dataset, path: str | Path) -> None:
         if source is not None and source[1] is u.features:
             rel = os.path.relpath(source[0], manifest_dir)
         else:
-            fresh.append(u)
             rel = f"{features_dirname}/{u.id}.nstf"
+            target = feature_dir / f"{u.id}.nstf"
+            if target.name not in existing:
+                fresh.append(u)
+            elif target.read_bytes() != _feature_bytes(u.features):
+                raise CorpusError(
+                    f"refusing to overwrite {target}: it holds other features, "
+                    "which other manifests may reference"
+                )
         record: dict[str, object] = {"id": u.id, "features": rel}
         if u.transcript is not None:
             record["transcript"] = list(u.transcript)
@@ -412,20 +429,6 @@ def save_manifest(dataset: Dataset, path: str | Path) -> None:
             record["multiplicity"] = u.multiplicity
         lines.append(json.dumps(record, ensure_ascii=False))
     if fresh:
-        sources = {
-            os.path.normpath(u.feature_source[0])
-            for u in dataset
-            if u.feature_source is not None
-        }
-        for u in fresh:
-            target = os.path.normpath(
-                os.path.join(manifest_dir, features_dirname, f"{u.id}.nstf")
-            )
-            if target in sources:
-                raise CorpusError(
-                    f"refusing to overwrite {target}: utterance features were "
-                    "loaded from it and other manifests may reference it"
-                )
         feature_dir.mkdir(parents=True, exist_ok=True)
         for u in fresh:
             write_features(feature_dir / f"{u.id}.nstf", u.features)
@@ -490,7 +493,7 @@ def load_manifest(path: str | Path) -> Dataset:
 
 
 def save_vocab(vocab: TokenVocab, path: str | Path) -> None:
-    Path(path).write_text("\n".join(vocab.tokens) + "\n", encoding="utf-8", newline="\n")
+    atomic_write_text(path, "\n".join(vocab.tokens) + "\n")
 
 
 def load_vocab(path: str | Path) -> TokenVocab:

@@ -21,6 +21,10 @@ Generation 0 is the degenerate first cycle: no teacher, so it skips
 Each generation's settings are its ``GenerationConfig``; there is no other
 per-generation schedule.
 
+The loop sees a recognizer only through the ``Recognizer`` protocol: the
+``recognizer`` factory of ``run_generation`` (``ToyRecognizer`` by default)
+builds the teacher and the student, which train, save, load and decode.
+
 State is a single JSON document written atomically, so an interrupted run
 leaves either the previous or the next state file, never a torn one. All
 randomness derives from (master seed, generation, stage name).
@@ -29,9 +33,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .augment import AugmentPolicy
 from .balancing import BalanceResult, SamplerConfig, submodular_sample
@@ -40,6 +44,7 @@ from .corpus import (
     TokenVocab,
     Utterance,
     WeightedSample,
+    atomic_write_json,
     atomic_write_text,
     load_manifest,
     load_vocab,
@@ -57,7 +62,7 @@ from .filtering import (
     score_curves,
 )
 from .mixing import BATCHWISE, MixPlan, mix_batchwise, mix_uniform
-from .recognizer import ToyRecognizer, load_model, save_model
+from .recognizer import Recognizer, ToyRecognizer
 from .scoring import (
     FusionParams,
     best_hypothesis,
@@ -192,15 +197,14 @@ class GenerationConfig:
         )
 
     def to_dict(self) -> dict:
-        record: dict[str, object] = {
+        return {
             "generation": self.generation,
             "augment": self.augment_policy.to_dict(),
             "fusion_grid": [g.to_dict() for g in self.fusion_grid],
             "filter_cutoff": format_cutoff(self.filter_cutoff),
             "mix": self.mix.to_dict(),
+            "balance": self.balance.to_dict() if self.balance else None,
         }
-        record["balance"] = self.balance.to_dict() if self.balance else None
-        return record
 
 
 @dataclass(frozen=True)
@@ -261,12 +265,7 @@ class GenerationMetrics:
     semi_examples: int
 
     def to_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "dev_wer": self.dev_wer,
-            "semi_utterances": self.semi_utterances,
-            "semi_examples": self.semi_examples,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "GenerationMetrics":
@@ -297,27 +296,18 @@ class PipelineState:
     filter_model: FilterModel | None = None
     metrics: list[GenerationMetrics] = field(default_factory=list)
 
-    def to_json(self) -> str:
-        record = {
-            "seed": self.seed,
-            "frames_per_token": self.frames_per_token,
-            "beam": self.beam,
-            "decode_lm_weight": self.decode_lm_weight,
-            "supervised": self.supervised,
-            "unlabeled": self.unlabeled,
-            "dev": self.dev,
-            "vocab": self.vocab,
-            "generation": self.generation,
-            "model_file": self.model_file,
-            "fusion": self.fusion.to_dict() if self.fusion else None,
-            "filter_model": self.filter_model.to_dict() if self.filter_model else None,
-            "metrics": [m.to_dict() for m in self.metrics],
-        }
-        return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    def to_dict(self) -> dict:
+        """Every field but ``workdir``, as JSON-ready values."""
+        record = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workdir"}
+        record.update(
+            fusion=self.fusion.to_dict() if self.fusion else None,
+            filter_model=self.filter_model.to_dict() if self.filter_model else None,
+            metrics=[m.to_dict() for m in self.metrics],
+        )
+        return record
 
     @classmethod
-    def from_json(cls, workdir: Path, text: str) -> "PipelineState":
-        record = json.loads(text)
+    def from_dict(cls, workdir: Path, record: Mapping) -> "PipelineState":
         return cls(
             workdir=workdir,
             seed=int(record["seed"]),
@@ -345,7 +335,7 @@ class PipelineState:
 def save_state(state: PipelineState) -> Path:
     state.workdir.mkdir(parents=True, exist_ok=True)
     path = state.workdir / STATE_FILENAME
-    atomic_write_text(path, state.to_json())
+    atomic_write_json(path, state.to_dict())
     return path
 
 
@@ -354,7 +344,7 @@ def load_state(workdir: str | Path) -> PipelineState:
     path = workdir / STATE_FILENAME
     if not path.exists():
         raise PipelineError(f"no pipeline state at {path}")
-    return PipelineState.from_json(workdir, path.read_text(encoding="utf-8"))
+    return PipelineState.from_dict(workdir, json.loads(path.read_text(encoding="utf-8")))
 
 
 def init_state(workdir: str | Path, config: PipelineConfig, seed: int) -> PipelineState:
@@ -392,7 +382,7 @@ class _Stage:
 
 def _pseudo_label(
     unlabeled: Dataset,
-    recognizer: ToyRecognizer,
+    recognizer: Recognizer,
     fusion: FusionParams,
     beam: int,
 ) -> Dataset:
@@ -479,10 +469,17 @@ def _draw_training_set(
     return Dataset(drawn)
 
 
-def run_generation(state: PipelineState, config: GenerationConfig) -> PipelineState:
+def run_generation(
+    state: PipelineState,
+    config: GenerationConfig,
+    *,
+    recognizer: Callable[[TokenVocab, int, float], Recognizer] = ToyRecognizer,
+) -> PipelineState:
     """Execute one generation cycle and persist the advanced state.
 
-    Any stage failure raises StageError without touching the state file.
+    ``recognizer(vocab, frames_per_token, decode_lm_weight)`` builds the
+    teacher and the student. Any stage failure raises StageError without
+    touching the state file.
     """
     g = state.generation
     if config.generation != g:
@@ -503,15 +500,13 @@ def run_generation(state: PipelineState, config: GenerationConfig) -> PipelineSt
         training_set = supervised
     else:
         with _Stage(g, "load_teacher"):
-            teacher = load_model(workdir / state.model_file)
-            teacher_rec = ToyRecognizer(
-                vocab, state.frames_per_token, state.decode_lm_weight, model=teacher
-            )
+            teacher = recognizer(vocab, state.frames_per_token, state.decode_lm_weight)
+            teacher.load(workdir / state.model_file)
             if state.fusion is None or state.filter_model is None:
                 raise PipelineError("state lacks tuned fusion or filter model")
             unlabeled = load_manifest(state.unlabeled)
         with _Stage(g, "transcribe_unlabeled"):
-            pseudo = _pseudo_label(unlabeled, teacher_rec, state.fusion, state.beam)
+            pseudo = _pseudo_label(unlabeled, teacher, state.fusion, state.beam)
             save_manifest(pseudo, workdir / f"pseudo_gen{g}.jsonl")
         with _Stage(g, "filter"):
             if config.filtering:
@@ -536,29 +531,23 @@ def run_generation(state: PipelineState, config: GenerationConfig) -> PipelineSt
                 training_set = supervised
 
     with _Stage(g, "train"):
-        recognizer = ToyRecognizer(
-            vocab, state.frames_per_token, state.decode_lm_weight
-        )
-        recognizer.train(
+        student = recognizer(vocab, state.frames_per_token, state.decode_lm_weight)
+        student.train(
             training_set, config.augment_policy, derive_seed(state.seed, g, "train")
         )
         model_file = f"model_gen{g}.json"
-        save_model(recognizer.model, workdir / model_file)
+        student.save(workdir / model_file)
 
     with _Stage(g, "tune_fusion"):
-        dev_hyp_lists = recognizer.transcribe(list(dev), state.beam)
+        dev_hyp_lists = student.transcribe(list(dev), state.beam)
         table = grid_search_table(
-            config.fusion_grid, dev, recognizer, state.beam, hyp_lists=dev_hyp_lists
+            config.fusion_grid, dev, student, state.beam, hyp_lists=dev_hyp_lists
         )
         best_index = min(range(len(table)), key=lambda i: (table[i].dev_wer, i))
         fusion = table[best_index].params
         dev_wer = table[best_index].dev_wer
-        atomic_write_text(
-            workdir / f"fusion_gen{g}.json",
-            json.dumps(
-                {"params": fusion.to_dict(), "dev_wer": dev_wer}, sort_keys=True, indent=2
-            )
-            + "\n",
+        atomic_write_json(
+            workdir / f"fusion_gen{g}.json", {"params": fusion.to_dict(), "dev_wer": dev_wer}
         )
 
     with _Stage(g, "fit_filter"):
@@ -567,10 +556,7 @@ def run_generation(state: PipelineState, config: GenerationConfig) -> PipelineSt
             (len(b.transcript), b.fused) for b in best_hyps if len(b.transcript) >= 1
         ]
         filter_model = fit_filter(pairs)
-        atomic_write_text(
-            workdir / f"filter_gen{g}.json",
-            json.dumps(filter_model.to_dict(), sort_keys=True, indent=2) + "\n",
-        )
+        atomic_write_json(workdir / f"filter_gen{g}.json", filter_model.to_dict())
         write_hypotheses(
             hypothesis_records(dev, dev_hyp_lists, vocab),
             workdir / f"dev_hyps_gen{g}.jsonl",
@@ -593,26 +579,15 @@ def run_generation(state: PipelineState, config: GenerationConfig) -> PipelineSt
         "training_utterances": len(training_set),
         "training_examples": sum(u.multiplicity for u in training_set),
     }
-    atomic_write_text(
-        workdir / f"info_gen{g}.json", json.dumps(info, sort_keys=True, indent=2) + "\n"
-    )
+    atomic_write_json(workdir / f"info_gen{g}.json", info)
 
-    new_state = PipelineState(
-        workdir=workdir,
-        seed=state.seed,
-        frames_per_token=state.frames_per_token,
-        beam=state.beam,
-        decode_lm_weight=state.decode_lm_weight,
-        supervised=state.supervised,
-        unlabeled=state.unlabeled,
-        dev=state.dev,
-        vocab=state.vocab,
+    new_state = replace(
+        state,
         generation=g + 1,
         model_file=model_file,
         fusion=fusion,
         filter_model=filter_model,
-        metrics=state.metrics
-        + [GenerationMetrics(g, dev_wer, len(semi), semi_examples)],
+        metrics=state.metrics + [GenerationMetrics(g, dev_wer, len(semi), semi_examples)],
     )
     save_state(new_state)
     return new_state
@@ -651,13 +626,9 @@ def run_pipeline(
     return state
 
 
-def _read_curves(path: Path) -> list[tuple[str, str, str, str]]:
-    rows = []
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:
-        threshold, utt_frac, tok_frac, wer_cell = line.split("\t")
-        rows.append((threshold, utt_frac, tok_frac, wer_cell))
-    return rows
+def _read_curves(path: Path) -> list[list[str]]:
+    """The cells of each row of a curves TSV, below its header."""
+    return [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
 
 
 def emit_reports(state: PipelineState) -> dict[str, Path]:

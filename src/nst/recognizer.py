@@ -1,4 +1,7 @@
-"""Pluggable recognizer interface plus a synthetic noisy-channel recognizer.
+"""The ``Recognizer`` protocol of the generation loop, plus a synthetic toy recognizer.
+
+``ToyRecognizer`` is the loop's default recognizer; only this module knows
+its model file format.
 
 The toy world emits each token as a block of identical one-hot feature rows
 corrupted by i.i.d. Gaussian noise. The toy recognizer learns a per-token
@@ -17,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -45,6 +48,27 @@ class EmptyDatasetError(RecognizerError):
 
 class FrameAlignmentError(RecognizerError):
     pass
+
+
+class Recognizer(Protocol):
+    """What the generation loop needs of a recognizer.
+
+    ``train`` replaces the current model; ``transcribe`` returns one list of
+    at most ``beam`` hypotheses per utterance; ``load`` refuses, with
+    ``RecognizerError``, a model made for another vocabulary or frame rate.
+    """
+
+    vocab: TokenVocab
+
+    def train(self, dataset: Dataset, policy: AugmentPolicy, seed: int) -> None: ...
+
+    def transcribe(
+        self, utterances: Sequence[Utterance], beam: int
+    ) -> list[list[ScoredHypothesis]]: ...
+
+    def save(self, path: str | Path) -> None: ...
+
+    def load(self, path: str | Path) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -197,14 +221,6 @@ class ToyModel:
             centroids=np.array(record["centroids"], dtype=np.float64),
             bigram_log=np.array(record["bigram_log"], dtype=np.float64),
         )
-
-
-def save_model(model: ToyModel, path: str | Path) -> None:
-    atomic_write_text(path, json.dumps(model.to_dict(), sort_keys=True))
-
-
-def load_model(path: str | Path) -> ToyModel:
-    return ToyModel.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def toy_train(
@@ -378,8 +394,15 @@ def toy_transcribe(
     return [_decode_utterance(model, u.features, beam, lm_weight) for u in utterances]
 
 
+def _read_model(path: str | Path) -> ToyModel:
+    try:
+        return ToyModel.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RecognizerError(f"{path}: not a toy model file ({exc!r})") from None
+
+
 class ToyRecognizer:
-    """Stateful wrapper tying the toy model to the recognizer interface."""
+    """The toy model behind the ``Recognizer`` protocol."""
 
     def __init__(
         self,
@@ -393,12 +416,35 @@ class ToyRecognizer:
         self.decode_lm_weight = decode_lm_weight
         self.model = model
 
+    @classmethod
+    def from_file(cls, path: str | Path, decode_lm_weight: float = 0.0) -> "ToyRecognizer":
+        """A recognizer with the vocabulary and frame rate of the model at ``path``."""
+        model = _read_model(path)
+        return cls(model.vocab, model.frames_per_token, decode_lm_weight, model=model)
+
     def train(self, dataset: Dataset, policy: AugmentPolicy, seed: int) -> None:
         self.model = toy_train(dataset, self.vocab, self.frames_per_token, policy, seed)
 
     def transcribe(
         self, utterances: Sequence[Utterance], beam: int
     ) -> list[list[ScoredHypothesis]]:
+        return toy_transcribe(self._trained(), utterances, beam, self.decode_lm_weight)
+
+    def save(self, path: str | Path) -> None:
+        atomic_write_text(path, json.dumps(self._trained().to_dict(), sort_keys=True))
+
+    def load(self, path: str | Path) -> None:
+        model = _read_model(path)
+        if model.tokens != self.vocab.tokens:
+            raise RecognizerError(f"{path}: model tokens differ from the vocabulary")
+        if model.frames_per_token != self.frames_per_token:
+            raise RecognizerError(
+                f"{path}: model has {model.frames_per_token} frames per token, "
+                f"expected {self.frames_per_token}"
+            )
+        self.model = model
+
+    def _trained(self) -> ToyModel:
         if self.model is None:
             raise RecognizerError("recognizer has no trained model")
-        return toy_transcribe(self.model, utterances, beam, self.decode_lm_weight)
+        return self.model

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Mapping, Sequence
 
-from .corpus import Dataset, MissingTranscriptError, TokenVocab, Transcript
+from .corpus import Dataset, MissingTranscriptError, TokenVocab, Transcript, atomic_write_text
 from .errors import NstError
 
 ATTENTION = "attention"
@@ -84,12 +84,7 @@ class FusionParams:
             raise ScoringError("lm_weight must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "lm_weight": self.lm_weight,
-            "coverage_weight": self.coverage_weight,
-            "nonblank_reward": self.nonblank_reward,
-            "mode": self.mode,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "FusionParams":
@@ -222,16 +217,6 @@ def corpus_wer(
     return WerResult(total_s, total_i, total_d, (total_s + total_i + total_d) / total_ref)
 
 
-@runtime_checkable
-class Recognizer(Protocol):
-    """Anything that can transcribe utterances into scored hypothesis lists."""
-
-    vocab: TokenVocab
-
-    def transcribe(self, utterances, beam: int) -> list[list[ScoredHypothesis]]:
-        ...
-
-
 @dataclass(frozen=True)
 class GridPoint:
     params: FusionParams
@@ -241,15 +226,16 @@ class GridPoint:
 def grid_search_table(
     grid: Sequence[FusionParams],
     dev: Dataset,
-    recognizer: Recognizer,
+    recognizer,
     beam: int = 4,
     hyp_lists: Sequence[Sequence[ScoredHypothesis]] | None = None,
 ) -> list[GridPoint]:
     """Dev-set WER of every grid point under fused re-ranking.
 
-    The recognizer is called once; each grid point only re-ranks the same
-    hypothesis lists. ``hyp_lists`` short-circuits transcription when the
-    caller already has them.
+    ``recognizer`` needs only ``vocab`` and ``transcribe(utterances, beam)``.
+    It is called once; each grid point only re-ranks the same hypothesis
+    lists. ``hyp_lists`` short-circuits transcription when the caller already
+    has them.
     """
     if not grid:
         raise ScoringError("fusion grid is empty")
@@ -274,7 +260,7 @@ def grid_search_table(
 def grid_search_fusion(
     grid: Sequence[FusionParams],
     dev: Dataset,
-    recognizer: Recognizer,
+    recognizer,
     beam: int = 4,
     hyp_lists: Sequence[Sequence[ScoredHypothesis]] | None = None,
 ) -> FusionParams:
@@ -356,6 +342,4 @@ def write_hypotheses(records: Iterable[HypothesisRecord], path: str | Path) -> N
         if rec.fused is not None:
             obj["fused"] = rec.fused
         lines.append(json.dumps(obj, ensure_ascii=False))
-    Path(path).write_text(
-        "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8", newline="\n"
-    )
+    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))

@@ -8,25 +8,26 @@ from nst.corpus import load_manifest, save_manifest
 from nst.scoring import read_hypotheses
 
 
+def synth_argv(out, seed):
+    return [
+        "synth",
+        "--out", str(out),
+        "--vocab-size", "8",
+        "--noise", "0.4",
+        "--frames-per-token", "2",
+        "--supervised", "30",
+        "--dev", "25",
+        "--unlabeled", "40",
+        "--min-length", "3",
+        "--max-length", "6",
+        "--seed", str(seed),
+    ]
+
+
 @pytest.fixture
 def task_dir(tmp_path):
     out = tmp_path / "task"
-    code = main(
-        [
-            "synth",
-            "--out", str(out),
-            "--vocab-size", "8",
-            "--noise", "0.4",
-            "--frames-per-token", "2",
-            "--supervised", "30",
-            "--dev", "25",
-            "--unlabeled", "40",
-            "--min-length", "3",
-            "--max-length", "6",
-            "--seed", "5",
-        ]
-    )
-    assert code == 0
+    assert main(synth_argv(out, seed=5)) == 0
     return out
 
 
@@ -37,6 +38,24 @@ def test_synth_writes_task(task_dir):
     assert len(sup) == 30
     assert all(u.transcript is not None for u in sup)
     assert all(u.transcript is None for u in unlab)
+
+
+def test_synth_rerun_with_another_seed_refused(task_dir, tmp_path, capsys):
+    # A derived copy references the dev sidecars; a second synth into the same
+    # directory would rewrite them under it.
+    dev = task_dir / "dev.jsonl"
+    copy = tmp_path / "copy.jsonl"
+    save_manifest(load_manifest(dev), copy)
+    before = [u.features.copy() for u in load_manifest(copy)]
+    manifest_bytes = dev.read_bytes()
+    assert main(synth_argv(task_dir, seed=6)) == 2
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert dev.read_bytes() == manifest_bytes
+    after = load_manifest(copy)
+    assert all(np.array_equal(a, u.features) for a, u in zip(before, after))
+    # The same seed writes the same bytes, which may stay in place.
+    assert main(synth_argv(task_dir, seed=5)) == 0
+    assert dev.read_bytes() == manifest_bytes
 
 
 @pytest.fixture

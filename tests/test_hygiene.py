@@ -1,4 +1,4 @@
-"""Source hygiene: no module imports a name it never uses; the public API resolves."""
+"""Source hygiene: no unused imports, imports follow the layering, the public API resolves."""
 import ast
 from pathlib import Path
 
@@ -8,6 +8,19 @@ import nst
 
 SOURCE_DIR = Path(nst.__file__).resolve().parent
 MODULES = sorted(SOURCE_DIR.glob("*.py"))
+
+# For each module, the sibling modules it may not import from, mapped to the
+# names it may import from them anyway. The data-side modules know nothing of
+# the recognizer, the loop or the CLI; the loop knows the recognizer only
+# through its protocol and its default implementation.
+LAYERING = {
+    **{
+        name: {"recognizer": (), "pipeline": (), "cli": ()}
+        for name in ("corpus", "scoring", "filtering", "balancing", "augment", "mixing")
+    },
+    "recognizer": {"pipeline": (), "cli": ()},
+    "pipeline": {"recognizer": ("Recognizer", "ToyRecognizer"), "cli": ()},
+}
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -54,6 +67,63 @@ def test_no_unused_imports(path):
 def test_unused_import_is_detected():
     tree = ast.parse("from typing import Mapping, Sequence\nx: Sequence[int] = []\n")
     assert set(_imported_names(tree)) - _used_names(tree) == {"Mapping"}
+
+
+def _sibling_imports(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(sibling module, imported name, line) of every import from within ``nst``.
+
+    A whole-module import (``from . import cli``, ``import nst.cli``) has the
+    name ``*``.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "nst" and not module.startswith("nst."):
+                    continue
+                module = module[len("nst.") :]
+            if module:
+                found += [(module, alias.name, node.lineno) for alias in node.names]
+            else:
+                found += [(alias.name, "*", node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("nst."):
+                    found.append((alias.name.split(".")[1], "*", node.lineno))
+    return found
+
+
+def _layering_violations(module: str, tree: ast.Module) -> list[str]:
+    rules = LAYERING.get(module, {})
+    return [
+        f"{name} from {source} (line {line})"
+        for source, name, line in _sibling_imports(tree)
+        if source in rules and name not in rules[source]
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(LAYERING))
+def test_imports_follow_the_layering(module):
+    path = SOURCE_DIR / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    violations = _layering_violations(module, tree)
+    assert not violations, f"{module} imports across the layering: {', '.join(violations)}"
+
+
+def test_layering_violation_is_detected():
+    tree = ast.parse(
+        "from .recognizer import ToyRecognizer, load_model\n"
+        "from . import cli\n"
+        "import nst.pipeline\n"
+        "from nst.corpus import Dataset\n"
+    )
+    assert _layering_violations("pipeline", tree) == [
+        "load_model from recognizer (line 1)",
+        "* from cli (line 2)",
+    ]
+    assert len(_layering_violations("scoring", tree)) == 4
+    assert _layering_violations("cli", tree) == []
 
 
 def test_public_names_resolve():

@@ -1,8 +1,10 @@
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
+from nst import pipeline
 from nst.augment import AugmentPolicy
 from nst.corpus import load_manifest, save_manifest, save_vocab
 from nst.mixing import MixPlan
@@ -19,7 +21,13 @@ from nst.pipeline import (
     run_generation,
     run_pipeline,
 )
-from nst.recognizer import MarkovSentenceSource, ToyRecognizer, ToyWorld, synth_generate
+from nst.recognizer import (
+    MarkovSentenceSource,
+    RecognizerError,
+    ToyRecognizer,
+    ToyWorld,
+    synth_generate,
+)
 from nst.scoring import FusionParams
 from nst.seeding import derive_rng
 
@@ -279,6 +287,166 @@ class TestStageErrors:
         assert err.value.generation == 1
         assert err.value.stage == "load_teacher"
         assert (workdir / "state.json").read_bytes() == snapshot
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("tokens", [f"x{i}" for i in range(8)]), ("frames_per_token", 3)],
+        ids=["tokens", "frames_per_token"],
+    )
+    def test_resume_against_a_teacher_for_another_task_refused(
+        self, task, tmp_path, key, value
+    ):
+        # The forged teacher has the run's vocabulary size, so without the
+        # check it would decode under the run's token names.
+        workdir = tmp_path / "work"
+        state = run_pipeline(workdir, make_config(task, [gen_config(0)]), seed=2)
+        model_path = workdir / state.model_file
+        record = json.loads(model_path.read_text())
+        record[key] = value
+        model_path.write_text(json.dumps(record, sort_keys=True))
+        snapshot = (workdir / "state.json").read_bytes()
+        config = make_config(task, [gen_config(0), gen_config(1)])
+        with pytest.raises(StageError) as err:
+            run_pipeline(workdir, config, seed=2)
+        assert (err.value.generation, err.value.stage) == (1, "load_teacher")
+        assert isinstance(err.value.cause, RecognizerError)
+        assert (workdir / "state.json").read_bytes() == snapshot
+
+
+class InjectedFault(Exception):
+    pass
+
+
+class Cue:
+    """Raises InjectedFault on the ``nth`` call of whatever it guards."""
+
+    def __init__(self, nth):
+        self.left = nth
+
+    def guard(self, fn):
+        def guarded(*args, **kwargs):
+            self.left -= 1
+            if self.left == 0:
+                raise InjectedFault(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return guarded
+
+
+class CuedRecognizer:
+    """ToyRecognizer behind the protocol, with ``method`` guarded by ``cue``.
+
+    One cue is shared by every recognizer a factory builds, so calls count
+    across the teacher and the student.
+    """
+
+    def __init__(self, method, cue, vocab, frames_per_token, decode_lm_weight):
+        self.inner = ToyRecognizer(vocab, frames_per_token, decode_lm_weight)
+        self.vocab = vocab
+        setattr(self, method, cue.guard(getattr(self.inner, method)))
+
+    def train(self, dataset, policy, seed):
+        self.inner.train(dataset, policy, seed)
+
+    def transcribe(self, utterances, beam):
+        return self.inner.transcribe(utterances, beam)
+
+    def save(self, path):
+        self.inner.save(path)
+
+    def load(self, path):
+        self.inner.load(path)
+
+
+INJECTION_SEED = 17
+RECOGNIZER_METHODS = ("train", "transcribe", "save", "load")
+# (generation, stage, the recognizer method or pipeline name that raises, on
+# which of its calls in the run). Every stage of both generations is covered.
+INJECTIONS = [
+    (0, "load", "load_vocab", 1),
+    (0, "train", "train", 1),
+    (0, "tune_fusion", "transcribe", 1),
+    (0, "fit_filter", "fit_filter", 1),
+    (0, "score_curves", "score_curves", 1),
+    (1, "load", "load_manifest", 3),
+    (1, "load_teacher", "load", 1),
+    (1, "transcribe_unlabeled", "transcribe", 2),
+    (1, "filter", "apply_filter", 1),
+    (1, "balance", "_balance", 1),
+    (1, "mix", "_draw_training_set", 1),
+    (1, "train", "save", 2),
+    (1, "tune_fusion", "transcribe", 3),
+    (1, "fit_filter", "fit_filter", 2),
+    (1, "score_curves", "score_curves", 2),
+]
+# Every byte-identical artifact of a run.
+ARTIFACTS = (
+    "state.json",
+    "metrics.tsv",
+    "model_gen*.json",
+    "fusion_gen*.json",
+    "filter_gen*.json",
+    "curves_gen*.tsv",
+    "dev_hyps_gen*.jsonl",
+    "info_gen*.json",
+    "pseudo_gen*.jsonl",
+    "filtered_gen*.jsonl",
+    "balanced_gen*.jsonl",
+)
+
+
+def artifacts(workdir: Path) -> dict[str, bytes]:
+    return {
+        p.name: p.read_bytes() for pattern in ARTIFACTS for p in workdir.glob(pattern)
+    }
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """A tiny two-generation task and the workdir of one uninterrupted run."""
+    root = tmp_path_factory.mktemp("inject")
+    make_task(root / "task", sup=20, dev=12, unlab=24, seed=INJECTION_SEED)
+    config = make_config(
+        root / "task", [gen_config(0), gen_config(1, cutoff=0.0, balance=True)]
+    )
+    reference = root / "reference"
+    run_pipeline(reference, config, seed=INJECTION_SEED)
+    for pattern in ARTIFACTS:
+        assert list(reference.glob(pattern)), pattern
+    return config, reference
+
+
+class TestFailureInjection:
+    @pytest.mark.parametrize(
+        "generation, stage, target, nth",
+        INJECTIONS,
+        ids=[f"gen{g}-{stage}" for g, stage, _, _ in INJECTIONS],
+    )
+    def test_resume_after_a_failed_stage_matches_an_uninterrupted_run(
+        self, uninterrupted, monkeypatch, generation, stage, target, nth
+    ):
+        config, reference = uninterrupted
+        # A sibling of the reference, so derived manifests' relative
+        # references to the task's sidecars are the same strings.
+        workdir = reference.parent / f"gen{generation}-{stage}"
+        cue = Cue(nth)
+        if target in RECOGNIZER_METHODS:
+            factory = functools.partial(CuedRecognizer, target, cue)
+        else:
+            factory = ToyRecognizer
+            monkeypatch.setattr(pipeline, target, cue.guard(getattr(pipeline, target)))
+        state = init_state(workdir, config, seed=INJECTION_SEED)
+        with pytest.raises(StageError) as err:
+            for gen in config.generations:
+                snapshot = (workdir / "state.json").read_bytes()
+                state = run_generation(state, gen, recognizer=factory)
+        assert (err.value.generation, err.value.stage) == (generation, stage)
+        assert isinstance(err.value.cause, InjectedFault)
+        assert (workdir / "state.json").read_bytes() == snapshot
+
+        monkeypatch.undo()
+        run_pipeline(workdir, config, seed=INJECTION_SEED)
+        assert artifacts(workdir) == artifacts(reference)
 
 
 class TestReports:

@@ -1,10 +1,11 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from nst.augment import identity_policy
-from nst.corpus import Dataset, Utterance
+from nst.corpus import Dataset, TokenVocab, Utterance
 from nst.recognizer import (
     EmptyDatasetError,
     FrameAlignmentError,
@@ -12,8 +13,6 @@ from nst.recognizer import (
     RecognizerError,
     ToyRecognizer,
     ToyWorld,
-    load_model,
-    save_model,
     synth_generate,
     toy_train,
     toy_transcribe,
@@ -303,10 +302,60 @@ class TestToyRecognizer:
             recognizer.transcribe([], beam=1)
 
     def test_model_json_roundtrip(self, tmp_path, trained):
-        _, model = trained
-        save_model(model, tmp_path / "model.json")
-        loaded = load_model(tmp_path / "model.json")
+        world, model = trained
+        path = tmp_path / "model.json"
+        ToyRecognizer(world.vocab(), world.frames_per_token, model=model).save(path)
+        assert path.read_text() == json.dumps(model.to_dict(), sort_keys=True)
+        recognizer = ToyRecognizer(world.vocab(), world.frames_per_token)
+        recognizer.load(path)
+        loaded = recognizer.model
         assert loaded.tokens == model.tokens
         assert loaded.frames_per_token == model.frames_per_token
         assert np.array_equal(loaded.centroids, model.centroids)
         assert np.array_equal(loaded.bigram_log, model.bigram_log)
+
+    def test_untrained_save_rejected(self, tmp_path, world):
+        recognizer = ToyRecognizer(world.vocab(), world.frames_per_token)
+        with pytest.raises(RecognizerError):
+            recognizer.save(tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "vocab, frames_per_token",
+        [(TokenVocab(["a", "b", "c"]), 2), (None, 3)],
+        ids=["tokens", "frames_per_token"],
+    )
+    def test_load_refuses_a_model_for_another_task(
+        self, tmp_path, trained, vocab, frames_per_token
+    ):
+        # Same vocabulary size, so only the check tells the models apart.
+        world, model = trained
+        path = tmp_path / "model.json"
+        ToyRecognizer(world.vocab(), world.frames_per_token, model=model).save(path)
+        recognizer = ToyRecognizer(vocab or world.vocab(), frames_per_token)
+        with pytest.raises(RecognizerError, match=str(path)):
+            recognizer.load(path)
+        assert recognizer.model is None
+
+    @pytest.mark.parametrize(
+        "text", ["{not json", '{"tokens": ["a", "b"]}', '{"tokens": 3, "frames_per_token": 2}']
+    )
+    def test_malformed_model_file_refused(self, tmp_path, world, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(RecognizerError, match="not a toy model file"):
+            ToyRecognizer(world.vocab(), world.frames_per_token).load(path)
+        with pytest.raises(RecognizerError, match="not a toy model file"):
+            ToyRecognizer.from_file(path)
+
+    def test_from_file_takes_vocab_and_frame_rate_from_the_model(self, tmp_path, trained):
+        world, model = trained
+        path = tmp_path / "model.json"
+        ToyRecognizer(world.vocab(), world.frames_per_token, model=model).save(path)
+        recognizer = ToyRecognizer.from_file(path, decode_lm_weight=0.5)
+        assert recognizer.vocab == world.vocab()
+        assert recognizer.frames_per_token == world.frames_per_token
+        data = synth_generate(world, 4, uniform_source(vocab=3), derive_rng(9))
+        assert recognizer.transcribe(list(data), 2) == toy_transcribe(
+            model, list(data), 2, lm_weight=0.5
+        )

@@ -275,6 +275,19 @@ class TestHypothesesJsonl:
         write_hypotheses(records, path)
         assert read_hypotheses(path) == records
 
+    def test_failed_write_leaves_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "hyps.jsonl"
+        write_hypotheses([HypothesisRecord("u1", ("a",), am=-1.0, lm=-2.0)], path)
+        before = path.read_bytes()
+
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("nst.corpus.os.replace", fail_replace)
+        with pytest.raises(OSError):
+            write_hypotheses([HypothesisRecord("u2", ("b",), am=-3.0, lm=-4.0)], path)
+        assert path.read_bytes() == before
+
     def test_fuse_components_matches_fuse_score(self):
         h = hyp(tokens=(0, 1, 2), am=-4.0, lm=-2.0, coverage=5.0)
         for mode in ("attention", "transducer"):
