@@ -21,6 +21,18 @@ class AugmentError(NstError):
     pass
 
 
+# Each ``AugmentPolicy`` field with the JSON types its value may take.
+_POLICY_TYPES = {
+    "freq_mask_param": int,
+    "num_freq_masks": int,
+    "time_mask_param": int,
+    "time_mask_ratio": (int, float),
+    "num_time_masks": int,
+    "time_warp_param": int,
+    "masked_value": (int, float),
+}
+
+
 @dataclass(frozen=True)
 class AugmentPolicy:
     """One augmentation setting.
@@ -80,6 +92,18 @@ class AugmentPolicy:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "AugmentPolicy":
+        """The policy a ``to_dict`` record describes; absent keys take their defaults."""
+        if not isinstance(record, Mapping):
+            raise AugmentError(f"an augment policy must be a mapping, got {record!r}")
+        for name, value in record.items():
+            kind = _POLICY_TYPES.get(name)
+            if kind is None:
+                raise AugmentError(f"unknown augment policy key {name!r}")
+            if value is None and name in ("time_mask_param", "time_mask_ratio"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                expected = "an integer" if kind is int else "a number"
+                raise AugmentError(f"augment policy {name} must be {expected}, got {value!r}")
         has_ratio = record.get("time_mask_ratio") is not None
         has_param = record.get("time_mask_param") is not None
         if has_ratio and has_param:

@@ -373,11 +373,21 @@ def read_features(path: str | Path) -> np.ndarray:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` so readers see the old file or the new one, never a torn one."""
+    """Write ``text`` so readers see the old file or the new one, never a torn one.
+
+    The text goes to a fresh temp file beside ``path`` (created with the
+    usual mode, so the umask applies), which is removed if anything fails.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_json(path: str | Path, record: object) -> None:

@@ -68,7 +68,13 @@ class FilterModel:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "FilterModel":
-        return cls(float(record["mu"]), float(record["beta"]), float(record["sigma"]))
+        names = ("mu", "beta", "sigma")
+        if not isinstance(record, Mapping) or set(record) != set(names):
+            raise FilteringError(f"a filter model needs exactly the keys {names}, got {record!r}")
+        values = [record[name] for name in names]
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in values):
+            raise FilteringError(f"filter model values must be numbers, got {record!r}")
+        return cls(*values)
 
 
 def fit_filter(pairs: Sequence[tuple[int, float]]) -> FilterModel:

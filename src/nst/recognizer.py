@@ -9,7 +9,14 @@ centroid (mean of aligned frames) and a bigram language model with add-one
 smoothing, and decodes with an exact top-k lattice search: per frame block,
 a token's acoustic score is the negative mean squared distance to its
 centroid, and the search keeps the k best paths per (position, last token)
-state, which is exact for bigram-factored scores.
+state, which is exact for bigram-factored scores. Ties go to the lower token
+id, then to the better incoming rank.
+
+The search is batched: utterances with the same block count are decoded
+together, a chunk of bounded size at a time, and each chunk's acoustic
+scores are computed only when it is decoded. Per block it prunes the
+candidates that provably cannot place (see ``_decode_chunk``), so its
+hypothesis lists are bit-identical to searching one utterance at a time.
 
 The design gives self-training real signal at desk scale: more training
 text sharpens the bigram model and more frames sharpen the centroids, so a
@@ -280,6 +287,22 @@ def toy_train(
     )
 
 
+def _block_count(model: ToyModel, features: np.ndarray) -> int:
+    """Number of frame blocks in ``features``; refuses a shape the model cannot decode."""
+    v = len(model.tokens)
+    if features.shape[1] != v:
+        raise FrameAlignmentError(
+            f"feature width {features.shape[1]} does not match vocab size {v}"
+        )
+    fpt = model.frames_per_token
+    n_frames = features.shape[0]
+    if n_frames % fpt != 0 or n_frames == 0:
+        raise FrameAlignmentError(
+            f"{n_frames} frames is not a whole number of {fpt}-frame blocks"
+        )
+    return n_frames // fpt
+
+
 def _am_matrix(model: ToyModel, features: np.ndarray) -> np.ndarray:
     """(n_blocks, V) acoustic scores.
 
@@ -292,18 +315,9 @@ def _am_matrix(model: ToyModel, features: np.ndarray) -> np.ndarray:
     relies on (the raw distances are dominated by the per-utterance noise
     energy, which carries no information about correctness).
     """
+    _block_count(model, features)
     v = len(model.tokens)
-    if features.shape[1] != v:
-        raise FrameAlignmentError(
-            f"feature width {features.shape[1]} does not match vocab size {v}"
-        )
-    fpt = model.frames_per_token
-    n_frames = features.shape[0]
-    if n_frames % fpt != 0 or n_frames == 0:
-        raise FrameAlignmentError(
-            f"{n_frames} frames is not a whole number of {fpt}-frame blocks"
-        )
-    blocks = features.astype(np.float64).reshape(-1, fpt, v)
+    blocks = features.astype(np.float64).reshape(-1, model.frames_per_token, v)
     diffs = blocks[:, :, None, :] - model.centroids[None, None, :, :]
     raw = -np.mean(np.sum(diffs * diffs, axis=3), axis=1)
     peak = raw.max(axis=1, keepdims=True)
@@ -311,75 +325,93 @@ def _am_matrix(model: ToyModel, features: np.ndarray) -> np.ndarray:
     return raw - log_norm
 
 
-def _decode_utterance(
-    model: ToyModel, features: np.ndarray, beam: int, lm_weight: float
-) -> list[ScoredHypothesis]:
-    """Exact top-``beam`` search over the block lattice.
+# Candidates (utterance x column x state x rank) one decode chunk may span: a
+# chunk holds _CHUNK_CANDIDATES // (V * beam * V) utterances, which bounds its
+# working memory whatever the vocabulary and the beam.
+_CHUNK_CANDIDATES = 1 << 16
 
-    State is (position, last token) with ``beam`` best partial paths kept per
-    state; since the path score is bigram-factored, the final top-k over all
-    states is the exact top-k over all token sequences. Ties break toward
-    lower token ids, then better incoming ranks.
+
+def _decode_chunk(
+    am: np.ndarray, bigram_log: np.ndarray, beam: int, lm_weight: float
+) -> list[list[ScoredHypothesis]]:
+    """Exact top-``beam`` search over the block lattices of equal-length utterances.
+
+    ``am`` is (utterances, n_blocks, V). State is (position, last token) with
+    ``beam`` best partial paths kept per state, ranked by a key accumulated
+    as ``(key + lm_weight * lm) + am`` per block. Each column (next token)
+    keeps its ``beam`` best (state, rank) candidates, ties broken by the flat
+    index ``state * beam + rank``: lower token id, then better incoming rank.
+
+    Pruning is exact. A state's ranks are sorted and float addition is
+    monotone, so a state whose rank-0 candidate is not among the column's
+    ``min(beam, V)`` best rank-0 candidates has at least ``beam`` candidates
+    ahead of each of its ranks. Only the surviving states' candidates are
+    sorted, in flat-index order so that the stable sort keeps the tie rule.
     """
-    am = _am_matrix(model, features)
-    n_blocks, v = am.shape
-    lm = model.bigram_log
-    start = v
+    n_utts, n_blocks, v = am.shape
+    lm = bigram_log[:v].T  # lm[t, s]: log P(t | s)
+    weighted = lm_weight * lm
+    width = min(beam, v)
+    utts = np.arange(n_utts)[:, None, None]
+    cols = np.arange(v)[None, :, None]
+    states = np.broadcast_to(np.arange(v), (n_utts, v, v))
 
-    keys = np.full((v, beam), -np.inf)
-    am_tot = np.zeros((v, beam))
-    lm_tot = np.zeros((v, beam))
-    backptr: list[np.ndarray] = []
-
-    lm_tot[:, 0] = lm[start, :]
-    am_tot[:, 0] = am[0, :]
-    keys[:, 0] = am_tot[:, 0] + lm_weight * lm_tot[:, 0]
+    keys = np.full((n_utts, v, beam), -np.inf)
+    am_tot = np.zeros((n_utts, v, beam))
+    lm_tot = np.zeros((n_utts, v, beam))
+    am_tot[:, :, 0] = am[:, 0]
+    lm_tot[:, :, 0] = bigram_log[v]
+    keys[:, :, 0] = am_tot[:, :, 0] + lm_weight * lm_tot[:, :, 0]
+    backptr = np.empty((n_blocks - 1, n_utts, v, beam), dtype=np.int32)
 
     for i in range(1, n_blocks):
-        # candidates[s * beam + r, t]: extend rank-r path in state s with t
-        cand_keys = (
-            keys.reshape(-1, 1)
-            + lm_weight * np.repeat(lm[:v, :], beam, axis=0)
-            + am[i][None, :]
-        )
-        order = np.argsort(-cand_keys, axis=0, kind="stable")[:beam]
-        cand_am = np.repeat(am_tot.reshape(-1, 1), v, axis=1) + am[i][None, :]
-        cand_lm = np.repeat(lm_tot.reshape(-1, 1), v, axis=1) + np.repeat(
-            lm[:v, :], beam, axis=0
-        )
-        cols = np.arange(v)[None, :]
-        keys = cand_keys[order, cols].T
-        am_tot = cand_am[order, cols].T
-        lm_tot = cand_lm[order, cols].T
-        backptr.append(order.T)
+        step = am[:, i, :, None]
+        if width < v:
+            # lead[u, t, s]: state s's best path extended with token t
+            lead = (keys[:, None, :, 0] + weighted) + step
+            states = np.sort(np.argsort(-lead, axis=2, kind="stable")[:, :, :width], axis=2)
+        cand = (keys[utts, states] + weighted[cols, states][..., None]) + step[..., None]
+        cand = cand.reshape(n_utts, v, width * beam)
+        pick = np.argsort(-cand, axis=2, kind="stable")[:, :, :beam]
+        source = np.take_along_axis(states, pick // beam, axis=2)
+        rank = pick % beam
+        keys = np.take_along_axis(cand, pick, axis=2)
+        am_tot = am_tot[utts, source, rank] + step
+        lm_tot = lm_tot[utts, source, rank] + lm[cols, source]
+        backptr[i - 1] = source * beam + rank
 
-    flat_keys = keys.ravel()
-    final_order = np.argsort(-flat_keys, kind="stable")
-    hyps = []
-    for flat in final_order:
-        if len(hyps) >= beam or not np.isfinite(flat_keys[flat]):
-            break
-        state, rank = divmod(int(flat), beam)
-        tokens = [state]
-        s, r = state, rank
-        for i in range(n_blocks - 1, 0, -1):
-            prev_flat = int(backptr[i - 1][s, r])
-            s, r = divmod(prev_flat, beam)
-            tokens.append(s)
-        tokens.reverse()
-        hyps.append(
-            ScoredHypothesis(
-                transcript=Transcript(tuple(tokens)),
-                am_score=float(am_tot[state, rank]),
-                lm_score=float(lm_tot[state, rank]),
-                coverage=float(n_blocks),
-            )
-        )
+    flat = keys.reshape(n_utts, v * beam)
+    best = np.argsort(-flat, axis=1, kind="stable")[:, :beam]
+    found = np.isfinite(np.take_along_axis(flat, best, axis=1))
+    am_out = np.take_along_axis(am_tot.reshape(n_utts, -1), best, axis=1)
+    lm_out = np.take_along_axis(lm_tot.reshape(n_utts, -1), best, axis=1)
+    tokens = np.empty((n_utts, beam, n_blocks), dtype=np.int64)
+    state, rank = np.divmod(best, beam)
+    tokens[:, :, -1] = state
+    rows = np.arange(n_utts)[:, None]
+    for i in range(n_blocks - 1, 0, -1):
+        state, rank = np.divmod(backptr[i - 1][rows, state, rank], beam)
+        tokens[:, :, i - 1] = state
+
     # Re-sort on the exact expression re-ranking uses, so equal fusion
-    # parameters can never reorder the list (the DP key accumulates the same
-    # quantity in a different float order).
-    hyps.sort(key=lambda h: -(h.am_score + lm_weight * h.lm_score))
-    return hyps
+    # parameters can never reorder the list (the search key accumulates the
+    # same quantity in a different float order).
+    order = np.argsort(
+        np.where(found, -(am_out + lm_weight * lm_out), np.inf), axis=1, kind="stable"
+    )
+    coverage = float(n_blocks)
+    return [
+        [
+            ScoredHypothesis(Transcript(tuple(seq)), am_score, lm_score, coverage)
+            for seq, am_score, lm_score in zip(seqs[:count], ams, lms)
+        ]
+        for seqs, ams, lms, count in zip(
+            np.take_along_axis(tokens, order[:, :, None], axis=1).tolist(),
+            np.take_along_axis(am_out, order, axis=1).tolist(),
+            np.take_along_axis(lm_out, order, axis=1).tolist(),
+            found.sum(axis=1).tolist(),
+        )
+    ]
 
 
 def toy_transcribe(
@@ -388,10 +420,26 @@ def toy_transcribe(
     beam: int,
     lm_weight: float = 0.0,
 ) -> list[list[ScoredHypothesis]]:
-    """Per-utterance top-``beam`` hypothesis lists, sorted by am + lm_weight * lm."""
+    """Per-utterance top-``beam`` hypothesis lists, sorted by am + lm_weight * lm.
+
+    Utterances are grouped by block count and decoded a chunk at a time;
+    each chunk's acoustic scores are computed only when it is decoded.
+    """
     if beam < 1:
         raise RecognizerError("beam must be >= 1")
-    return [_decode_utterance(model, u.features, beam, lm_weight) for u in utterances]
+    groups: dict[int, list[int]] = {}
+    for index, u in enumerate(utterances):
+        groups.setdefault(_block_count(model, u.features), []).append(index)
+    v = len(model.tokens)
+    chunk = max(1, _CHUNK_CANDIDATES // (v * beam * v))
+    results: list[list[ScoredHypothesis]] = [[] for _ in utterances]
+    for members in groups.values():
+        for lo in range(0, len(members), chunk):
+            indices = members[lo : lo + chunk]
+            am = np.stack([_am_matrix(model, utterances[j].features) for j in indices])
+            for j, hyps in zip(indices, _decode_chunk(am, model.bigram_log, beam, lm_weight)):
+                results[j] = hyps
+    return results
 
 
 def _read_model(path: str | Path) -> ToyModel:

@@ -7,6 +7,72 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+
+def reference_decode(am, bigram_log, beam: int, lm_weight: float) -> list[tuple]:
+    """Exact top-``beam`` lattice search, one utterance at a time, unpruned.
+
+    ``am`` is the (n_blocks, V) acoustic matrix and ``bigram_log`` the
+    (V + 1, V) bigram table whose last row is the start context. State is
+    (position, last token) with ``beam`` best partial paths kept per state;
+    every (state, rank, token) candidate is ranked by one stable sort per
+    block, so ties break toward lower token ids, then better incoming ranks.
+    Returns (tokens, am score, lm score, coverage) tuples sorted by
+    am + lm_weight * lm.
+    """
+    am = np.asarray(am, dtype=np.float64)
+    lm = np.asarray(bigram_log, dtype=np.float64)
+    n_blocks, v = am.shape
+    start = v
+
+    keys = np.full((v, beam), -np.inf)
+    am_tot = np.zeros((v, beam))
+    lm_tot = np.zeros((v, beam))
+    backptr: list[np.ndarray] = []
+
+    lm_tot[:, 0] = lm[start, :]
+    am_tot[:, 0] = am[0, :]
+    keys[:, 0] = am_tot[:, 0] + lm_weight * lm_tot[:, 0]
+
+    for i in range(1, n_blocks):
+        # candidates[s * beam + r, t]: extend rank-r path in state s with t
+        cand_keys = (
+            keys.reshape(-1, 1)
+            + lm_weight * np.repeat(lm[:v, :], beam, axis=0)
+            + am[i][None, :]
+        )
+        order = np.argsort(-cand_keys, axis=0, kind="stable")[:beam]
+        cand_am = np.repeat(am_tot.reshape(-1, 1), v, axis=1) + am[i][None, :]
+        cand_lm = np.repeat(lm_tot.reshape(-1, 1), v, axis=1) + np.repeat(
+            lm[:v, :], beam, axis=0
+        )
+        cols = np.arange(v)[None, :]
+        keys = cand_keys[order, cols].T
+        am_tot = cand_am[order, cols].T
+        lm_tot = cand_lm[order, cols].T
+        backptr.append(order.T)
+
+    flat_keys = keys.ravel()
+    final_order = np.argsort(-flat_keys, kind="stable")
+    hyps = []
+    for flat in final_order:
+        if len(hyps) >= beam or not np.isfinite(flat_keys[flat]):
+            break
+        state, rank = divmod(int(flat), beam)
+        tokens = [state]
+        s, r = state, rank
+        for i in range(n_blocks - 1, 0, -1):
+            s, r = divmod(int(backptr[i - 1][s, r]), beam)
+            tokens.append(s)
+        tokens.reverse()
+        hyps.append(
+            (tuple(tokens), float(am_tot[state, rank]), float(lm_tot[state, rank]), float(n_blocks))
+        )
+    # Python's sort is stable, so equal scores keep the search's order.
+    hyps.sort(key=lambda h: -(h[1] + lm_weight * h[2]))
+    return hyps
+
 
 def exhaustive_edit_distance(reference, hypothesis) -> int:
     """Minimal edit distance by exhaustive recursion over all alignments.

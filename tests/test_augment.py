@@ -48,6 +48,28 @@ class TestPolicy:
         with pytest.raises(AugmentError):
             AugmentPolicy.from_dict({"time_mask_param": 3, "time_mask_ratio": 0.1})
 
+    def test_from_dict_takes_defaults_and_null_time_mask(self):
+        assert AugmentPolicy.from_dict({}) == AugmentPolicy()
+        adaptive = AugmentPolicy.from_dict({"time_mask_param": None, "time_mask_ratio": 1})
+        assert adaptive.time_mask_ratio == 1.0
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"mode": "x"},
+            {"time_mask_ratoi": 0.1},
+            {"freq_mask_param": [1]},
+            {"num_time_masks": "2"},
+            {"time_warp_param": 1.5},
+            {"num_freq_masks": True},
+            {"masked_value": None},
+            [1, 2],
+        ],
+    )
+    def test_from_dict_rejects_malformed_records(self, record):
+        with pytest.raises(AugmentError):
+            AugmentPolicy.from_dict(record)
+
 
 class TestFreqMask:
     def test_zero_param_is_identity(self):

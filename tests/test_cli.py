@@ -219,6 +219,31 @@ def test_augment_in_place_refused(task_dir, tmp_path, capsys):
     assert all(np.array_equal(a, u.features) for a, u in zip(before, after))
 
 
+@pytest.mark.parametrize(
+    "command, flag, record",
+    [
+        ("filter", "--filter-model", {"mu": 1.0}),
+        ("augment", "--policy", {"mode": "x"}),
+        ("augment", "--policy", {"freq_mask_param": [1]}),
+    ],
+    ids=["filter-missing-key", "augment-unknown-key", "augment-wrong-type"],
+)
+def test_malformed_model_file_exits_2(task_dir, tmp_path, capsys, command, flag, record):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+    argv = [command, "--manifest", str(task_dir / "dev.jsonl"), flag, str(path),
+            "--out", str(tmp_path / "out.jsonl")]
+    if command == "filter":
+        argv += ["--cutoff", "0"]
+    else:
+        argv += ["--seed", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_mix_cli(task_dir, tmp_path):
     out = tmp_path / "stream.tsv"
     code = main(["mix", "--sup", str(task_dir / "supervised.jsonl"),

@@ -18,6 +18,7 @@ from nst.corpus import (
     Transcript,
     Utterance,
     WeightedSample,
+    atomic_write_text,
     detokenize,
     load_manifest,
     load_vocab,
@@ -302,3 +303,29 @@ class TestManifests:
         with pytest.raises(OSError):
             save_manifest(small_dataset.strip_labels(), path)
         assert path.read_bytes() == before
+
+
+class TestAtomicWrite:
+    def test_failed_replace_leaves_only_the_original(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.txt"
+        atomic_write_text(path, "old\n")
+
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("nst.corpus.os.replace", fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_text(path, "new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+        assert path.read_text() == "old\n"
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(tmp_path / "a.txt", "\ud800")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_file_mode_follows_the_umask(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        atomic_write_text(tmp_path / "a.txt", "x")
+        assert (tmp_path / "a.txt").stat().st_mode == plain.stat().st_mode

@@ -97,6 +97,28 @@ class TestFitFilter:
             assert population_std(fitted) == pytest.approx(1.0, abs=1e-9)
 
 
+class TestFilterModelRecord:
+    def test_dict_roundtrip(self):
+        model = FilterModel(mu=-1.5, beta=0.25, sigma=2.0)
+        assert FilterModel.from_dict(model.to_dict()) == model
+        assert FilterModel.from_dict({"mu": -1, "beta": 0, "sigma": 2}) == FilterModel(-1.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"mu": 1.0},
+            {"mu": 1.0, "beta": 0.0, "sigma": 1.0, "sigam": 1.0},
+            {"mu": "1", "beta": 0.0, "sigma": 1.0},
+            {"mu": [1.0], "beta": 0.0, "sigma": 1.0},
+            {"mu": True, "beta": 0.0, "sigma": 1.0},
+            [1.0, 0.0, 1.0],
+        ],
+    )
+    def test_from_dict_rejects_malformed_records(self, record):
+        with pytest.raises(FilteringError):
+            FilterModel.from_dict(record)
+
+
 class TestFilterScore:
     def test_direct_evaluation(self):
         model = FilterModel(mu=0.0, beta=0.0, sigma=1.0)

@@ -1,4 +1,4 @@
-"""Source hygiene: no unused imports, imports follow the layering, the public API resolves."""
+"""Source hygiene: no unused imports, layered imports, independent oracles, a public API that resolves."""
 import ast
 from pathlib import Path
 
@@ -124,6 +124,45 @@ def test_layering_violation_is_detected():
     ]
     assert len(_layering_violations("scoring", tree)) == 4
     assert _layering_violations("cli", tree) == []
+
+
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+
+
+def _package_imports(tree: ast.Module) -> list[str]:
+    """Every import of ``nst`` or of a module inside it, with its line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [
+            f"{module} (line {node.lineno})"
+            for module in modules
+            if module == "nst" or module.startswith("nst.")
+        ]
+    return found
+
+
+def test_oracles_import_nothing_from_the_package():
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"), filename=str(ORACLES))
+    imports = _package_imports(tree)
+    assert not imports, f"oracles.py imports from the package it judges: {', '.join(imports)}"
+
+
+def test_oracle_import_from_the_package_is_detected():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from nst.recognizer import _am_matrix\n"
+        "import math, nst.scoring\n"
+        "from nst import corpus\n"
+        "from .conftest import helper\n"
+        "import nstx\n"
+    )
+    assert _package_imports(tree) == ["nst.recognizer (line 2)", "nst.scoring (line 3)", "nst (line 4)"]
 
 
 def test_public_names_resolve():

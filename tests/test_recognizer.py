@@ -1,9 +1,14 @@
 import itertools
 import json
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nst import recognizer
 from nst.augment import identity_policy
 from nst.corpus import Dataset, TokenVocab, Utterance
 from nst.recognizer import (
@@ -11,6 +16,7 @@ from nst.recognizer import (
     FrameAlignmentError,
     MarkovSentenceSource,
     RecognizerError,
+    ToyModel,
     ToyRecognizer,
     ToyWorld,
     synth_generate,
@@ -19,6 +25,8 @@ from nst.recognizer import (
 )
 from nst.scoring import FusionParams, best_hypothesis, rerank
 from nst.seeding import derive_rng
+
+from oracles import reference_decode
 
 
 def uniform_source(length=3, vocab=4):
@@ -286,6 +294,108 @@ class TestToyTranscribe:
         bad = Utterance(id="bad", features=np.zeros((4, 5)))
         with pytest.raises(FrameAlignmentError):
             toy_transcribe(model, [bad], beam=1)
+
+
+def exact(hyp_lists):
+    """Hypothesis lists as (tokens, am, lm, coverage) with the floats' exact bits."""
+    return [
+        [(tuple(h.transcript), h.am_score.hex(), h.lm_score.hex(), h.coverage.hex()) for h in hyps]
+        for hyps in hyp_lists
+    ]
+
+
+def reference_lists(model, utterances, beam, lm_weight):
+    """The unbatched, unpruned search, one utterance at a time."""
+    return [
+        [
+            (tokens, am.hex(), lm.hex(), coverage.hex())
+            for tokens, am, lm, coverage in reference_decode(
+                recognizer._am_matrix(model, u.features), model.bigram_log, beam, lm_weight
+            )
+        ]
+        for u in utterances
+    ]
+
+
+@st.composite
+def decode_cases(draw):
+    """A model and utterances on a few coarse levels, so exact score ties are common.
+
+    Utterances mix block counts, some repeat an earlier feature matrix, the
+    beam may exceed the vocabulary, and ``chunk`` utterances make one chunk.
+    """
+    v = draw(st.integers(2, 4))
+    fpt = draw(st.integers(1, 2))
+    beam = draw(st.integers(1, 6 * v))
+    lm_weight = draw(st.sampled_from([0.0, 0.75, 2.0]))
+    chunk = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = np.array([0.0, 0.5, 1.0])
+    model = ToyModel(
+        tokens=tuple(f"t{i}" for i in range(v)),
+        frames_per_token=fpt,
+        centroids=rng.choice(levels, (v, v)),
+        bigram_log=rng.choice([-0.5, -1.0, -2.0], (v + 1, v)),
+    )
+    features = []
+    for n_blocks, copy in draw(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(-4, 7)), min_size=1, max_size=9)
+    ):
+        if 0 <= copy < len(features):
+            features.append(features[copy])
+        else:
+            features.append(rng.choice(levels, (n_blocks * fpt, v)))
+    utterances = [Utterance(id=f"u{i}", features=f) for i, f in enumerate(features)]
+    return model, utterances, beam, lm_weight, chunk
+
+
+@pytest.fixture(scope="module")
+def criterion_model():
+    """A model at the benchmark's scale: 20 tokens, 3 frames per token."""
+    world = ToyWorld(vocab_size=20, noise=0.9, frames_per_token=3)
+    source = MarkovSentenceSource.structured(20, seed=1, length_range=(3, 6))
+    data = synth_generate(world, 200, source, derive_rng("criterion", 0))
+    return world, toy_train(data, world.vocab(), 3, identity_policy(), 0)
+
+
+class TestBatchedDecode:
+    @settings(max_examples=300, deadline=None)
+    @given(decode_cases())
+    def test_bit_identical_to_the_reference_search(self, case):
+        model, utterances, beam, lm_weight, chunk = case
+        v = len(model.tokens)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(recognizer, "_CHUNK_CANDIDATES", chunk * v * beam * v)
+            got = toy_transcribe(model, utterances, beam, lm_weight)
+        assert exact(got) == reference_lists(model, utterances, beam, lm_weight)
+
+    def test_groups_larger_than_one_chunk_on_a_trained_model(self, criterion_model):
+        world, model = criterion_model
+        source = MarkovSentenceSource.structured(20, seed=4, length_range=(3, 5))
+        data = list(synth_generate(world, 240, source, derive_rng("chunks", 0)))
+        group_sizes = Counter(u.features.shape[0] for u in data).values()
+        for beam in (3, 8):
+            assert min(group_sizes) > recognizer._CHUNK_CANDIDATES // (20 * beam * 20)
+            got = toy_transcribe(model, data, beam, 0.75)
+            assert exact(got) == reference_lists(model, data, beam, 0.75)
+
+    def test_working_memory_stays_near_the_unbatched_search(self, criterion_model):
+        # Decoding 400 utterances in one batch would hold several MB of candidates.
+        world, model = criterion_model
+        source = MarkovSentenceSource.structured(20, seed=1, length_range=(6, 6))
+        utterances = list(synth_generate(world, 400, source, derive_rng("memory", 0)))
+
+        def peak(decode):
+            tracemalloc.start()
+            try:
+                decode()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        batched = peak(lambda: toy_transcribe(model, utterances, 8, 0.75))
+        unbatched = peak(lambda: reference_lists(model, utterances, 8, 0.75))
+        assert batched <= unbatched + 2 * 2**20
 
 
 class TestToyRecognizer:
