@@ -14,6 +14,7 @@ kept set while holding its quality roughly constant.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .corpus import Dataset, MissingTranscriptError
 from .errors import NstError
-from .scoring import corpus_wer
+from .scoring import EmptyReferenceError, corpus_wer
 
 SIGMA_FLOOR = 1e-12
 
@@ -172,6 +173,12 @@ def score_curves(
     For each threshold: the fraction of utterances above it, the fraction of
     generated tokens above it, and the aggregate WER of the transcripts above
     it (None when nothing survives).
+
+    The transcripts above a threshold are a prefix of the dev set sorted by
+    descending score, so each (reference, hypothesis) pair is aligned once,
+    when the lowest threshold that keeps it is reached, and every row is a
+    ratio of running integer totals: summed errors over summed reference
+    length, exactly what ``corpus_wer`` gives for the kept set.
     """
     if thresholds is None:
         thresholds = default_thresholds()
@@ -187,26 +194,34 @@ def score_curves(
         entries.append((score, u.transcript, hyp.tokens))
     if not entries:
         raise FilteringError("dev set is empty")
+    entries.sort(key=lambda e: e[0], reverse=True)
+    ascending = [score for score, _, _ in reversed(entries)]
     total_utts = len(entries)
     total_tokens = sum(len(tokens) for _, _, tokens in entries)
+    # A threshold keeps the scores strictly above it; -inf keeps everything.
+    kept = [
+        (float(t), total_utts if t == NEG_INF else total_utts - bisect_right(ascending, t))
+        for t in thresholds
+    ]
+    totals = {0: (0, 0, 0)}  # kept count -> (hypothesis tokens, errors, reference length)
+    admitted = 0
+    for count in sorted({count for _, count in kept} - {0}):
+        block = entries[admitted:count]
+        tokens = sum(len(hyp) for _, _, hyp in block)
+        ref_length = sum(len(ref) for _, ref, _ in block)
+        # Against empty references every hypothesis token is an insertion.
+        errors = corpus_wer((r, h) for _, r, h in block).errors if ref_length else tokens
+        before = totals[admitted]
+        totals[count] = (before[0] + tokens, before[1] + errors, before[2] + ref_length)
+        admitted = count
     points = []
-    for threshold in thresholds:
-        if threshold == NEG_INF:
-            selected = entries
-        else:
-            selected = [e for e in entries if e[0] > threshold]
-        utt_fraction = len(selected) / total_utts
-        token_fraction = (
-            sum(len(tokens) for _, _, tokens in selected) / total_tokens
-            if total_tokens > 0
-            else 0.0
-        )
-        if selected:
-            result = corpus_wer((ref, tokens) for _, ref, tokens in selected)
-            point_wer = result.wer
-        else:
-            point_wer = None
-        points.append(CurvePoint(float(threshold), utt_fraction, token_fraction, point_wer))
+    for threshold, count in kept:
+        tokens, errors, ref_length = totals[count]
+        if count and not ref_length:
+            raise EmptyReferenceError("total reference length is 0")
+        token_fraction = tokens / total_tokens if total_tokens > 0 else 0.0
+        wer = errors / ref_length if count else None
+        points.append(CurvePoint(threshold, count / total_utts, token_fraction, wer))
     return points
 
 

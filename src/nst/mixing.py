@@ -13,7 +13,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .corpus import Dataset, Utterance
-from .errors import NstError
+from .errors import NstError, check_keys
 
 SUPERVISED = "sup"
 SEMI = "semi"
@@ -68,9 +68,7 @@ class MixPlan:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "MixPlan":
-        unknown = sorted(str(key) for key in record if key not in _PLAN_KEYS)
-        if unknown:
-            raise MixingError(f"unknown mix settings: {', '.join(unknown)}")
+        check_keys(record, _PLAN_KEYS, MixingError, "mix settings")
         ratio = record.get("ratio", (1, 1))
         return cls(
             mode=str(record.get("mode", BATCHWISE)),

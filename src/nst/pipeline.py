@@ -51,7 +51,7 @@ from .corpus import (
     save_manifest,
     token_distribution,
 )
-from .errors import NstError
+from .errors import NstError, check_keys
 from .filtering import (
     FilterModel,
     ScoredTranscript,
@@ -73,6 +73,16 @@ from .scoring import (
 from .seeding import derive_rng, derive_seed
 
 STATE_FILENAME = "state.json"
+
+# The keys each config record may hold.
+_BALANCE_KEYS = frozenset(
+    {"multiplicity_cap", "batch_fraction", "min_tokens", "smoothing_epsilon"}
+)
+_GENERATION_KEYS = frozenset(
+    {"generation", "augment", "fusion_grid", "filter_cutoff", "balance", "mix"}
+)
+_RUN_KEYS = frozenset({"frames_per_token", "beam", "decode_lm_weight", "generations"})
+_DATASET_KEYS = frozenset({"supervised", "unlabeled", "dev", "vocab"})
 
 
 class PipelineError(NstError):
@@ -131,6 +141,7 @@ class BalanceSettings:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "BalanceSettings":
+        check_keys(record, _BALANCE_KEYS, PipelineError, "balance settings")
         return cls(
             multiplicity_cap=int(record.get("multiplicity_cap", 2)),
             batch_fraction=float(record.get("batch_fraction", 0.1)),
@@ -178,6 +189,7 @@ class GenerationConfig:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "GenerationConfig":
+        check_keys(record, _GENERATION_KEYS, PipelineError, "generation settings")
         balance = record.get("balance")
         if balance is True:
             balance_settings: BalanceSettings | None = BalanceSettings()
@@ -236,7 +248,14 @@ class PipelineConfig:
                 p = base_dir / p
             return str(p)
 
-        datasets = record.get("datasets", record)
+        # The dataset paths sit either under "datasets" or beside the run settings.
+        if "datasets" in record:
+            check_keys(record, {*_RUN_KEYS, "datasets"}, PipelineError, "pipeline settings")
+            datasets = record["datasets"]
+            check_keys(datasets, _DATASET_KEYS, PipelineError, "dataset paths")
+        else:
+            check_keys(record, _RUN_KEYS | _DATASET_KEYS, PipelineError, "pipeline settings")
+            datasets = record
         return cls(
             supervised=resolve(datasets["supervised"]),
             unlabeled=resolve(datasets["unlabeled"]),

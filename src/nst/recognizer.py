@@ -207,6 +207,10 @@ class ToyModel:
             raise RecognizerError(f"centroids must be ({v}, {v})")
         if self.bigram_log.shape != (v + 1, v):
             raise RecognizerError(f"bigram table must be ({v + 1}, {v})")
+        # JSON readers accept NaN and Infinity; a model holding them decodes garbage.
+        for name in ("centroids", "bigram_log"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise RecognizerError(f"{name} must be finite")
 
     @property
     def vocab(self) -> TokenVocab:
@@ -445,7 +449,7 @@ def toy_transcribe(
 def _read_model(path: str | Path) -> ToyModel:
     try:
         return ToyModel.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecognizerError) as exc:
         raise RecognizerError(f"{path}: not a toy model file ({exc!r})") from None
 
 

@@ -13,10 +13,12 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Dataset, MissingTranscriptError, TokenVocab, Transcript, atomic_write_text
-from .errors import NstError
+from .errors import NstError, check_keys
 
 ATTENTION = "attention"
 TRANSDUCER = "transducer"
+
+_FUSION_KEYS = frozenset({"lm_weight", "coverage_weight", "nonblank_reward", "mode"})
 
 
 class ScoringError(NstError):
@@ -88,6 +90,7 @@ class FusionParams:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "FusionParams":
+        check_keys(record, _FUSION_KEYS, ScoringError, "fusion parameters")
         return cls(
             lm_weight=float(record.get("lm_weight", 0.0)),
             coverage_weight=float(record.get("coverage_weight", 0.0)),
@@ -236,6 +239,11 @@ def grid_search_table(
     It is called once; each grid point only re-ranks the same hypothesis
     lists. ``hyp_lists`` short-circuits transcription when the caller already
     has them.
+
+    Grid points mostly agree on an utterance's best hypothesis, so each
+    distinct (utterance, best hypothesis) pair is aligned once per call, and
+    every point's WER is its summed errors over the total reference length:
+    the integer ratio ``corpus_wer`` returns for the same pairs.
     """
     if not grid:
         raise ScoringError("fusion grid is empty")
@@ -247,13 +255,20 @@ def grid_search_table(
     if hyp_lists is None:
         hyp_lists = recognizer.transcribe(list(dev), beam)
     vocab = recognizer.vocab
+    pairs = list(zip(references, hyp_lists))
+    total_ref = sum(len(reference) for reference, _ in pairs)
+    errors_of: dict[tuple[int, Transcript], int] = {}
     table = []
     for params in grid:
-        pairs = []
-        for reference, hyps in zip(references, hyp_lists):
-            best = best_hypothesis(hyps, params)
-            pairs.append((reference, vocab.decode(best.transcript)))
-        table.append(GridPoint(params, corpus_wer(pairs).wer))
+        errors = 0
+        for index, (reference, hyps) in enumerate(pairs):
+            key = (index, best_hypothesis(hyps, params).transcript)
+            if key not in errors_of:
+                errors_of[key] = sum(edit_alignment_counts(reference, vocab.decode(key[1])))
+            errors += errors_of[key]
+        if total_ref == 0:
+            raise EmptyReferenceError("total reference length is 0")
+        table.append(GridPoint(params, errors / total_ref))
     return table
 
 

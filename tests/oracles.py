@@ -102,6 +102,39 @@ def exhaustive_edit_distance(reference, hypothesis) -> int:
     return best
 
 
+def reference_score_curves(entries, thresholds) -> list[tuple]:
+    """Survival and WER-above-score rows, one threshold at a time.
+
+    ``entries`` are (filter score, reference, hypothesis) triples. For each
+    threshold the kept entries are those scoring strictly above it, or all of
+    them at -inf; the row is (threshold, kept utterance fraction, kept
+    hypothesis-token fraction, kept WER or None when nothing is kept). Raises
+    ValueError on no entries, or on a nonempty kept set whose references hold
+    no tokens.
+    """
+    if not entries:
+        raise ValueError("no entries")
+    total_tokens = sum(len(hyp) for _, _, hyp in entries)
+    rows = []
+    for threshold in thresholds:
+        if threshold == -math.inf:
+            kept = list(entries)
+        else:
+            kept = [e for e in entries if e[0] > threshold]
+        tokens = sum(len(hyp) for _, _, hyp in kept)
+        token_fraction = tokens / total_tokens if total_tokens > 0 else 0.0
+        if kept:
+            ref_length = sum(len(ref) for _, ref, _ in kept)
+            if ref_length == 0:
+                raise ValueError("kept references hold no tokens")
+            errors = sum(exhaustive_edit_distance(ref, hyp) for _, ref, hyp in kept)
+            kept_wer = errors / ref_length
+        else:
+            kept_wer = None
+        rows.append((float(threshold), len(kept) / len(entries), token_fraction, kept_wer))
+    return rows
+
+
 def reference_balance(
     pool: list[tuple[str, list[int]]],
     target_probs: list[float],

@@ -244,6 +244,43 @@ def test_malformed_model_file_exits_2(task_dir, tmp_path, capsys, command, flag,
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_non_finite_model_file_exits_2(task_dir, model_path, tmp_path, capsys):
+    record = json.loads(model_path.read_text())
+    record["bigram_log"][-1][0] = float("nan")
+    record["centroids"][0][0] = float("inf")
+    model_path.write_text(json.dumps(record))
+    out = tmp_path / "hyps.jsonl"
+    argv = ["toy-transcribe", "--model", str(model_path),
+            "--manifest", str(task_dir / "dev.jsonl"), "--beam", "2", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be finite" in err
+    assert not out.exists()
+
+
+def test_run_refuses_a_misspelt_config_key(task_dir, tmp_path, capsys):
+    config = {
+        "datasets": {
+            "supervised": "task/supervised.jsonl",
+            "unlabeled": "task/unlabeled.jsonl",
+            "dev": "task/dev.jsonl",
+            "vocab": "task/vocab.txt",
+        },
+        "frames_per_token": 2,
+        "generations": [{"generation": 0, "fusion_grid": [{"lm_wieght": 0.7}]}],
+    }
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config))
+    workdir = tmp_path / "work"
+    code = main(["run", "--config", str(config_path), "--workdir", str(workdir), "--seed", "7"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "lm_wieght" in err
+    assert not workdir.exists()
+
+
 def test_mix_cli(task_dir, tmp_path):
     out = tmp_path / "stream.tsv"
     code = main(["mix", "--sup", str(task_dir / "supervised.jsonl"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nst.corpus import Dataset, Utterance
 from nst.filtering import (
@@ -20,6 +22,8 @@ from nst.filtering import (
     fit_filter,
     score_curves,
 )
+from nst.scoring import EmptyReferenceError
+from oracles import reference_score_curves
 
 NEG_INF = float("-inf")
 
@@ -289,3 +293,72 @@ class TestScoreCurves:
         partial.popitem()
         with pytest.raises(FilteringError):
             score_curves(dev, partial, model, [0.0])
+
+
+# Few fused values and short transcripts, so equal scores are common; blank
+# hypotheses score -inf.
+CURVE_MODEL = FilterModel(mu=-0.5, beta=0.25, sigma=1.0)
+curve_words = st.lists(st.sampled_from("abc"), max_size=3).map(tuple)
+curve_rows = st.lists(
+    st.tuples(curve_words, curve_words, st.sampled_from((-2.0, -1.0, 0.0, 1.5))),
+    min_size=1,
+    max_size=8,
+)
+
+
+@st.composite
+def curve_cases(draw):
+    """(reference, hypothesis, fused) rows plus thresholds, some on the rows' own scores."""
+    rows = draw(curve_rows)
+    scores = [filter_score(CURVE_MODEL, fused, len(hyp)) for _, hyp, fused in rows]
+    thresholds = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(scores),
+                st.sampled_from((NEG_INF, math.inf, 0.0)),
+                st.floats(-4.0, 4.0),
+            ),
+            max_size=8,
+        )
+    )
+    return rows, thresholds
+
+
+class TestScoreCurvesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(curve_cases())
+    # Equal scores (1.75) sitting exactly on a threshold are all out, then all in.
+    @example(([(("a",), ("a",), 1.5), (("b",), ("a",), 1.5), (("c",), ("c",), 0.0)], [1.75, 1.0]))
+    # Empty references alone in the slices that -2.0 and then -inf admit.
+    @example(([(("a",), ("a",), 1.5), ((), ("b",), -2.0), ((), (), 0.0)], [0.0, -2.0, NEG_INF]))
+    # Empty references mixed with others in one slice; duplicate, unsorted thresholds.
+    @example(([((), ("a", "b"), 1.5), (("c",), ("a",), 1.5), ((), (), -1.0)], [1.0, NEG_INF, 1.0]))
+    # Only empty references, so any nonempty kept set has no reference tokens.
+    @example(([((), ("a",), 0.0), ((), (), 0.0)], [5.0, 0.0, -3.0]))
+    def test_matches_threshold_by_threshold_oracle(self, case):
+        rows, thresholds = case
+        dev = Dataset(
+            Utterance(id=f"u{i}", features=np.zeros((1, 1)), transcript=ref)
+            for i, (ref, _, _) in enumerate(rows)
+        )
+        hyps = {f"u{i}": ScoredTranscript(hyp, fused) for i, (_, hyp, fused) in enumerate(rows)}
+        entries = [
+            (filter_score(CURVE_MODEL, fused, len(hyp)), ref, hyp) for ref, hyp, fused in rows
+        ]
+        try:
+            expected = reference_score_curves(entries, thresholds)
+        except ValueError:
+            with pytest.raises(EmptyReferenceError):
+                score_curves(dev, hyps, CURVE_MODEL, thresholds)
+            return
+        points = score_curves(dev, hyps, CURVE_MODEL, thresholds)
+        assert [
+            (p.threshold, p.utterance_fraction, p.token_fraction, p.wer) for p in points
+        ] == expected
+        assert curves_to_tsv(points) == curves_to_tsv([CurvePoint(*row) for row in expected])
+
+    def test_empty_dev_rejected(self):
+        with pytest.raises(FilteringError, match="empty"):
+            score_curves(Dataset([]), {}, CURVE_MODEL, [0.0])
+        with pytest.raises(ValueError):
+            reference_score_curves([], [0.0])

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from nst import pipeline
+from nst import pipeline, scoring
 from nst.augment import AugmentPolicy
 from nst.corpus import load_manifest, save_manifest, save_vocab
 from nst.mixing import MixPlan
@@ -229,6 +229,43 @@ class TestDecodeCount:
             state = run_generation(state, gen)
             per_generation.append(list(calls))
         assert per_generation == [[30], [80, 30], [80, 30]]
+
+    def test_one_generation_aligns_distinct_grid_pairs_plus_dev_at_most(
+        self, task, tmp_path, monkeypatch
+    ):
+        # tune_fusion aligns each distinct (utterance, best hypothesis) pair of
+        # the grid once; score_curves aligns each dev utterance at most once.
+        aligned = []
+        edit_alignment_counts = scoring.edit_alignment_counts
+
+        def counting_alignment(reference, hypothesis):
+            aligned.append(1)
+            return edit_alignment_counts(reference, hypothesis)
+
+        distinct_pairs = []
+        grid_search_table = pipeline.grid_search_table
+
+        def recording_grid(grid, dev, recognizer, beam, hyp_lists):
+            distinct_pairs.append(
+                len({
+                    (i, scoring.best_hypothesis(hyps, params).transcript)
+                    for params in grid
+                    for i, hyps in enumerate(hyp_lists)
+                })
+            )
+            return grid_search_table(grid, dev, recognizer, beam, hyp_lists=hyp_lists)
+
+        monkeypatch.setattr(scoring, "edit_alignment_counts", counting_alignment)
+        monkeypatch.setattr(pipeline, "grid_search_table", recording_grid)
+        config = make_config(task, [gen_config(0), gen_config(1, cutoff=0.0)])
+        state = init_state(tmp_path / "work", config, seed=6)
+        dev_size = len(load_manifest(task / "dev.jsonl"))
+        for gen in config.generations:
+            aligned.clear()
+            distinct_pairs.clear()
+            state = run_generation(state, gen)
+            (distinct,) = distinct_pairs
+            assert 0 < len(aligned) <= distinct + dev_size < len(GRID) * dev_size + dev_size
 
 
 class TestGradationalSchedules:
@@ -480,6 +517,41 @@ class TestConfigParsing:
         assert parse_cutoff("inf") == float("inf")
         assert parse_cutoff(0.5) == 0.5
         assert parse_cutoff("0.25") == 0.25
+
+    def test_generation_config_refuses_misspelt_keys(self):
+        record = gen_config(1, cutoff=0.0, balance=True).to_dict()
+        assert GenerationConfig.from_dict(record) == gen_config(1, cutoff=0.0, balance=True)
+        for wrong, right in [("filter_cuttoff", "filter_cutoff"), ("balanse", "balance")]:
+            misspelt = {wrong if key == right else key: value for key, value in record.items()}
+            with pytest.raises(PipelineError, match=wrong):
+                GenerationConfig.from_dict(misspelt)
+
+    def test_balance_settings_refuse_misspelt_keys(self):
+        settings = BalanceSettings(multiplicity_cap=3, min_tokens=40)
+        assert BalanceSettings.from_dict(settings.to_dict()) == settings
+        with pytest.raises(PipelineError, match="batch_fracton"):
+            BalanceSettings.from_dict({"multiplicity_cap": 2, "batch_fracton": 0.5})
+        # A nested balance record is read through the same check.
+        with pytest.raises(PipelineError, match="multiplicity_capp"):
+            GenerationConfig.from_dict(
+                {"generation": 0, "balance": {"multiplicity_capp": 3}}
+            )
+
+    @pytest.mark.parametrize("nested", [True, False], ids=["nested", "flat"])
+    def test_pipeline_config_refuses_misspelt_keys(self, nested):
+        def layout(paths):
+            record = {"datasets": paths} if nested else dict(paths)
+            return {**record, "frames_per_token": 2, "beam": 3}
+
+        paths = {"supervised": "s.jsonl", "unlabeled": "u.jsonl", "dev": "d.jsonl",
+                 "vocab": "v.txt"}
+        assert PipelineConfig.from_dict(layout(paths)).beam == 3
+        with pytest.raises(PipelineError, match="bema"):
+            PipelineConfig.from_dict({**layout(paths), "bema": 8})
+        misspelt = {("supervized" if key == "supervised" else key): value
+                    for key, value in paths.items()}
+        with pytest.raises(PipelineError, match="supervized"):
+            PipelineConfig.from_dict(layout(misspelt))
 
     def test_config_json_roundtrip(self, task, tmp_path):
         record = {

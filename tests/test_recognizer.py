@@ -458,6 +458,26 @@ class TestToyRecognizer:
         with pytest.raises(RecognizerError, match="not a toy model file"):
             ToyRecognizer.from_file(path)
 
+    @pytest.mark.parametrize(
+        "name, row, value",
+        [("bigram_log", -1, float("nan")), ("centroids", 0, float("inf")),
+         ("bigram_log", 1, float("-inf"))],
+        ids=["nan-start-bigram", "inf-centroid", "neg-inf-bigram"],
+    )
+    def test_non_finite_model_file_refused(self, tmp_path, trained, name, row, value):
+        # json writes and reads NaN and Infinity, so such a file parses.
+        world, model = trained
+        record = model.to_dict()
+        record[name][row][0] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(RecognizerError, match=f"{name} must be finite"):
+            ToyRecognizer(world.vocab(), world.frames_per_token).load(path)
+        with pytest.raises(RecognizerError, match=str(path)):
+            ToyRecognizer.from_file(path)
+        with pytest.raises(RecognizerError, match=f"{name} must be finite"):
+            ToyModel.from_dict(record)
+
     def test_from_file_takes_vocab_and_frame_rate_from_the_model(self, tmp_path, trained):
         world, model = trained
         path = tmp_path / "model.json"

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nst import scoring
 from nst.corpus import Dataset, TokenVocab, Transcript, Utterance
 from nst.scoring import (
     EmptyReferenceError,
@@ -48,6 +51,13 @@ class TestFuseScore:
         h = hyp(tokens=(0, 1, 0, 1), am=-5.0, lm=-2.0)
         params = FusionParams(lm_weight=0.5, nonblank_reward=0.25, mode="transducer")
         assert fuse_score(h, params) == pytest.approx(-5.0)
+
+    def test_from_dict_refuses_a_misspelt_key(self):
+        params = FusionParams(lm_weight=0.5, mode="transducer", nonblank_reward=0.25)
+        assert FusionParams.from_dict(params.to_dict()) == params
+        assert FusionParams.from_dict({}) == FusionParams()
+        with pytest.raises(ScoringError, match="lm_wieght"):
+            FusionParams.from_dict({"lm_wieght": 0.5})
 
     def test_attention_ignores_reward(self):
         h = hyp(tokens=(0, 1), am=-1.0, lm=-1.0, coverage=2.0)
@@ -263,6 +273,60 @@ class TestGridSearch:
             manual.append(corpus_wer(pairs).wer)
         assert manual[1] < manual[0]
         assert grid_search_fusion(grid, dev, recognizer, beam=4) == grid[1]
+
+
+class TestGridAlignmentCount:
+    @pytest.fixture
+    def toy_dev(self):
+        from nst.augment import identity_policy
+        from nst.recognizer import (
+            MarkovSentenceSource,
+            ToyRecognizer,
+            ToyWorld,
+            synth_generate,
+            toy_train,
+        )
+        from nst.seeding import derive_rng
+
+        world = ToyWorld(vocab_size=6, noise=0.8, frames_per_token=2)
+        source = MarkovSentenceSource.structured(6, seed=2, branching=2, length_range=(3, 6))
+        train = synth_generate(world, 60, source, derive_rng("ga-train", 3))
+        model = toy_train(train, world.vocab(), 2, identity_policy(), 3)
+        recognizer = ToyRecognizer(world.vocab(), 2, model=model)
+        dev = synth_generate(world, 12, source, derive_rng("ga-dev", 3), id_prefix="dev")
+        return dev, recognizer, recognizer.transcribe(list(dev), 4)
+
+    def test_each_distinct_pair_is_aligned_once(self, toy_dev, monkeypatch):
+        dev, recognizer, hyp_lists = toy_dev
+        grid = [FusionParams(lm_weight=w) for w in (0.0, 0.3, 0.7, 1.0, 2.0, 4.0)]
+        refs = [u.transcript for u in dev]
+        decode = recognizer.vocab.decode
+        # By hand: every grid point's best pairs, through corpus_wer.
+        best = [[best_hypothesis(hyps, p).transcript for hyps in hyp_lists] for p in grid]
+        manual = [corpus_wer(zip(refs, map(decode, row))).wer for row in best]
+        distinct = {(i, t) for row in best for i, t in enumerate(row)}
+        assert len(grid) < len(distinct) < len(grid) * len(dev)
+
+        aligned = []
+        original = scoring.edit_alignment_counts
+
+        def counting(reference, hypothesis):
+            aligned.append((tuple(reference), tuple(hypothesis)))
+            return original(reference, hypothesis)
+
+        monkeypatch.setattr(scoring, "edit_alignment_counts", counting)
+        table = grid_search_table(grid, dev, recognizer, beam=4, hyp_lists=hyp_lists)
+        assert Counter(aligned) == Counter((refs[i], decode(t)) for i, t in distinct)
+        assert [point.dev_wer for point in table] == manual
+        assert [point.params for point in table] == grid
+
+    def test_all_empty_references_rejected(self, fake_dev):
+        dev, recognizer = fake_dev
+        blank = Dataset(
+            Utterance(id=u.id, features=u.features, transcript=()) for u in dev
+        )
+        with pytest.raises(EmptyReferenceError):
+            grid_search_table([FusionParams()], blank, recognizer)
 
 
 class TestHypothesesJsonl:
