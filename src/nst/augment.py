@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NstError
+from .errors import NstError, read_record
 
 
 class AugmentError(NstError):
@@ -22,14 +22,14 @@ class AugmentError(NstError):
 
 
 # Each ``AugmentPolicy`` field with the JSON types its value may take.
-_POLICY_TYPES = {
+_POLICY_SPEC = {
     "freq_mask_param": int,
     "num_freq_masks": int,
-    "time_mask_param": int,
-    "time_mask_ratio": (int, float),
+    "time_mask_param": (int, None),
+    "time_mask_ratio": (float, None),
     "num_time_masks": int,
     "time_warp_param": int,
-    "masked_value": (int, float),
+    "masked_value": float,
 }
 
 
@@ -92,37 +92,15 @@ class AugmentPolicy:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "AugmentPolicy":
-        """The policy a ``to_dict`` record describes; absent keys take their defaults."""
-        if not isinstance(record, Mapping):
-            raise AugmentError(f"an augment policy must be a mapping, got {record!r}")
-        for name, value in record.items():
-            kind = _POLICY_TYPES.get(name)
-            if kind is None:
-                raise AugmentError(f"unknown augment policy key {name!r}")
-            if value is None and name in ("time_mask_param", "time_mask_ratio"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, kind):
-                expected = "an integer" if kind is int else "a number"
-                raise AugmentError(f"augment policy {name} must be {expected}, got {value!r}")
-        has_ratio = record.get("time_mask_ratio") is not None
-        has_param = record.get("time_mask_param") is not None
-        if has_ratio and has_param:
-            raise AugmentError(
-                "policy sets both time_mask_param and time_mask_ratio"
-            )
-        return cls(
-            freq_mask_param=int(record.get("freq_mask_param", 0)),
-            num_freq_masks=int(record.get("num_freq_masks", 2)),
-            time_mask_param=(
-                None if has_ratio else int(record.get("time_mask_param", 0))
-            ),
-            time_mask_ratio=(
-                float(record["time_mask_ratio"]) if has_ratio else None
-            ),
-            num_time_masks=int(record.get("num_time_masks", 2)),
-            time_warp_param=int(record.get("time_warp_param", 0)),
-            masked_value=float(record.get("masked_value", 0.0)),
-        )
+        """The policy a ``to_dict`` record describes; absent keys take their defaults.
+
+        A record that sets ``time_mask_ratio`` leaves ``time_mask_param``
+        unset rather than at its fixed-width default.
+        """
+        values = read_record(record, _POLICY_SPEC, AugmentError, "augment policy")
+        if values.get("time_mask_ratio") is not None:
+            values.setdefault("time_mask_param", None)
+        return cls(**values)
 
 
 def identity_policy() -> AugmentPolicy:

@@ -174,13 +174,11 @@ def cmd_balance(args) -> int:
     dataset = load_manifest(args.manifest)
     target_set = load_manifest(args.target)
     vocab = load_vocab(args.vocab)
-    settings = BalanceSettings.from_dict(
-        {
-            "multiplicity_cap": args.cap,
-            "batch_fraction": args.batch_frac,
-            "min_tokens": args.min_tokens,
-            "smoothing_epsilon": args.epsilon,
-        }
+    settings = BalanceSettings(
+        multiplicity_cap=args.cap,
+        batch_fraction=args.batch_frac,
+        min_tokens=args.min_tokens,
+        smoothing_epsilon=args.epsilon,
     )
     result = balance_sample(dataset, target_set, vocab, settings)
     by_id = {s.utterance_id: s.multiplicity for s in result.samples}
@@ -248,6 +246,16 @@ def cmd_report(args) -> int:
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")
     return 0
+
+
+def _min_tokens(text: str) -> int | None:
+    """``--min-tokens``: an integer, or ``auto`` (None) for the target's token total."""
+    if text == "auto":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--cap", type=int, default=2)
     p.add_argument("--batch-frac", type=float, default=0.1)
-    p.add_argument("--min-tokens", default="auto")
+    p.add_argument("--min-tokens", type=_min_tokens, default="auto",
+                   help="token floor: an integer, or 'auto' for the target's token total")
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_balance)

@@ -5,16 +5,43 @@ class NstError(Exception):
     """Base class for all errors raised by this package."""
 
 
-def check_keys(
-    record: object, allowed: Collection[str], error: type[NstError], what: str
-) -> None:
-    """Raise ``error`` unless ``record`` is a mapping with no key outside ``allowed``.
+# Each JSON type a record spec may name: the Python types that carry it, and its name.
+_JSON_TYPES = {
+    int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"),
+    bool: (bool, "true or false"), list: (list, "a list"), dict: (Mapping, "a mapping"),
+    None: (type(None), "null"),
+}
 
-    A misspelt key would otherwise be dropped and its setting run at the
-    default, so every config reader refuses one by name.
+
+def read_record(
+    record: object, spec: Mapping, error: type[NstError], what: str, required: Collection[str] = ()
+) -> dict:
+    """The entries of ``record``, each checked against its JSON type in ``spec``.
+
+    ``spec`` maps each key the record may hold to ``int``, ``float``, ``str``,
+    ``bool``, ``list`` or ``dict``, or to a tuple of them in which ``None``
+    admits null. A bool is never a number, and an integer for a float key is
+    returned as a float. A non-mapping, an unknown key, a missing ``required``
+    key or a wrong-typed value raises ``error`` naming the key, since a misread
+    value would silently run another setting. Absent keys stay absent, so
+    they take the defaults of whatever is built from the result.
     """
     if not isinstance(record, Mapping):
         raise error(f"{what} must be a mapping, got {record!r}")
-    unknown = sorted(str(key) for key in record if key not in allowed)
+    unknown = sorted(str(key) for key in record if key not in spec)
     if unknown:
         raise error(f"unknown {what}: {', '.join(unknown)}")
+    missing = [key for key in required if key not in record]
+    if missing:
+        raise error(f"missing from {what}: {', '.join(missing)}")
+    values = {}
+    for key, value in record.items():
+        kinds = spec[key] if isinstance(spec[key], tuple) else (spec[key],)
+        if not any(
+            isinstance(value, _JSON_TYPES[kind][0]) and isinstance(value, bool) == (kind is bool)
+            for kind in kinds
+        ):
+            expected = " or ".join(_JSON_TYPES[kind][1] for kind in kinds)
+            raise error(f"{what}: {key} must be {expected}, got {value!r}")
+        values[key] = float(value) if float in kinds and type(value) is int else value
+    return values

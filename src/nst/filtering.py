@@ -21,12 +21,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Dataset, MissingTranscriptError
-from .errors import NstError
+from .errors import NstError, read_record
 from .scoring import EmptyReferenceError, corpus_wer
 
 SIGMA_FLOOR = 1e-12
 
 NEG_INF = float("-inf")
+
+_MODEL_SPEC = {"mu": float, "beta": float, "sigma": float}
 
 
 class FilteringError(NstError):
@@ -69,13 +71,10 @@ class FilterModel:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "FilterModel":
-        names = ("mu", "beta", "sigma")
-        if not isinstance(record, Mapping) or set(record) != set(names):
-            raise FilteringError(f"a filter model needs exactly the keys {names}, got {record!r}")
-        values = [record[name] for name in names]
-        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in values):
-            raise FilteringError(f"filter model values must be numbers, got {record!r}")
-        return cls(*values)
+        """The model a ``to_dict`` record describes; all three numbers are required."""
+        values = read_record(record, _MODEL_SPEC, FilteringError, "filter model",
+                             required=_MODEL_SPEC)
+        return cls(**values)
 
 
 def fit_filter(pairs: Sequence[tuple[int, float]]) -> FilterModel:

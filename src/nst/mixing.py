@@ -13,7 +13,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .corpus import Dataset, Utterance
-from .errors import NstError, check_keys
+from .errors import NstError, read_record
 
 SUPERVISED = "sup"
 SEMI = "semi"
@@ -21,7 +21,7 @@ SEMI = "semi"
 BATCHWISE = "batchwise"
 UNIFORM = "uniform"
 
-_PLAN_KEYS = frozenset({"mode", "ratio", "batch_size"})
+_PLAN_SPEC = {"mode": str, "ratio": list, "batch_size": int}
 
 
 class MixingError(NstError):
@@ -68,13 +68,17 @@ class MixPlan:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "MixPlan":
-        check_keys(record, _PLAN_KEYS, MixingError, "mix settings")
-        ratio = record.get("ratio", (1, 1))
-        return cls(
-            mode=str(record.get("mode", BATCHWISE)),
-            ratio=(int(ratio[0]), int(ratio[1])),
-            batch_size=int(record.get("batch_size", 2)),
-        )
+        """The plan a ``to_dict`` record describes; absent keys take their defaults.
+
+        ``ratio`` is a list of two JSON integers.
+        """
+        values = read_record(record, _PLAN_SPEC, MixingError, "mix settings")
+        if "ratio" in values:
+            ratio = values["ratio"]
+            if len(ratio) != 2 or any(type(term) is not int for term in ratio):
+                raise MixingError(f"mix settings: ratio must be two integers, got {ratio!r}")
+            values["ratio"] = tuple(ratio)
+        return cls(**values)
 
     def to_dict(self) -> dict:
         record: dict[str, object] = {"mode": self.mode}

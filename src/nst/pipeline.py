@@ -51,7 +51,7 @@ from .corpus import (
     save_manifest,
     token_distribution,
 )
-from .errors import NstError, check_keys
+from .errors import NstError, read_record
 from .filtering import (
     FilterModel,
     ScoredTranscript,
@@ -74,15 +74,18 @@ from .seeding import derive_rng, derive_seed
 
 STATE_FILENAME = "state.json"
 
-# The keys each config record may hold.
-_BALANCE_KEYS = frozenset(
-    {"multiplicity_cap", "batch_fraction", "min_tokens", "smoothing_epsilon"}
-)
-_GENERATION_KEYS = frozenset(
-    {"generation", "augment", "fusion_grid", "filter_cutoff", "balance", "mix"}
-)
-_RUN_KEYS = frozenset({"frames_per_token", "beam", "decode_lm_weight", "generations"})
-_DATASET_KEYS = frozenset({"supervised", "unlabeled", "dev", "vocab"})
+# The keys each config and state record may hold, with their JSON types.
+_BALANCE_SPEC = {"multiplicity_cap": int, "batch_fraction": float,
+                 "min_tokens": (int, str, None), "smoothing_epsilon": float}
+_GENERATION_SPEC = {"generation": int, "augment": dict, "fusion_grid": list, "mix": dict,
+                    "filter_cutoff": (float, str, None), "balance": (bool, dict, None)}
+_DATASET_SPEC = {"supervised": str, "unlabeled": str, "dev": str, "vocab": str}
+_RUN_SPEC = {"datasets": dict, "frames_per_token": int, "beam": int, "decode_lm_weight": float,
+             "generations": list}
+_METRICS_SPEC = {"generation": int, "dev_wer": float, "semi_utterances": int, "semi_examples": int}
+_STATE_SPEC = {"seed": int, "frames_per_token": int, "beam": int, "decode_lm_weight": float,
+               **_DATASET_SPEC, "generation": int, "model_file": (str, None),
+               "fusion": (dict, None), "filter_model": (dict, None), "metrics": list}
 
 
 class PipelineError(NstError):
@@ -141,17 +144,17 @@ class BalanceSettings:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "BalanceSettings":
-        check_keys(record, _BALANCE_KEYS, PipelineError, "balance settings")
-        return cls(
-            multiplicity_cap=int(record.get("multiplicity_cap", 2)),
-            batch_fraction=float(record.get("batch_fraction", 0.1)),
-            min_tokens=(
-                None
-                if record.get("min_tokens") in (None, "auto")
-                else int(record["min_tokens"])
-            ),
-            smoothing_epsilon=float(record.get("smoothing_epsilon", 1e-6)),
-        )
+        """The settings a ``to_dict`` record describes; absent keys take their defaults.
+
+        ``min_tokens`` is an integer, or ``"auto"``/null for the supervised
+        token total.
+        """
+        values = read_record(record, _BALANCE_SPEC, PipelineError, "balance settings")
+        if values.get("min_tokens") == "auto":
+            values["min_tokens"] = None
+        elif isinstance(values.get("min_tokens"), str):
+            raise PipelineError("balance settings: min_tokens must be an integer, 'auto' or null")
+        return cls(**values)
 
     def to_dict(self) -> dict:
         return {
@@ -189,23 +192,25 @@ class GenerationConfig:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "GenerationConfig":
-        check_keys(record, _GENERATION_KEYS, PipelineError, "generation settings")
-        balance = record.get("balance")
-        if balance is True:
-            balance_settings: BalanceSettings | None = BalanceSettings()
-        elif balance:
-            balance_settings = BalanceSettings.from_dict(balance)
-        else:
-            balance_settings = None
+        """The config a ``to_dict`` record describes; only ``generation`` is required.
+
+        An absent ``augment`` or ``mix`` takes that record's defaults, and an
+        absent ``fusion_grid`` is one default point. ``filter_cutoff`` goes
+        through ``parse_cutoff``. ``balance`` is a balance settings record, or
+        true for the default settings; false or null turns balancing off.
+        """
+        values = read_record(record, _GENERATION_SPEC, PipelineError, "generation settings",
+                             required=("generation",))
+        balance = {} if values.get("balance") is True else values.get("balance")
         return cls(
-            generation=int(record["generation"]),
-            augment_policy=AugmentPolicy.from_dict(record.get("augment", {})),
+            generation=values["generation"],
+            augment_policy=AugmentPolicy.from_dict(values.get("augment", {})),
             fusion_grid=tuple(
-                FusionParams.from_dict(g) for g in record.get("fusion_grid", [{}])
+                FusionParams.from_dict(g) for g in values.get("fusion_grid", [{}])
             ),
-            filter_cutoff=parse_cutoff(record.get("filter_cutoff")),
-            balance=balance_settings,
-            mix=MixPlan.from_dict(record.get("mix", {})),
+            filter_cutoff=parse_cutoff(values.get("filter_cutoff")),
+            balance=None if balance in (None, False) else BalanceSettings.from_dict(balance),
+            mix=MixPlan.from_dict(values.get("mix", {})),
         )
 
     def to_dict(self) -> dict:
@@ -242,32 +247,23 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, record: Mapping, base_dir: Path | None = None) -> "PipelineConfig":
-        def resolve(path: str) -> str:
-            p = Path(path)
-            if base_dir is not None and not p.is_absolute():
-                p = base_dir / p
-            return str(p)
+        """The config a run config record describes.
 
-        # The dataset paths sit either under "datasets" or beside the run settings.
-        if "datasets" in record:
-            check_keys(record, {*_RUN_KEYS, "datasets"}, PipelineError, "pipeline settings")
-            datasets = record["datasets"]
-            check_keys(datasets, _DATASET_KEYS, PipelineError, "dataset paths")
-        else:
-            check_keys(record, _RUN_KEYS | _DATASET_KEYS, PipelineError, "pipeline settings")
-            datasets = record
-        return cls(
-            supervised=resolve(datasets["supervised"]),
-            unlabeled=resolve(datasets["unlabeled"]),
-            dev=resolve(datasets["dev"]),
-            vocab=resolve(datasets["vocab"]),
-            frames_per_token=int(record["frames_per_token"]),
-            beam=int(record.get("beam", 4)),
-            decode_lm_weight=float(record.get("decode_lm_weight", 0.0)),
-            generations=tuple(
-                GenerationConfig.from_dict(g) for g in record.get("generations", [])
-            ),
-        )
+        ``datasets`` (all four paths) and ``frames_per_token`` are required;
+        other absent keys take their defaults. Relative dataset paths are
+        resolved against ``base_dir`` when it is given.
+        """
+        values = read_record(record, _RUN_SPEC, PipelineError, "pipeline settings",
+                             required=("datasets", "frames_per_token"))
+        paths = read_record(values.pop("datasets"), _DATASET_SPEC, PipelineError,
+                            "dataset paths", required=_DATASET_SPEC)
+        for key, path in paths.items():
+            values[key] = str(Path(base_dir or ".", path))  # an absolute path stays as it is
+        if "generations" in values:
+            values["generations"] = tuple(
+                GenerationConfig.from_dict(g) for g in values["generations"]
+            )
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -288,12 +284,9 @@ class GenerationMetrics:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "GenerationMetrics":
-        return cls(
-            generation=int(record["generation"]),
-            dev_wer=float(record["dev_wer"]),
-            semi_utterances=int(record["semi_utterances"]),
-            semi_examples=int(record["semi_examples"]),
-        )
+        values = read_record(record, _METRICS_SPEC, PipelineError, "generation metrics",
+                             required=_METRICS_SPEC)
+        return cls(**values)
 
 
 @dataclass
@@ -327,28 +320,15 @@ class PipelineState:
 
     @classmethod
     def from_dict(cls, workdir: Path, record: Mapping) -> "PipelineState":
-        return cls(
-            workdir=workdir,
-            seed=int(record["seed"]),
-            frames_per_token=int(record["frames_per_token"]),
-            beam=int(record["beam"]),
-            decode_lm_weight=float(record["decode_lm_weight"]),
-            supervised=record["supervised"],
-            unlabeled=record["unlabeled"],
-            dev=record["dev"],
-            vocab=record["vocab"],
-            generation=int(record["generation"]),
-            model_file=record.get("model_file"),
-            fusion=(
-                FusionParams.from_dict(record["fusion"]) if record.get("fusion") else None
-            ),
-            filter_model=(
-                FilterModel.from_dict(record["filter_model"])
-                if record.get("filter_model")
-                else None
-            ),
-            metrics=[GenerationMetrics.from_dict(m) for m in record.get("metrics", [])],
-        )
+        """The state a ``to_dict`` record describes; every key is required."""
+        values = read_record(record, _STATE_SPEC, PipelineError, "pipeline state",
+                             required=_STATE_SPEC)
+        if values["fusion"] is not None:
+            values["fusion"] = FusionParams.from_dict(values["fusion"])
+        if values["filter_model"] is not None:
+            values["filter_model"] = FilterModel.from_dict(values["filter_model"])
+        values["metrics"] = [GenerationMetrics.from_dict(m) for m in values["metrics"]]
+        return cls(workdir=workdir, **values)
 
 
 def save_state(state: PipelineState) -> Path:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .corpus import (
     Utterance,
     atomic_write_text,
 )
-from .errors import NstError
+from .errors import NstError, read_record
 from .scoring import ScoredHypothesis
 from .seeding import derive_rng
 
@@ -190,6 +190,10 @@ def synth_generate(
     return Dataset(utterances)
 
 
+# The keys of a toy model file, with their JSON types.
+_MODEL_SPEC = {"tokens": list, "frames_per_token": int, "centroids": list, "bigram_log": list}
+
+
 @dataclass
 class ToyModel:
     """Per-token centroids plus a bigram LM (last row is the start context)."""
@@ -225,13 +229,11 @@ class ToyModel:
         }
 
     @classmethod
-    def from_dict(cls, record: dict) -> "ToyModel":
-        return cls(
-            tokens=tuple(record["tokens"]),
-            frames_per_token=int(record["frames_per_token"]),
-            centroids=np.array(record["centroids"], dtype=np.float64),
-            bigram_log=np.array(record["bigram_log"], dtype=np.float64),
-        )
+    def from_dict(cls, record: Mapping) -> "ToyModel":
+        """The model a ``to_dict`` record describes; every key is required."""
+        values = read_record(record, _MODEL_SPEC, RecognizerError, "toy model",
+                             required=_MODEL_SPEC)
+        return cls(**{**values, "tokens": tuple(values["tokens"])})
 
 
 def toy_train(
@@ -449,7 +451,7 @@ def toy_transcribe(
 def _read_model(path: str | Path) -> ToyModel:
     try:
         return ToyModel.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (KeyError, TypeError, ValueError, RecognizerError) as exc:
+    except (TypeError, ValueError, RecognizerError) as exc:
         raise RecognizerError(f"{path}: not a toy model file ({exc!r})") from None
 
 

@@ -13,12 +13,13 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Dataset, MissingTranscriptError, TokenVocab, Transcript, atomic_write_text
-from .errors import NstError, check_keys
+from .errors import NstError, read_record
 
 ATTENTION = "attention"
 TRANSDUCER = "transducer"
 
-_FUSION_KEYS = frozenset({"lm_weight", "coverage_weight", "nonblank_reward", "mode"})
+_FUSION_SPEC = {"lm_weight": float, "coverage_weight": float, "nonblank_reward": float,
+                "mode": str}
 
 
 class ScoringError(NstError):
@@ -90,13 +91,8 @@ class FusionParams:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "FusionParams":
-        check_keys(record, _FUSION_KEYS, ScoringError, "fusion parameters")
-        return cls(
-            lm_weight=float(record.get("lm_weight", 0.0)),
-            coverage_weight=float(record.get("coverage_weight", 0.0)),
-            nonblank_reward=float(record.get("nonblank_reward", 0.0)),
-            mode=str(record.get("mode", ATTENTION)),
-        )
+        """The parameters a ``to_dict`` record describes; absent keys take their defaults."""
+        return cls(**read_record(record, _FUSION_SPEC, ScoringError, "fusion parameters"))
 
 
 def fuse_components(

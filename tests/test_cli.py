@@ -281,6 +281,56 @@ def test_run_refuses_a_misspelt_config_key(task_dir, tmp_path, capsys):
     assert not workdir.exists()
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda c: c.pop("frames_per_token"), "frames_per_token"),
+        (lambda c: c["generations"][0].update(augment={"time_mask_param": None}), "time_mask"),
+    ],
+    ids=["missing-frames_per_token", "null-time_mask_param"],
+)
+def test_run_refuses_a_malformed_config(task_dir, tmp_path, capsys, edit, named):
+    config = {
+        "datasets": {
+            "supervised": "task/supervised.jsonl",
+            "unlabeled": "task/unlabeled.jsonl",
+            "dev": "task/dev.jsonl",
+            "vocab": "task/vocab.txt",
+        },
+        "frames_per_token": 2,
+        "generations": [{"generation": 0}],
+    }
+    edit(config)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config))
+    workdir = tmp_path / "work"
+    code = main(["run", "--config", str(config_path), "--workdir", str(workdir), "--seed", "7"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not workdir.exists()
+
+
+def test_balance_min_tokens_auto_is_the_target_total(task_dir, tmp_path, capsys):
+    target = task_dir / "supervised.jsonl"
+
+    def balance(min_tokens):
+        out = tmp_path / f"balanced_{min_tokens}.jsonl"
+        code = main(["balance", "--manifest", str(task_dir / "dev.jsonl"), "--target", str(target),
+                     "--vocab", str(task_dir / "vocab.txt"), "--min-tokens", min_tokens,
+                     "--out", str(out)])
+        assert code == 0
+        return out.read_bytes()
+
+    total = load_manifest(target).total_tokens()
+    assert balance("auto") == balance(str(total)) != balance(str(total // 2))
+    with pytest.raises(SystemExit) as exit_info:
+        balance("2.5")
+    assert exit_info.value.code == 2
+    assert "--min-tokens: expected an integer or 'auto', got '2.5'" in capsys.readouterr().err
+
+
 def test_mix_cli(task_dir, tmp_path):
     out = tmp_path / "stream.tsv"
     code = main(["mix", "--sup", str(task_dir / "supervised.jsonl"),

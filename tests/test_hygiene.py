@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports, layered imports, independent oracles, a public API that resolves."""
+"""Source hygiene: no unused imports, layered imports, independent oracles, checked record
+readers, a public API that resolves."""
 import ast
 from pathlib import Path
 
@@ -163,6 +164,50 @@ def test_oracle_import_from_the_package_is_detected():
         "import nstx\n"
     )
     assert _package_imports(tree) == ["nst.recognizer (line 2)", "nst.scoring (line 3)", "nst (line 4)"]
+
+
+def _unchecked_readers(tree: ast.Module) -> list[str]:
+    """Every ``from_dict`` method, with its class and line, that never calls ``read_record``."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if isinstance(method, ast.FunctionDef) and method.name == "from_dict":
+                calls = {
+                    node.func.id
+                    for node in ast.walk(method)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                }
+                if "read_record" not in calls:
+                    found.append(f"{cls.name}.from_dict (line {method.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_record_readers_check_keys_and_types(path):
+    # One helper checks every record's keys and value types; a reader that skips it
+    # would let a mistyped value run another setting.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unchecked = _unchecked_readers(tree)
+    assert not unchecked, f"{path.name} reads records without read_record: {', '.join(unchecked)}"
+
+
+def test_unchecked_reader_is_detected():
+    tree = ast.parse(
+        "class A:\n"
+        "    @classmethod\n"
+        "    def from_dict(cls, record):\n"
+        "        return cls(**read_record(record, SPEC, E, 'a'))\n"
+        "class B:\n"
+        "    @classmethod\n"
+        "    def from_dict(cls, record):\n"
+        "        check_keys(record, KEYS, E, 'b')\n"
+        "        return cls(x=int(record.get('x', 0)))\n"
+        "    def to_dict(self):\n"
+        "        return {}\n"
+    )
+    assert _unchecked_readers(tree) == ["B.from_dict (line 7)"]
 
 
 def test_public_names_resolve():

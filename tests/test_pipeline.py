@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 from pathlib import Path
@@ -7,12 +8,15 @@ import pytest
 from nst import pipeline, scoring
 from nst.augment import AugmentPolicy
 from nst.corpus import load_manifest, save_manifest, save_vocab
-from nst.mixing import MixPlan
+from nst.augment import AugmentError
+from nst.mixing import MixingError, MixPlan
 from nst.pipeline import (
     BalanceSettings,
     GenerationConfig,
+    GenerationMetrics,
     PipelineConfig,
     PipelineError,
+    PipelineState,
     StageError,
     emit_reports,
     init_state,
@@ -20,6 +24,7 @@ from nst.pipeline import (
     parse_cutoff,
     run_generation,
     run_pipeline,
+    save_state,
 )
 from nst.recognizer import (
     MarkovSentenceSource,
@@ -510,6 +515,34 @@ class TestReports:
             emit_reports(state)
 
 
+# A run config record that parses; ``edited_config`` breaks one entry of it.
+VALID_CONFIG = {
+    "datasets": {"supervised": "s.jsonl", "unlabeled": "u.jsonl", "dev": "d.jsonl",
+                 "vocab": "v.txt"},
+    "frames_per_token": 2,
+    "beam": 3,
+    "generations": [
+        {"generation": 0, "augment": {"time_mask_param": 4}, "filter_cutoff": 0.5,
+         "balance": {"min_tokens": 40}, "mix": {"ratio": [1, 1], "batch_size": 4}},
+    ],
+}
+
+MISSING = object()
+
+
+def edited_config(where, key, value):
+    """``VALID_CONFIG`` with ``key`` of one record set to ``value``, or deleted if MISSING."""
+    record = copy.deepcopy(VALID_CONFIG)
+    generation = record["generations"][0]
+    target = {"run": record, "generation": generation, "mix": generation["mix"],
+              "balance": generation["balance"]}[where]
+    if value is MISSING:
+        del target[key]
+    else:
+        target[key] = value
+    return record
+
+
 class TestConfigParsing:
     def test_cutoff_forms(self):
         assert parse_cutoff(None) is None
@@ -537,21 +570,72 @@ class TestConfigParsing:
                 {"generation": 0, "balance": {"multiplicity_capp": 3}}
             )
 
-    @pytest.mark.parametrize("nested", [True, False], ids=["nested", "flat"])
-    def test_pipeline_config_refuses_misspelt_keys(self, nested):
-        def layout(paths):
-            record = {"datasets": paths} if nested else dict(paths)
-            return {**record, "frames_per_token": 2, "beam": 3}
-
-        paths = {"supervised": "s.jsonl", "unlabeled": "u.jsonl", "dev": "d.jsonl",
-                 "vocab": "v.txt"}
-        assert PipelineConfig.from_dict(layout(paths)).beam == 3
+    def test_pipeline_config_refuses_misspelt_keys(self):
+        paths = dict(VALID_CONFIG["datasets"])
+        assert PipelineConfig.from_dict({**VALID_CONFIG, "datasets": paths}).beam == 3
         with pytest.raises(PipelineError, match="bema"):
-            PipelineConfig.from_dict({**layout(paths), "bema": 8})
+            PipelineConfig.from_dict({**VALID_CONFIG, "bema": 8})
         misspelt = {("supervized" if key == "supervised" else key): value
                     for key, value in paths.items()}
         with pytest.raises(PipelineError, match="supervized"):
-            PipelineConfig.from_dict(layout(misspelt))
+            PipelineConfig.from_dict({**VALID_CONFIG, "datasets": misspelt})
+
+    def test_pipeline_config_refuses_the_flat_layout(self):
+        # The dataset paths sit under "datasets" only; beside the run settings they are unknown.
+        flat = {key: value for key, value in VALID_CONFIG.items() if key != "datasets"}
+        with pytest.raises(PipelineError, match="unknown pipeline settings: dev, supervised"):
+            PipelineConfig.from_dict({**flat, **VALID_CONFIG["datasets"]})
+
+    @pytest.mark.parametrize(
+        "where, key, value, error",
+        [
+            ("run", "beam", 8.7, PipelineError),
+            ("run", "beam", "8", PipelineError),
+            ("run", "frames_per_token", 2.9, PipelineError),
+            ("generation", "generation", 0.6, PipelineError),
+            ("generation", "filter_cutoff", True, PipelineError),
+            ("mix", "ratio", [1.5, 1], MixingError),
+            ("mix", "ratio", 5, MixingError),
+            ("balance", "min_tokens", 2.5, PipelineError),
+            ("generation", "fusion_grid", {"lm_weight": 0.5}, PipelineError),
+            ("generation", "augment", {"time_mask_param": None}, AugmentError),
+            ("run", "frames_per_token", MISSING, PipelineError),
+            ("generation", "generation", MISSING, PipelineError),
+            ("run", "datasets", MISSING, PipelineError),
+        ],
+        ids=["beam-float", "beam-string", "frames_per_token-float", "generation-float",
+             "filter_cutoff-bool", "ratio-float-term", "ratio-not-a-list", "min_tokens-float",
+             "fusion_grid-mapping", "time_mask_param-null-alone", "missing-frames_per_token",
+             "missing-generation", "missing-datasets"],
+    )
+    def test_malformed_config_refused(self, where, key, value, error):
+        PipelineConfig.from_dict(VALID_CONFIG)
+        # Each refusal names the key; the augment one names the mask it lacks.
+        with pytest.raises(error, match="time_mask" if key == "augment" else key):
+            PipelineConfig.from_dict(edited_config(where, key, value))
+
+    def test_integers_read_as_floats_keep_the_state_bytes(self):
+        record = {**VALID_CONFIG, "decode_lm_weight": 1}
+        record["generations"] = [
+            {"generation": 0, "filter_cutoff": 0, "fusion_grid": [{"lm_weight": 1}],
+             "augment": {"time_mask_ratio": 1, "masked_value": -1}},
+        ]
+        config = PipelineConfig.from_dict(record)
+        assert type(config.decode_lm_weight) is float
+        as_json = json.dumps(config.generations[0].to_dict())
+        assert '"filter_cutoff": 0.0' in as_json and '"lm_weight": 1.0' in as_json
+        assert '"time_mask_ratio": 1.0' in as_json and '"masked_value": -1.0' in as_json
+
+    @pytest.mark.parametrize(
+        "balance, expected",
+        [(True, BalanceSettings()), ({}, BalanceSettings()), (False, None), (None, None),
+         ({"min_tokens": "auto", "multiplicity_cap": 3}, BalanceSettings(multiplicity_cap=3))],
+        ids=["true", "empty", "false", "null", "record"],
+    )
+    def test_balance_forms(self, balance, expected):
+        # An empty balance record means the default settings, as true does.
+        config = GenerationConfig.from_dict({"generation": 1, "balance": balance})
+        assert config.balance == expected
 
     def test_config_json_roundtrip(self, task, tmp_path):
         record = {
@@ -591,6 +675,35 @@ class TestConfigParsing:
     def test_generation_numbering_enforced(self, task):
         with pytest.raises(PipelineError):
             make_config(task, [gen_config(1)])
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r.pop("beam"),
+            lambda r: r.pop("metrics"),
+            lambda r: r.update(beam="3"),
+            lambda r: r.update(generation=1.5),
+            lambda r: r.update(model_file=7),
+            lambda r: r["metrics"][0].update(dev_wer="0.3"),
+            lambda r: r["metrics"][0].pop("semi_examples"),
+        ],
+        ids=["missing-beam", "missing-metrics", "string-beam", "float-generation",
+             "int-model-file", "string-dev-wer", "metrics-missing-key"],
+    )
+    def test_malformed_state_refused(self, tmp_path, edit):
+        state = PipelineState(
+            workdir=tmp_path, seed=3, frames_per_token=2, beam=3, decode_lm_weight=0.5,
+            supervised="s.jsonl", unlabeled="u.jsonl", dev="d.jsonl", vocab="v.txt",
+            generation=1, model_file="model_gen0.json",
+            metrics=[GenerationMetrics(0, 0.25, 0, 0)],
+        )
+        path = save_state(state)
+        assert load_state(tmp_path) == state
+        record = json.loads(path.read_text())
+        edit(record)
+        path.write_text(json.dumps(record))
+        with pytest.raises(PipelineError):
+            load_state(tmp_path)
 
     def test_state_json_roundtrip(self, task, tmp_path):
         config = make_config(task, [gen_config(0)])

@@ -459,6 +459,22 @@ class TestToyRecognizer:
             ToyRecognizer.from_file(path)
 
     @pytest.mark.parametrize(
+        "key, value",
+        [("tokens", "ab"), ("frames_per_token", 2.9), ("frames_per_token", True)],
+        ids=["string-tokens", "float-frames-per-token", "bool-frames-per-token"],
+    )
+    def test_wrong_typed_model_file_refused(self, tmp_path, trained, key, value):
+        # "ab" would otherwise load as the tokens ('a', 'b'), and 2.9 as 2 frames per token.
+        world, model = trained
+        record = {**model.to_dict(), key: value}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(RecognizerError, match=key):
+            ToyRecognizer.from_file(path)
+        with pytest.raises(RecognizerError, match=key):
+            ToyModel.from_dict(record)
+
+    @pytest.mark.parametrize(
         "name, row, value",
         [("bigram_log", -1, float("nan")), ("centroids", 0, float("inf")),
          ("bigram_log", 1, float("-inf"))],
