@@ -2,23 +2,24 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .augment import AugmentPolicy, apply_policy, identity_policy
+from .augment import AugmentError, AugmentPolicy, apply_policy, identity_policy
 from .corpus import (
     Dataset,
     atomic_write_json,
     atomic_write_text,
     load_manifest,
     load_vocab,
+    read_json,
     save_manifest,
     save_vocab,
 )
 from .errors import NstError
 from .filtering import (
+    FilteringError,
     FilterModel,
     ScoredTranscript,
     apply_filter,
@@ -50,7 +51,7 @@ from .seeding import derive_rng
 
 
 def _load_policy(path: str) -> AugmentPolicy:
-    return AugmentPolicy.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return AugmentPolicy.from_dict(read_json(path, AugmentError))
 
 
 def cmd_synth(args) -> int:
@@ -100,12 +101,7 @@ def _parse_params(args) -> FusionParams:
     parts = [float(x) for x in args.params.split(",")]
     if len(parts) != 3:
         raise NstError("--params expects three comma-separated values: lm,coverage,reward")
-    return FusionParams(
-        lm_weight=parts[0],
-        coverage_weight=parts[1],
-        nonblank_reward=parts[2],
-        mode=args.mode,
-    )
+    return FusionParams(*parts, mode=args.mode)
 
 
 def cmd_score(args) -> int:
@@ -142,16 +138,13 @@ def cmd_fit_filter(args) -> int:
 
 
 def _load_filter_model(path: str) -> FilterModel:
-    return FilterModel.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return FilterModel.from_dict(read_json(path, FilteringError))
 
 
 def cmd_filter(args) -> int:
     dataset = load_manifest(args.manifest)
     model = _load_filter_model(args.filter_model)
-    cutoff = parse_cutoff(args.cutoff)
-    if cutoff is None:
-        raise NstError("--cutoff must be a number or '-inf'")
-    filtered = apply_filter(dataset, model, cutoff)
+    filtered = apply_filter(dataset, model, parse_cutoff(args.cutoff))
     save_manifest(filtered, args.out)
     print(f"kept {len(filtered)} of {len(dataset)} utterances")
     return 0

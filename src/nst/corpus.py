@@ -20,15 +20,19 @@ import re
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NstError
+from .errors import NstError, read_record
 
 FEATURE_MAGIC = b"NSTF"
 
 _SAFE_ID = re.compile(r"^[A-Za-z0-9._-]+$")
+
+# The keys of a manifest line, with their JSON types.
+_MANIFEST_SPEC = {"id": str, "features": str, "transcript": (list, None),
+                  "score": (float, None), "multiplicity": int}
 
 
 class CorpusError(NstError):
@@ -42,7 +46,7 @@ class UnknownTokenError(CorpusError):
 
 
 class ManifestError(CorpusError):
-    """Manifest parse or schema failure, carrying the offending line number."""
+    """JSON Lines parse or schema failure, carrying the offending line number."""
 
     def __init__(self, path: object, line_number: int, reason: str):
         super().__init__(f"{path}: line {line_number}: {reason}")
@@ -274,10 +278,6 @@ class Utterance:
         object.__setattr__(self, "multiplicity", int(self.multiplicity))
 
     @property
-    def n_frames(self) -> int:
-        return int(self.features.shape[0])
-
-    @property
     def n_channels(self) -> int:
         return int(self.features.shape[1])
 
@@ -313,10 +313,6 @@ class Dataset:
 
     def __getitem__(self, index: int) -> Utterance:
         return self._utterances[index]
-
-    @property
-    def utterances(self) -> tuple[Utterance, ...]:
-        return self._utterances
 
     def ids(self) -> tuple[str, ...]:
         return tuple(u.id for u in self._utterances)
@@ -395,6 +391,65 @@ def atomic_write_json(path: str | Path, record: object) -> None:
     atomic_write_text(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
+def read_json(path: str | Path, error: type[NstError]) -> object:
+    """The JSON document in ``path``; a file that does not parse raises ``error`` naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise error(f"{path}: invalid JSON ({exc})") from None
+
+
+def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
+    """``records`` as JSON Lines, one object and a newline each, written atomically."""
+    atomic_write_text(path, "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records))
+
+
+def read_jsonl(
+    path: str | Path, spec: Mapping, what: str, build: Callable[[dict, int], object],
+    required: Collection[str] = (),
+) -> list:
+    """``build(record, line number)`` of each nonblank line, in file order.
+
+    Each line goes through ``read_record`` with ``spec`` and is built before the next is read, so
+    a file's records are never all held at once. Every list in a manifest or hypotheses line is a
+    token list, so it must hold only strings, and every number must be finite. Invalid JSON or a
+    failed check raises ManifestError naming the file and the 1-based line.
+    """
+    built = []
+    with open(path, encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                record = read_record(json.loads(line), spec, CorpusError, what, required)
+            except json.JSONDecodeError as exc:
+                raise ManifestError(path, line_number, f"invalid JSON ({exc.msg})") from None
+            except CorpusError as exc:
+                raise ManifestError(path, line_number, str(exc)) from None
+            for key, value in record.items():
+                if type(value) is float:
+                    if not math.isfinite(value):
+                        raise ManifestError(path, line_number, f"{what}: {key} must be finite")
+                elif type(value) is list:
+                    for token in value:
+                        if type(token) is not str:
+                            raise ManifestError(path, line_number, f"{what}: non-string in {key}")
+            built.append(build(record, line_number))
+    return built
+
+
+def _manifest_record(u: Utterance, features: str) -> dict:
+    """The manifest line of ``u``, whose sidecar is at ``features`` relative to the manifest."""
+    record: dict[str, object] = {"id": u.id, "features": features}
+    if u.transcript is not None:
+        record["transcript"] = list(u.transcript)
+    if u.score is not None:
+        record["score"] = u.score
+    if u.multiplicity != 1:
+        record["multiplicity"] = u.multiplicity
+    return record
+
+
 def save_manifest(dataset: Dataset, path: str | Path) -> None:
     """Write ``dataset`` as a JSONL manifest plus binary feature sidecars.
 
@@ -413,7 +468,7 @@ def save_manifest(dataset: Dataset, path: str | Path) -> None:
     feature_dir = manifest_path.parent / features_dirname
     existing = set(os.listdir(feature_dir)) if feature_dir.is_dir() else set()
     fresh: list[Utterance] = []
-    lines = []
+    sidecars = []
     for u in dataset:
         if not _SAFE_ID.match(u.id):
             raise CorpusError(f"utterance id not filesystem-safe: {u.id!r}")
@@ -430,76 +485,41 @@ def save_manifest(dataset: Dataset, path: str | Path) -> None:
                     f"refusing to overwrite {target}: it holds other features, "
                     "which other manifests may reference"
                 )
-        record: dict[str, object] = {"id": u.id, "features": rel}
-        if u.transcript is not None:
-            record["transcript"] = list(u.transcript)
-        if u.score is not None:
-            record["score"] = u.score
-        if u.multiplicity != 1:
-            record["multiplicity"] = u.multiplicity
-        lines.append(json.dumps(record, ensure_ascii=False))
+        sidecars.append(rel)
     if fresh:
         feature_dir.mkdir(parents=True, exist_ok=True)
         for u in fresh:
             write_features(feature_dir / f"{u.id}.nstf", u.features)
-    atomic_write_text(manifest_path, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def _parse_manifest_record(path: Path, line_number: int, line: str) -> dict:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(path, line_number, f"invalid JSON ({exc.msg})") from None
-    if not isinstance(record, dict):
-        raise ManifestError(path, line_number, "expected a JSON object")
-    if not isinstance(record.get("id"), str) or not record["id"]:
-        raise ManifestError(path, line_number, "missing or invalid 'id'")
-    if not isinstance(record.get("features"), str):
-        raise ManifestError(path, line_number, "missing or invalid 'features'")
-    transcript = record.get("transcript")
-    if transcript is not None and (
-        not isinstance(transcript, list)
-        or any(not isinstance(t, str) for t in transcript)
-    ):
-        raise ManifestError(path, line_number, "'transcript' must be a list of strings")
-    score = record.get("score")
-    if score is not None and not isinstance(score, (int, float)):
-        raise ManifestError(path, line_number, "'score' must be a number")
-    multiplicity = record.get("multiplicity", 1)
-    if not isinstance(multiplicity, int) or multiplicity < 1:
-        raise ManifestError(path, line_number, "'multiplicity' must be an integer >= 1")
-    return record
+    write_jsonl(manifest_path, map(_manifest_record, dataset, sidecars))
 
 
 def load_manifest(path: str | Path) -> Dataset:
     """Load a JSONL manifest, reading feature sidecars relative to it.
 
-    Utterance order follows manifest order. Parse failures raise
-    ManifestError with the 1-based line number; a dangling feature reference
-    raises MissingFeatureFileError naming the resolved path.
+    Utterance order follows manifest order. A malformed line raises
+    ManifestError with its 1-based line number before its sidecar is read; a
+    dangling feature reference raises MissingFeatureFileError naming the
+    resolved path.
     """
     manifest_path = Path(path)
     manifest_dir = os.path.abspath(manifest_path.parent)
-    utterances: list[Utterance] = []
-    with open(manifest_path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            record = _parse_manifest_record(manifest_path, line_number, line)
-            sidecar = os.path.join(manifest_dir, record["features"])
-            features = read_features(sidecar)
-            transcript = record.get("transcript")
-            utterances.append(
-                Utterance(
-                    id=record["id"],
-                    features=features,
-                    transcript=tuple(transcript) if transcript is not None else None,
-                    score=record.get("score"),
-                    multiplicity=record.get("multiplicity", 1),
-                    feature_source=(sidecar, features),
-                )
-            )
-    return Dataset(utterances)
+
+    def utterance(record: dict, line_number: int) -> Utterance:
+        if not record["id"] or record.get("multiplicity", 1) < 1:
+            raise ManifestError(manifest_path, line_number, "needs an id and a multiplicity >= 1")
+        sidecar = os.path.join(manifest_dir, record["features"])
+        features = read_features(sidecar)
+        return Utterance(
+            id=record["id"],
+            features=features,
+            transcript=record.get("transcript"),
+            score=record.get("score"),
+            multiplicity=record.get("multiplicity", 1),
+            feature_source=(sidecar, features),
+        )
+
+    return Dataset(read_jsonl(manifest_path, _MANIFEST_SPEC, "manifest record", utterance,
+                              required=("id", "features")))
 
 
 def save_vocab(vocab: TokenVocab, path: str | Path) -> None:

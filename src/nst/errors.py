@@ -26,22 +26,30 @@ def read_record(
     value would silently run another setting. Absent keys stay absent, so
     they take the defaults of whatever is built from the result.
     """
-    if not isinstance(record, Mapping):
+    if type(record) is not dict and not isinstance(record, Mapping):
         raise error(f"{what} must be a mapping, got {record!r}")
-    unknown = sorted(str(key) for key in record if key not in spec)
-    if unknown:
-        raise error(f"unknown {what}: {', '.join(unknown)}")
-    missing = [key for key in required if key not in record]
-    if missing:
-        raise error(f"missing from {what}: {', '.join(missing)}")
+    # Plain loops: this runs once per manifest line, and a refusal is rare.
+    for key in record:
+        if key not in spec:
+            unknown = sorted(str(key) for key in record if key not in spec)
+            raise error(f"unknown {what}: {', '.join(unknown)}")
+    for key in required:
+        if key not in record:
+            missing = [key for key in required if key not in record]
+            raise error(f"missing from {what}: {', '.join(missing)}")
     values = {}
     for key, value in record.items():
-        kinds = spec[key] if isinstance(spec[key], tuple) else (spec[key],)
-        if not any(
-            isinstance(value, _JSON_TYPES[kind][0]) and isinstance(value, bool) == (kind is bool)
-            for kind in kinds
-        ):
-            expected = " or ".join(_JSON_TYPES[kind][1] for kind in kinds)
-            raise error(f"{what}: {key} must be {expected}, got {value!r}")
-        values[key] = float(value) if float in kinds and type(value) is int else value
+        kinds = spec[key]
+        # Check in full unless the value is exactly a type its key admits.
+        if type(value) is not kinds and (type(kinds) is not tuple or type(value) not in kinds):
+            kinds = kinds if type(kinds) is tuple else (kinds,)
+            is_bool = isinstance(value, bool)
+            for kind in kinds:
+                if isinstance(value, _JSON_TYPES[kind][0]) and is_bool == (kind is bool):
+                    break
+            else:
+                expected = " or ".join(_JSON_TYPES[kind][1] for kind in kinds)
+                raise error(f"{what}: {key} must be {expected}, got {value!r}")
+            value = float(value) if kind is float and type(value) is int else value
+        values[key] = value
     return values

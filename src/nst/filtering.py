@@ -72,9 +72,8 @@ class FilterModel:
     @classmethod
     def from_dict(cls, record: Mapping) -> "FilterModel":
         """The model a ``to_dict`` record describes; all three numbers are required."""
-        values = read_record(record, _MODEL_SPEC, FilteringError, "filter model",
-                             required=_MODEL_SPEC)
-        return cls(**values)
+        return cls(**read_record(record, _MODEL_SPEC, FilteringError, "filter model",
+                                 required=_MODEL_SPEC))
 
 
 def fit_filter(pairs: Sequence[tuple[int, float]]) -> FilterModel:
@@ -157,6 +156,10 @@ class CurvePoint:
 
 
 def default_thresholds(low: float = -3.0, high: float = 3.0, step: float = 0.1) -> tuple[float, ...]:
+    if not (math.isfinite(step) and step > 0):
+        raise FilteringError(f"threshold step must be finite and positive, got {step!r}")
+    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        raise FilteringError(f"thresholds need finite low <= high, got low {low!r}, high {high!r}")
     count = int(round((high - low) / step)) + 1
     return tuple(float(x) for x in np.linspace(low, high, count))
 

@@ -47,7 +47,9 @@ class MixPlan:
     def __post_init__(self):
         if self.mode not in (BATCHWISE, UNIFORM):
             raise MixingError(f"unknown mixing mode: {self.mode!r}")
-        sup, semi = (int(self.ratio[0]), int(self.ratio[1]))
+        if len(self.ratio) != 2 or any(type(term) is not int for term in self.ratio):
+            raise MixingError(f"ratio must be two integers, got {self.ratio!r}")
+        sup, semi = self.ratio
         object.__setattr__(self, "ratio", (sup, semi))
         if self.mode != BATCHWISE:
             return
@@ -72,13 +74,7 @@ class MixPlan:
 
         ``ratio`` is a list of two JSON integers.
         """
-        values = read_record(record, _PLAN_SPEC, MixingError, "mix settings")
-        if "ratio" in values:
-            ratio = values["ratio"]
-            if len(ratio) != 2 or any(type(term) is not int for term in ratio):
-                raise MixingError(f"mix settings: ratio must be two integers, got {ratio!r}")
-            values["ratio"] = tuple(ratio)
-        return cls(**values)
+        return cls(**read_record(record, _PLAN_SPEC, MixingError, "mix settings"))
 
     def to_dict(self) -> dict:
         record: dict[str, object] = {"mode": self.mode}

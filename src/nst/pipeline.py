@@ -31,7 +31,6 @@ randomness derives from (master seed, generation, stage name).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -48,6 +47,7 @@ from .corpus import (
     atomic_write_text,
     load_manifest,
     load_vocab,
+    read_json,
     save_manifest,
     token_distribution,
 )
@@ -86,6 +86,8 @@ _METRICS_SPEC = {"generation": int, "dev_wer": float, "semi_utterances": int, "s
 _STATE_SPEC = {"seed": int, "frames_per_token": int, "beam": int, "decode_lm_weight": float,
                **_DATASET_SPEC, "generation": int, "model_file": (str, None),
                "fusion": (dict, None), "filter_model": (dict, None), "metrics": list}
+# The state fields a run fixes when it starts; a resume must agree on each.
+_RUN_FIELDS = ("seed", "frames_per_token", "beam", "decode_lm_weight", *_DATASET_SPEC)
 
 
 class PipelineError(NstError):
@@ -103,17 +105,16 @@ class StageError(PipelineError):
 
 
 def parse_cutoff(value: object) -> float | None:
-    """Cutoff from config JSON: a number, '-inf'/'inf', or null (disabled)."""
+    """A config cutoff: a number or numeric string such as '-inf', never NaN; null turns it off."""
     if value is None:
         return None
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text in ("-inf", "-infinity"):
-            return float("-inf")
-        if text in ("inf", "infinity"):
-            return float("inf")
-        return float(text)
-    return float(value)
+    try:
+        cutoff = float(value)
+    except (TypeError, ValueError):
+        cutoff = math.nan
+    if math.isnan(cutoff):
+        raise PipelineError(f"filter_cutoff must be a number, '-inf', 'inf' or null: {value!r}")
+    return cutoff
 
 
 def format_cutoff(value: float | None) -> object:
@@ -238,6 +239,11 @@ class PipelineConfig:
     generations: tuple[GenerationConfig, ...] = ()
 
     def __post_init__(self):
+        for name in ("frames_per_token", "beam"):
+            if getattr(self, name) < 1:
+                raise PipelineError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not math.isfinite(self.decode_lm_weight):
+            raise PipelineError(f"decode_lm_weight must be finite, got {self.decode_lm_weight!r}")
         for index, gen in enumerate(self.generations):
             if gen.generation != index:
                 raise PipelineError(
@@ -267,9 +273,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        p = Path(path)
-        record = json.loads(p.read_text(encoding="utf-8"))
-        return cls.from_dict(record, base_dir=p.parent)
+        return cls.from_dict(read_json(path, PipelineError), base_dir=Path(path).parent)
 
 
 @dataclass(frozen=True)
@@ -284,9 +288,8 @@ class GenerationMetrics:
 
     @classmethod
     def from_dict(cls, record: Mapping) -> "GenerationMetrics":
-        values = read_record(record, _METRICS_SPEC, PipelineError, "generation metrics",
-                             required=_METRICS_SPEC)
-        return cls(**values)
+        return cls(**read_record(record, _METRICS_SPEC, PipelineError, "generation metrics",
+                                 required=_METRICS_SPEC))
 
 
 @dataclass
@@ -343,13 +346,13 @@ def load_state(workdir: str | Path) -> PipelineState:
     path = workdir / STATE_FILENAME
     if not path.exists():
         raise PipelineError(f"no pipeline state at {path}")
-    return PipelineState.from_dict(workdir, json.loads(path.read_text(encoding="utf-8")))
+    return PipelineState.from_dict(workdir, read_json(path, PipelineError))
 
 
-def init_state(workdir: str | Path, config: PipelineConfig, seed: int) -> PipelineState:
-    workdir = Path(workdir)
-    state = PipelineState(
-        workdir=workdir,
+def _start_state(workdir: str | Path, config: PipelineConfig, seed: int) -> PipelineState:
+    """The state of a run of ``config`` that has completed no generation."""
+    return PipelineState(
+        workdir=Path(workdir),
         seed=int(seed),
         frames_per_token=config.frames_per_token,
         beam=config.beam,
@@ -359,6 +362,10 @@ def init_state(workdir: str | Path, config: PipelineConfig, seed: int) -> Pipeli
         dev=str(Path(config.dev).resolve()),
         vocab=str(Path(config.vocab).resolve()),
     )
+
+
+def init_state(workdir: str | Path, config: PipelineConfig, seed: int) -> PipelineState:
+    state = _start_state(workdir, config, seed)
     save_state(state)
     return state
 
@@ -542,9 +549,8 @@ def run_generation(
         table = grid_search_table(
             config.fusion_grid, dev, student, state.beam, hyp_lists=dev_hyp_lists
         )
-        best_index = min(range(len(table)), key=lambda i: (table[i].dev_wer, i))
-        fusion = table[best_index].params
-        dev_wer = table[best_index].dev_wer
+        best = min(table, key=lambda point: point.dev_wer)  # the earliest of equal points
+        fusion, dev_wer = best.params, best.dev_wer
         atomic_write_json(
             workdir / f"fusion_gen{g}.json", {"params": fusion.to_dict(), "dev_wer": dev_wer}
         )
@@ -604,14 +610,17 @@ def metrics_tsv(metrics: Sequence[GenerationMetrics]) -> str:
 def run_pipeline(
     workdir: str | Path, config: PipelineConfig, seed: int
 ) -> PipelineState:
-    """Run (or resume) every configured generation and write the metrics table."""
+    """Run (or resume) every configured generation and write the metrics table.
+
+    A resume must keep the state's seed, run settings and resolved dataset paths.
+    """
     workdir = Path(workdir)
     if (workdir / STATE_FILENAME).exists():
         state = load_state(workdir)
-        if state.seed != int(seed):
-            raise PipelineError(
-                f"existing state was created with seed {state.seed}, got {seed}"
-            )
+        start = _start_state(workdir, config, seed)
+        changed = [name for name in _RUN_FIELDS if getattr(state, name) != getattr(start, name)]
+        if changed:
+            raise PipelineError(f"cannot resume: the state has another {', '.join(changed)}")
     else:
         state = init_state(workdir, config, seed)
     if state.generation > len(config.generations):
@@ -625,11 +634,6 @@ def run_pipeline(
     return state
 
 
-def _read_curves(path: Path) -> list[list[str]]:
-    """The cells of each row of a curves TSV, below its header."""
-    return [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
-
-
 def emit_reports(state: PipelineState) -> dict[str, Path]:
     """Write the per-figure analysis tables from completed generations.
 
@@ -641,35 +645,25 @@ def emit_reports(state: PipelineState) -> dict[str, Path]:
     """
     if not state.metrics:
         raise PipelineError("no generations completed")
-    workdir = state.workdir
-    out: dict[str, Path] = {}
-
-    lines = ["generation\tdev_wer"]
+    tables = {
+        "wer_by_generation": ["generation\tdev_wer"],
+        "score_survival": ["generation\tthreshold\tutt_frac\ttok_frac"],
+        "wer_above_score": ["generation\tthreshold\twer"],
+        "wer_vs_semi_size": ["generation\tsemi_utterances\tsemi_examples\tdev_wer"],
+    }
     for m in state.metrics:
-        lines.append(f"{m.generation}\t{m.dev_wer:.6g}")
-    out["wer_by_generation"] = workdir / "report_wer_by_generation.tsv"
-    atomic_write_text(out["wer_by_generation"], "\n".join(lines) + "\n")
-
-    survival = ["generation\tthreshold\tutt_frac\ttok_frac"]
-    wer_above = ["generation\tthreshold\twer"]
-    for m in state.metrics:
-        curve_path = workdir / f"curves_gen{m.generation}.tsv"
-        for threshold, utt_frac, tok_frac, wer_cell in _read_curves(curve_path):
-            survival.append(f"{m.generation}\t{threshold}\t{utt_frac}\t{tok_frac}")
-            wer_above.append(f"{m.generation}\t{threshold}\t{wer_cell}")
-    out["score_survival"] = workdir / "report_score_survival.tsv"
-    atomic_write_text(out["score_survival"], "\n".join(survival) + "\n")
-    out["wer_above_score"] = workdir / "report_wer_above_score.tsv"
-    atomic_write_text(out["wer_above_score"], "\n".join(wer_above) + "\n")
-
-    sizes = ["generation\tsemi_utterances\tsemi_examples\tdev_wer"]
-    for m in state.metrics:
-        sizes.append(
+        tables["wer_by_generation"].append(f"{m.generation}\t{m.dev_wer:.6g}")
+        curves = (state.workdir / f"curves_gen{m.generation}.tsv").read_text(encoding="utf-8")
+        for row in curves.splitlines()[1:]:  # below the header
+            threshold, utt_frac, tok_frac, wer_cell = row.split("\t")
+            tables["score_survival"].append(f"{m.generation}\t{threshold}\t{utt_frac}\t{tok_frac}")
+            tables["wer_above_score"].append(f"{m.generation}\t{threshold}\t{wer_cell}")
+        tables["wer_vs_semi_size"].append(
             f"{m.generation}\t{m.semi_utterances}\t{m.semi_examples}\t{m.dev_wer:.6g}"
         )
-    out["wer_vs_semi_size"] = workdir / "report_wer_vs_semi_size.tsv"
-    atomic_write_text(out["wer_vs_semi_size"], "\n".join(sizes) + "\n")
-
-    out["metrics"] = workdir / "metrics.tsv"
+    out = {name: state.workdir / f"report_{name}.tsv" for name in tables}
+    for name, lines in tables.items():
+        atomic_write_text(out[name], "\n".join(lines) + "\n")
+    out["metrics"] = state.workdir / "metrics.tsv"
     atomic_write_text(out["metrics"], metrics_tsv(state.metrics))
     return out

@@ -39,6 +39,7 @@ from .corpus import (
     Transcript,
     Utterance,
     atomic_write_text,
+    read_json,
 )
 from .errors import NstError, read_record
 from .scoring import ScoredHypothesis
@@ -450,7 +451,7 @@ def toy_transcribe(
 
 def _read_model(path: str | Path) -> ToyModel:
     try:
-        return ToyModel.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return ToyModel.from_dict(read_json(path, RecognizerError))
     except (TypeError, ValueError, RecognizerError) as exc:
         raise RecognizerError(f"{path}: not a toy model file ({exc!r})") from None
 

@@ -6,13 +6,19 @@ for attention decoders, a per-token reward for transducer decoders.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Dataset, MissingTranscriptError, TokenVocab, Transcript, atomic_write_text
+from .corpus import (
+    Dataset,
+    MissingTranscriptError,
+    TokenVocab,
+    Transcript,
+    read_jsonl,
+    write_jsonl,
+)
 from .errors import NstError, read_record
 
 ATTENTION = "attention"
@@ -20,6 +26,9 @@ TRANSDUCER = "transducer"
 
 _FUSION_SPEC = {"lm_weight": float, "coverage_weight": float, "nonblank_reward": float,
                 "mode": str}
+# The keys of a hypotheses-JSONL line, with their JSON types.
+_HYPOTHESIS_SPEC = {"id": str, "tokens": list, "am": float, "lm": float, "coverage": float,
+                    "fused": float}
 
 
 class ScoringError(NstError):
@@ -277,8 +286,7 @@ def grid_search_fusion(
 ) -> FusionParams:
     """The grid point minimizing dev WER; ties go to the earliest index."""
     table = grid_search_table(grid, dev, recognizer, beam, hyp_lists)
-    best = min(range(len(table)), key=lambda i: (table[i].dev_wer, i))
-    return table[best].params
+    return min(table, key=lambda point: point.dev_wer).params
 
 
 @dataclass(frozen=True)
@@ -313,44 +321,18 @@ def hypothesis_records(
 
 
 def read_hypotheses(path: str | Path) -> list[HypothesisRecord]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ScoringError(f"{path}: line {line_number}: {exc.msg}") from None
-            try:
-                records.append(
-                    HypothesisRecord(
-                        utterance_id=str(obj["id"]),
-                        tokens=tuple(str(t) for t in obj["tokens"]),
-                        am=float(obj["am"]),
-                        lm=float(obj["lm"]),
-                        coverage=float(obj.get("coverage", 0.0)),
-                        fused=float(obj["fused"]) if "fused" in obj else None,
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ScoringError(
-                    f"{path}: line {line_number}: bad hypothesis record ({exc})"
-                ) from None
-    return records
+    """The records of a hypotheses JSONL; a malformed line raises ManifestError."""
+    return read_jsonl(
+        path, _HYPOTHESIS_SPEC, "hypothesis record",
+        lambda r, _: HypothesisRecord(r["id"], tuple(r["tokens"]), r["am"], r["lm"],
+                                      r.get("coverage", 0.0), r.get("fused")),
+        required=("id", "tokens", "am", "lm"),
+    )
 
 
 def write_hypotheses(records: Iterable[HypothesisRecord], path: str | Path) -> None:
-    lines = []
-    for rec in records:
-        obj: dict[str, object] = {
-            "id": rec.utterance_id,
-            "tokens": list(rec.tokens),
-            "am": rec.am,
-            "lm": rec.lm,
-            "coverage": rec.coverage,
-        }
-        if rec.fused is not None:
-            obj["fused"] = rec.fused
-        lines.append(json.dumps(obj, ensure_ascii=False))
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_jsonl(path, (
+        {"id": r.utterance_id, "tokens": list(r.tokens), "am": r.am, "lm": r.lm,
+         "coverage": r.coverage, **({} if r.fused is None else {"fused": r.fused})}
+        for r in records
+    ))

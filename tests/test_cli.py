@@ -3,8 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from nst import cli
+from nst.augment import AugmentError
 from nst.cli import main
 from nst.corpus import load_manifest, save_manifest
+from nst.filtering import FilteringError
+from nst.pipeline import PipelineConfig, PipelineError, load_state
+from nst.recognizer import RecognizerError, ToyRecognizer
 from nst.scoring import read_hypotheses
 
 
@@ -390,3 +395,79 @@ def test_cli_reports_errors_cleanly(tmp_path, capsys):
     code = main(["fit-filter", "--hyps", str(tmp_path / "nope.jsonl"),
                  "--out", str(tmp_path / "out.json")])
     assert code == 2 or isinstance(code, int)
+
+
+# Each whole-JSON file: its API loader, the error that loader raises, and the CLI
+# command line that reads a file at ``path`` against the task at ``task``.
+JSON_FILES = {
+    "config": (PipelineConfig.from_file, PipelineError,
+               lambda task, path: ["run", "--config", str(path), "--workdir",
+                                   str(path.parent / "work")]),
+    "state": (lambda path: load_state(path.parent), PipelineError,
+              lambda task, path: ["report", "--workdir", str(path.parent)]),
+    "policy": (cli._load_policy, AugmentError,
+               lambda task, path: ["augment", "--manifest", str(task / "dev.jsonl"),
+                                   "--policy", str(path), "--out", str(path.parent / "out")]),
+    "filter-model": (cli._load_filter_model, FilteringError,
+                     lambda task, path: ["filter", "--manifest", str(task / "dev.jsonl"),
+                                         "--filter-model", str(path), "--cutoff", "0",
+                                         "--out", str(path.parent / "out")]),
+    "toy-model": (ToyRecognizer.from_file, RecognizerError,
+                  lambda task, path: ["toy-transcribe", "--model", str(path),
+                                      "--manifest", str(task / "dev.jsonl"),
+                                      "--out", str(path.parent / "out")]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(JSON_FILES))
+def test_invalid_json_file_refused_naming_it(task_dir, tmp_path, capsys, kind):
+    # A truncated file once surfaced as a bare JSONDecodeError naming no file.
+    load, error, arguments = JSON_FILES[kind]
+    path = tmp_path / "state.json"
+    path.write_text('{"mu": 1.0,')
+    with pytest.raises(error, match=f"{path}: invalid JSON"):
+        load(path)
+    assert main(arguments(task_dir, path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "work").exists()
+
+
+def test_hypotheses_with_a_mistyped_line_exit_2(dev_hyps, tmp_path, capsys):
+    lines = dev_hyps.read_text().splitlines()
+    lines[1] = json.dumps({"id": 7, "tokens": "ab", "am": True, "lm": "-1.5", "covrage": 0.9})
+    dev_hyps.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "fused.jsonl"
+    assert main(["score", "--params", "0,0,0", "--hyps", str(dev_hyps), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {dev_hyps}: line 2: unknown hypothesis record: covrage\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["curves", "--step", "0"], "step"),
+        (["curves", "--low", "3", "--high", "-3"], "low <= high"),
+        (["filter", "--cutoff", "nan"], "filter_cutoff"),
+        (["mix", "--ratio", "1:2:3", "--batch", "6"], "two integers"),
+    ],
+    ids=["curves-step-zero", "curves-high-below-low", "filter-nan-cutoff", "mix-three-terms"],
+)
+def test_bad_settings_exit_2(task_dir, dev_hyps, filter_model_path, tmp_path, capsys, argv, named):
+    paths = {
+        "curves": ["--refs", str(task_dir / "dev.jsonl"), "--hyps", str(tmp_path / "fused.jsonl"),
+                   "--filter-model", str(filter_model_path)],
+        "filter": ["--manifest", str(task_dir / "dev.jsonl"),
+                   "--filter-model", str(filter_model_path)],
+        "mix": ["--sup", str(task_dir / "supervised.jsonl"),
+                "--semi", str(task_dir / "dev.jsonl")],
+    }[argv[0]]
+    out = tmp_path / "out.tsv"
+    capsys.readouterr()
+    assert main([*argv, *paths, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not out.exists()

@@ -23,11 +23,14 @@ from nst.corpus import (
     load_manifest,
     load_vocab,
     read_features,
+    read_json,
+    read_jsonl,
     save_manifest,
     save_vocab,
     token_distribution,
     tokenize,
     write_features,
+    write_jsonl,
 )
 from nst.corpus import UnknownTokenError
 
@@ -240,6 +243,40 @@ class TestManifests:
         with pytest.raises(ManifestError):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "record, named",
+        [
+            ({"id": "u1", "features": "f.nstf", "score": True, "multiplicity": True, "scroe": 3},
+             "unknown manifest record: scroe"),
+            ({"id": "u1", "features": "f.nstf", "score": True}, "score must be a number or null"),
+            ({"id": "u1", "features": "f.nstf", "multiplicity": True},
+             "multiplicity must be an integer"),
+            ({"id": "u1", "features": "f.nstf", "multiplicity": 2.0},
+             "multiplicity must be an integer"),
+            ({"id": "u1", "features": "f.nstf", "score": "1.5"}, "score must be a number or null"),
+            ({"id": 7, "features": "f.nstf"}, "id must be a string"),
+            ({"id": "", "features": "f.nstf"}, "needs an id"),
+            ({"id": "u1", "features": "f.nstf", "transcript": "ab"}, "transcript must be a list"),
+            ({"id": "u1", "features": "f.nstf", "transcript": ["a", 1]},
+             "non-string in transcript"),
+            ({"id": "u1", "features": "f.nstf", "score": float("nan")}, "score must be finite"),
+            ({"id": "u1"}, "missing from manifest record: features"),
+            (["u1", "f.nstf"], "manifest record must be a mapping"),
+        ],
+        ids=["found-record", "bool-score", "bool-multiplicity", "float-multiplicity",
+             "string-score", "int-id", "empty-id", "string-transcript", "int-token",
+             "nan-score", "missing-features", "list-record"],
+    )
+    def test_mistyped_lines_refused_naming_line_and_key(self, tmp_path, record, named):
+        # Each would otherwise load as another utterance; no sidecar exists, so the
+        # refusal must come before any is read.
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n" + json.dumps(record) + "\n")
+        with pytest.raises(ManifestError, match=named) as err:
+            load_manifest(path)
+        assert err.value.line_number == 2
+        assert str(path) in str(err.value)
+
     def test_manifest_is_jsonl_with_relative_features(self, tmp_path, small_dataset):
         path = tmp_path / "data.jsonl"
         save_manifest(small_dataset, path)
@@ -329,3 +366,40 @@ class TestAtomicWrite:
         plain.write_text("x")
         atomic_write_text(tmp_path / "a.txt", "x")
         assert (tmp_path / "a.txt").stat().st_mode == plain.stat().st_mode
+
+
+class TestJsonFiles:
+    def test_read_json_names_the_file_in_the_callers_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"beam": 3')
+        with pytest.raises(CorpusError, match=f"{path}: invalid JSON"):
+            read_json(path, CorpusError)
+        path.write_bytes(b'{"beam": "\xff"}')
+        with pytest.raises(CorpusError, match=f"{path}: invalid JSON"):
+            read_json(path, CorpusError)
+        path.write_text('{"beam": 3}')
+        assert read_json(path, CorpusError) == {"beam": 3}
+
+    def test_write_jsonl_bytes(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        records = [{"id": "é", "tokens": ["a"], "am": -1.5}, {"id": "b", "n": 2}]
+        write_jsonl(path, records)
+        assert path.read_bytes() == (
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records).encode("utf-8")
+        )
+        write_jsonl(path, [])
+        assert path.read_bytes() == b""
+
+    def test_read_jsonl_skips_blank_lines_and_numbers_the_rest(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"id": "a", "n": 1}\n\n  \n{"id": "b", "n": 2.5}\n')
+        spec = {"id": str, "n": float}
+
+        def read(**kwargs):
+            return read_jsonl(path, spec, "test record", lambda r, n: (n, r), **kwargs)
+
+        assert read(required=("id",)) == [(1, {"id": "a", "n": 1.0}), (4, {"id": "b", "n": 2.5})]
+        path.write_text('{"id": "a"}\n{"id": "b"\n')
+        with pytest.raises(ManifestError, match="line 2: invalid JSON") as err:
+            read()
+        assert err.value.line_number == 2

@@ -278,6 +278,18 @@ class TestScoreCurves:
     def test_default_grid_has_61_rows(self):
         assert len(default_thresholds()) == 61
 
+    @pytest.mark.parametrize(
+        "low, high, step, named",
+        [(-3.0, 3.0, 0.0, "step"), (-3.0, 3.0, -0.1, "step"), (-3.0, 3.0, math.nan, "step"),
+         (-3.0, 3.0, math.inf, "step"), (3.0, -3.0, 0.1, "low <= high"),
+         (-math.inf, 3.0, 0.1, "low <= high"), (math.nan, 3.0, 0.1, "low <= high")],
+    )
+    def test_bad_threshold_grid_refused(self, low, high, step, named):
+        # A zero step once divided by zero; high < low reached numpy's sample-count check.
+        with pytest.raises(FilteringError, match=named):
+            default_thresholds(low, high, step)
+        assert default_thresholds(1.0, 1.0, 0.5) == (1.0,)
+
     def test_tsv_rendering(self):
         text = curves_to_tsv(
             [CurvePoint(0.5, 0.25, 0.2, 0.125), CurvePoint(2.0, 0.0, 0.0, None)]

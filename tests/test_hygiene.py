@@ -1,5 +1,5 @@
 """Source hygiene: no unused imports, layered imports, independent oracles, checked record
-readers, a public API that resolves."""
+readers, one JSON parser, a public API that resolves."""
 import ast
 from pathlib import Path
 
@@ -208,6 +208,62 @@ def test_unchecked_reader_is_detected():
         "        return {}\n"
     )
     assert _unchecked_readers(tree) == ["B.from_dict (line 7)"]
+
+
+# The only functions that parse JSON text; every file format is read through them.
+JSON_PARSERS = {"corpus.read_json", "corpus.read_jsonl"}
+
+
+def _json_parse_sites(module: str, tree: ast.Module) -> list[str]:
+    """``<module>.<function> (line)`` of every use of ``json.loads``/``json.load``."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{module}.{child.name}")
+                continue
+            parses = (
+                isinstance(child, ast.Attribute) and child.attr in ("loads", "load")
+                and isinstance(child.value, ast.Name) and child.value.id == "json"
+            ) or (
+                isinstance(child, ast.ImportFrom) and child.module == "json"
+                and any(alias.name in ("loads", "load") for alias in child.names)
+            )
+            if parses:
+                found.append(f"{where} (line {child.lineno})")
+            visit(child, where)
+
+    visit(tree, module)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_json_is_parsed_only_by_the_corpus_readers(path):
+    # A hand-written parse skips read_record and the file-naming error of the readers.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    stray = [site for site in _json_parse_sites(path.stem, tree)
+             if site.split(" ")[0] not in JSON_PARSERS]
+    assert not stray, f"JSON parsed outside {sorted(JSON_PARSERS)}: {', '.join(stray)}"
+
+
+def test_stray_json_parse_is_detected():
+    tree = ast.parse(
+        "import json\n"
+        "from json import loads\n"
+        "def read_json(path):\n"
+        "    return json.loads(path.read_text())\n"
+        "class Model:\n"
+        "    def from_file(cls, path):\n"
+        "        return cls.from_dict(json.loads(open(path).read()))\n"
+        "    def save(self, path):\n"
+        "        path.write_text(json.dumps(self.to_dict()))\n"
+        "state = json.load(open('state.json'))\n"
+    )
+    assert _json_parse_sites("corpus", tree) == [
+        "corpus (line 2)", "corpus.read_json (line 4)", "corpus.from_file (line 7)",
+        "corpus (line 10)",
+    ]
 
 
 def test_public_names_resolve():

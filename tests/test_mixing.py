@@ -48,6 +48,14 @@ class TestMixPlan:
         with pytest.raises(MixingError, match="ratios"):
             MixPlan.from_dict(record)
 
+    @pytest.mark.parametrize("ratio", [(1, 2, 3), (1,), (), (1.5, 2.7), (True, 1)])
+    def test_ratio_must_be_two_integers(self, ratio):
+        # A third term was dropped, so 1:2:3 silently ran 1:2, and 1.5 ran as 1.
+        with pytest.raises(MixingError, match="ratio must be two integers"):
+            MixPlan(mode="batchwise", ratio=ratio, batch_size=6)
+        with pytest.raises(MixingError, match="ratio must be two integers"):
+            MixPlan.from_dict({"ratio": list(ratio)})
+
     def test_positive_ratio_required(self):
         with pytest.raises(MixingError):
             MixPlan(mode="batchwise", ratio=(0, 2), batch_size=2)

@@ -1,6 +1,7 @@
 import copy
 import functools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,30 @@ class TestFullLoop:
         run_pipeline(workdir, config, seed=11)
         with pytest.raises(PipelineError):
             run_pipeline(workdir, config, seed=12)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("frames_per_token", 3), ("beam", 4), ("decode_lm_weight", 0.5),
+         ("supervised", "dev.jsonl"), ("unlabeled", "sup.jsonl"), ("dev", "unlab.jsonl"),
+         ("vocab", "vocab2.txt")],
+    )
+    def test_resume_with_other_run_settings_refused(self, task, tmp_path, name, value):
+        # Before this check the state's settings silently won over the config's.
+        config = make_config(task, [gen_config(0)])
+        workdir = tmp_path / "work"
+        run_pipeline(workdir, config, seed=11)
+        snapshot = sorted((p.name, p.read_bytes()) for p in workdir.iterdir())
+        if name in ("supervised", "unlabeled", "dev", "vocab"):
+            value = str(task / value)
+        changed = replace(
+            config, **{name: value}, generations=config.generations + (gen_config(1),)
+        )
+        with pytest.raises(PipelineError, match=f"cannot resume: .*{name}"):
+            run_pipeline(workdir, changed, seed=11)
+        assert sorted((p.name, p.read_bytes()) for p in workdir.iterdir()) == snapshot
+        # The same settings, reached through another spelling of the paths, resume.
+        relative = replace(config, supervised=str(task / ".." / task.name / "sup.jsonl"))
+        assert run_pipeline(workdir, relative, seed=11).generation == 1
 
 
 class TestDeterminism:
@@ -550,6 +575,10 @@ class TestConfigParsing:
         assert parse_cutoff("inf") == float("inf")
         assert parse_cutoff(0.5) == 0.5
         assert parse_cutoff("0.25") == 0.25
+        # No score is above NaN, so a NaN cutoff would keep nothing.
+        for nan in ("nan", "NaN", float("nan")):
+            with pytest.raises(PipelineError, match="filter_cutoff"):
+                parse_cutoff(nan)
 
     def test_generation_config_refuses_misspelt_keys(self):
         record = gen_config(1, cutoff=0.0, balance=True).to_dict()
@@ -602,11 +631,21 @@ class TestConfigParsing:
             ("run", "frames_per_token", MISSING, PipelineError),
             ("generation", "generation", MISSING, PipelineError),
             ("run", "datasets", MISSING, PipelineError),
+            ("run", "beam", 0, PipelineError),
+            ("run", "frames_per_token", 0, PipelineError),
+            ("run", "decode_lm_weight", float("nan"), PipelineError),
+            ("run", "decode_lm_weight", float("inf"), PipelineError),
+            ("generation", "filter_cutoff", "nan", PipelineError),
+            ("generation", "filter_cutoff", float("nan"), PipelineError),
+            ("generation", "filter_cutoff", "high", PipelineError),
+            ("mix", "ratio", [1, 2, 3], MixingError),
         ],
         ids=["beam-float", "beam-string", "frames_per_token-float", "generation-float",
              "filter_cutoff-bool", "ratio-float-term", "ratio-not-a-list", "min_tokens-float",
              "fusion_grid-mapping", "time_mask_param-null-alone", "missing-frames_per_token",
-             "missing-generation", "missing-datasets"],
+             "missing-generation", "missing-datasets", "beam-zero", "frames_per_token-zero",
+             "decode_lm_weight-nan", "decode_lm_weight-inf", "filter_cutoff-nan-string",
+             "filter_cutoff-nan", "filter_cutoff-word", "ratio-three-terms"],
     )
     def test_malformed_config_refused(self, where, key, value, error):
         PipelineConfig.from_dict(VALID_CONFIG)

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nst import scoring
-from nst.corpus import Dataset, TokenVocab, Transcript, Utterance
+from nst.corpus import Dataset, ManifestError, TokenVocab, Transcript, Utterance
 from nst.scoring import (
     EmptyReferenceError,
     FusionParams,
@@ -338,6 +339,45 @@ class TestHypothesesJsonl:
         path = tmp_path / "hyps.jsonl"
         write_hypotheses(records, path)
         assert read_hypotheses(path) == records
+
+    def test_bytes_are_one_json_object_per_line(self, tmp_path):
+        path = tmp_path / "hyps.jsonl"
+        record = HypothesisRecord("u1", ("a", "é"), am=-1.5, lm=-0.25, coverage=2.0, fused=-3.0)
+        write_hypotheses([record], path)
+        assert path.read_text(encoding="utf-8") == (
+            '{"id": "u1", "tokens": ["a", "é"], "am": -1.5, "lm": -0.25, "coverage": 2.0, '
+            '"fused": -3.0}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "record, named",
+        [
+            ({"id": 7, "tokens": "ab", "am": True, "lm": "-1.5", "covrage": 0.9},
+             "unknown hypothesis record: covrage"),
+            ({"id": 7, "tokens": ["a"], "am": -1.0, "lm": -1.5}, "id must be a string"),
+            ({"id": "u1", "tokens": "ab", "am": -1.0, "lm": -1.5}, "tokens must be a list"),
+            ({"id": "u1", "tokens": ["a", 2], "am": -1.0, "lm": -1.5},
+             "non-string in tokens"),
+            ({"id": "u1", "tokens": ["a"], "am": True, "lm": -1.5}, "am must be a number"),
+            ({"id": "u1", "tokens": ["a"], "am": -1.0, "lm": "-1.5"}, "lm must be a number"),
+            ({"id": "u1", "tokens": ["a"], "am": -1.0, "lm": -1.5, "fused": None},
+             "fused must be a number"),
+            ({"id": "u1", "tokens": ["a"], "lm": -1.5}, "missing from hypothesis record: am"),
+            ({"id": "u1", "tokens": ["a"], "am": float("nan"), "lm": -1.5}, "am must be finite"),
+            ({"id": "u1", "tokens": ["a"], "am": -1.0, "lm": float("-inf")}, "lm must be finite"),
+        ],
+        ids=["found-record", "int-id", "string-tokens", "int-token", "bool-am", "string-lm",
+             "null-fused", "missing-am", "nan-am", "infinite-lm"],
+    )
+    def test_mistyped_lines_refused_naming_line_and_key(self, tmp_path, record, named):
+        # The first line once loaded as id '7', tokens ('a', 'b'), am 1.0, lm -1.5, coverage 0.
+        path = tmp_path / "hyps.jsonl"
+        good = {"id": "u0", "tokens": [], "am": -1.0, "lm": 0.0}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ManifestError, match=named) as err:
+            read_hypotheses(path)
+        assert err.value.line_number == 2
+        assert str(path) in str(err.value)
 
     def test_failed_write_leaves_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "hyps.jsonl"
