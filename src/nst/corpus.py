@@ -235,6 +235,15 @@ class WeightedSample:
             raise CorpusError("multiplicity must be >= 1")
 
 
+def string_tokens(tokens: Iterable, error: type[NstError], what: str) -> tuple[str, ...]:
+    """``tokens`` as a tuple; a token that is not a string raises ``error`` naming its position."""
+    tokens = tuple(tokens)
+    for position, token in enumerate(tokens):
+        if not isinstance(token, str):
+            raise error(f"{what} token {position} must be a string, got {token!r}")
+    return tokens
+
+
 @dataclass(frozen=True, eq=False)
 class Utterance:
     """One element of a dataset: features plus optional transcript metadata.
@@ -267,7 +276,8 @@ class Utterance:
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
         if self.transcript is not None:
-            object.__setattr__(self, "transcript", tuple(str(t) for t in self.transcript))
+            transcript = string_tokens(self.transcript, CorpusError, f"utterance {self.id!r}:")
+            object.__setattr__(self, "transcript", transcript)
         if self.score is not None:
             score = float(self.score)
             if not math.isfinite(score):

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, MissingTranscriptError
+from .corpus import Dataset, MissingTranscriptError, string_tokens
 from .errors import NstError, read_record
 from .scoring import EmptyReferenceError, corpus_wer
 
@@ -140,7 +140,8 @@ class ScoredTranscript:
     fused: float
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(str(t) for t in self.tokens))
+        tokens = string_tokens(self.tokens, FilteringError, "scored transcript")
+        object.__setattr__(self, "tokens", tokens)
         fused = float(self.fused)
         if not math.isfinite(fused):
             raise FilteringError("fused score must be finite")

@@ -12,11 +12,12 @@ centroid, and the search keeps the k best paths per (position, last token)
 state, which is exact for bigram-factored scores. Ties go to the lower token
 id, then to the better incoming rank.
 
-The search is batched: utterances with the same block count are decoded
-together, a chunk of bounded size at a time, and each chunk's acoustic
-scores are computed only when it is decoded. Per block it prunes the
-candidates that provably cannot place (see ``_decode_chunk``), so its
-hypothesis lists are bit-identical to searching one utterance at a time.
+The search is batched: utterances are sorted by block count, longest
+first, and decoded a chunk of bounded size at a time, whatever their block
+counts; each chunk's acoustic scores are computed only when it is decoded.
+Per block and column it merges the states' already sorted paths instead of
+sorting all candidates (see ``_merge_top``), so its hypothesis lists are
+bit-identical to searching one utterance at a time.
 
 The design gives self-training real signal at desk scale: more training
 text sharpens the bigram model and more frames sharpen the centroids, so a
@@ -332,36 +333,78 @@ def _am_matrix(model: ToyModel, features: np.ndarray) -> np.ndarray:
     return raw - log_norm
 
 
-# Candidates (utterance x column x state x rank) one decode chunk may span: a
-# chunk holds _CHUNK_CANDIDATES // (V * beam * V) utterances, which bounds its
-# working memory whatever the vocabulary and the beam.
+# Lattice candidates (utterance x column x state x rank) one decode chunk may
+# span per block: a chunk holds _CHUNK_CANDIDATES // (V * beam * V) utterances,
+# which bounds its working memory whatever the vocabulary and the beam.
 _CHUNK_CANDIDATES = 1 << 16
 
 
-def _decode_chunk(
-    am: np.ndarray, bigram_log: np.ndarray, beam: int, lm_weight: float
-) -> list[list[ScoredHypothesis]]:
-    """Exact top-``beam`` search over the block lattices of equal-length utterances.
+def _merge_top(
+    heads: np.ndarray, entry: Callable[[np.ndarray, np.ndarray], np.ndarray], k: int
+) -> np.ndarray:
+    """The ``k`` best entries of each row, merged from the row's sorted runs.
 
-    ``am`` is (utterances, n_blocks, V). State is (position, last token) with
-    ``beam`` best partial paths kept per state, ranked by a key accumulated
-    as ``(key + lm_weight * lm) + am`` per block. Each column (next token)
-    keeps its ``beam`` best (state, rank) candidates, ties broken by the flat
-    index ``state * beam + rank``: lower token id, then better incoming rank.
+    Each row holds ``width`` runs of ``k`` entries, each run non-increasing.
+    ``heads`` is (rows, width), every run's first entry, and ``entry(run,
+    rank)`` gives, for every row, entry ``rank`` of its run ``run[row]``.
+    Returns (rows, k) indices ``run * k + rank``, which equal the first
+    ``k`` columns of a stable descending argsort of the rows laid out run
+    after run.
 
-    Pruning is exact. A state's ranks are sorted and float addition is
-    monotone, so a state whose rank-0 candidate is not among the column's
-    ``min(beam, V)`` best rank-0 candidates has at least ``beam`` candidates
-    ahead of each of its ranks. Only the surviving states' candidates are
-    sorted, in flat-index order so that the stable sort keeps the tie rule.
+    Each of ``k`` rounds takes the best head by ``argmax``, whose first
+    maximum is the lowest run, then advances that run. A run holding the
+    best value left has it at its head, so this is the stable sort's tie
+    rule: lower run, then lower rank. Only picked runs are read past their
+    head, and no run runs out: before the last round it has given at most
+    ``k - 1`` entries.
     """
-    n_utts, n_blocks, v = am.shape
+    rows, width = heads.shape
+    heads = heads.copy()
+    head_flat = heads.reshape(-1)
+    taken = np.zeros(rows * width, dtype=np.intp)
+    first_head = np.arange(rows) * width
+    picks = np.empty((rows, k), dtype=np.intp)
+    for r in range(k):
+        run = heads.argmax(axis=1)
+        head = first_head + run
+        rank = taken[head]
+        picks[:, r] = run * k + rank
+        if r + 1 < k:
+            taken[head] = rank + 1
+            head_flat[head] = entry(run, rank + 1)
+    return picks
+
+
+def _decode_chunk(
+    am: np.ndarray, n_blocks: np.ndarray, bigram_log: np.ndarray, beam: int, lm_weight: float
+) -> list[list[ScoredHypothesis]]:
+    """Exact top-``beam`` search over the block lattices of a chunk of utterances.
+
+    ``am`` is (utterances, longest block count, V), each row zero-padded
+    past its own ``n_blocks``. Rows come longest first, so the rows that
+    still have a block ``i`` form a prefix, and only that prefix takes the
+    step; a finished row keeps its paths until it is backtracked from its
+    own last block. State is (position, last token) with ``beam`` best
+    partial paths kept per state, ranked by a key accumulated as ``(key +
+    lm_weight * lm) + am`` per block. Each column (next token) keeps its
+    ``beam`` best (state, rank) candidates, ties broken by the flat index
+    ``state * beam + rank``: lower token id, then better incoming rank.
+
+    A state's ranks are sorted and float addition is monotone, so a state's
+    candidates for one column form a sorted run, and ``_merge_top`` takes
+    the column's ``beam`` best from its ``V`` runs in that order. It reads
+    a run past its head only when it picks from it, so no block builds all
+    ``V * beam`` candidates of a column.
+    """
+    n_utts, max_blocks, v = am.shape
     lm = bigram_log[:v].T  # lm[t, s]: log P(t | s)
     weighted = lm_weight * lm
-    width = min(beam, v)
-    utts = np.arange(n_utts)[:, None, None]
-    cols = np.arange(v)[None, :, None]
-    states = np.broadcast_to(np.arange(v), (n_utts, v, v))
+    lm_flat, weighted_flat = lm.reshape(-1), weighted.reshape(-1)
+    # live[i]: rows that have a block i, a prefix of the chunk
+    live = (n_blocks[:, None] > np.arange(max_blocks)).sum(axis=0).tolist()
+    # Per (utterance u, column t) cell: the offset of u's paths and of row t of lm.
+    path_base = np.repeat(np.arange(n_utts) * (v * beam), v)
+    lm_base = np.tile(np.arange(v) * v, n_utts)
 
     keys = np.full((n_utts, v, beam), -np.inf)
     am_tot = np.zeros((n_utts, v, beam))
@@ -369,36 +412,41 @@ def _decode_chunk(
     am_tot[:, :, 0] = am[:, 0]
     lm_tot[:, :, 0] = bigram_log[v]
     keys[:, :, 0] = am_tot[:, :, 0] + lm_weight * lm_tot[:, :, 0]
-    backptr = np.empty((n_blocks - 1, n_utts, v, beam), dtype=np.int32)
+    backptr = np.empty((max_blocks - 1, n_utts, v, beam), dtype=np.int32)
 
-    for i in range(1, n_blocks):
-        step = am[:, i, :, None]
-        if width < v:
-            # lead[u, t, s]: state s's best path extended with token t
-            lead = (keys[:, None, :, 0] + weighted) + step
-            states = np.sort(np.argsort(-lead, axis=2, kind="stable")[:, :, :width], axis=2)
-        cand = (keys[utts, states] + weighted[cols, states][..., None]) + step[..., None]
-        cand = cand.reshape(n_utts, v, width * beam)
-        pick = np.argsort(-cand, axis=2, kind="stable")[:, :, :beam]
-        source = np.take_along_axis(states, pick // beam, axis=2)
-        rank = pick % beam
-        keys = np.take_along_axis(cand, pick, axis=2)
-        am_tot = am_tot[utts, source, rank] + step
-        lm_tot = lm_tot[utts, source, rank] + lm[cols, source]
-        backptr[i - 1] = source * beam + rank
+    for i in range(1, max_blocks):
+        n = live[i]
+        paths, lm_row = path_base[: n * v], lm_base[: n * v]
+        step = am[:n, i].reshape(-1)
+        prev_keys, prev_am, prev_lm = (x[:n].reshape(-1) for x in (keys, am_tot, lm_tot))
 
-    flat = keys.reshape(n_utts, v * beam)
-    best = np.argsort(-flat, axis=1, kind="stable")[:, :beam]
-    found = np.isfinite(np.take_along_axis(flat, best, axis=1))
+        def extend(state, rank):
+            # Rank ``rank`` of ``state`` extended with each cell's token.
+            return (prev_keys[paths + state * beam + rank] + weighted_flat[lm_row + state]) + step
+
+        # lead[u, t, s]: the run heads, state s's best path extended with token t
+        lead = (keys[:n, None, :, 0] + weighted) + step.reshape(n, v, 1)
+        pick = _merge_top(lead.reshape(n * v, v), extend, beam)
+        picked = paths[:, None] + pick
+        lm_index = lm_row[:, None] + pick // beam
+        new_keys = (prev_keys[picked] + weighted_flat[lm_index]) + step[:, None]
+        keys[:n] = new_keys.reshape(n, v, beam)
+        am_tot[:n] = (prev_am[picked] + step[:, None]).reshape(n, v, beam)
+        lm_tot[:n] = (prev_lm[picked] + lm_flat[lm_index]).reshape(n, v, beam)
+        backptr[i - 1, :n] = pick.reshape(n, v, beam)
+
+    rows = np.arange(n_utts)
+    best = _merge_top(keys[:, :, 0], lambda state, rank: keys[rows, state, rank], beam)
+    found = np.isfinite(np.take_along_axis(keys.reshape(n_utts, -1), best, axis=1))
     am_out = np.take_along_axis(am_tot.reshape(n_utts, -1), best, axis=1)
     lm_out = np.take_along_axis(lm_tot.reshape(n_utts, -1), best, axis=1)
-    tokens = np.empty((n_utts, beam, n_blocks), dtype=np.int64)
+    tokens = np.empty((n_utts, beam, max_blocks), dtype=np.int64)
     state, rank = np.divmod(best, beam)
-    tokens[:, :, -1] = state
-    rows = np.arange(n_utts)[:, None]
-    for i in range(n_blocks - 1, 0, -1):
-        state, rank = np.divmod(backptr[i - 1][rows, state, rank], beam)
-        tokens[:, :, i - 1] = state
+    tokens[rows, :, n_blocks - 1] = state
+    for i in range(max_blocks - 1, 0, -1):
+        n = live[i]
+        state[:n], rank[:n] = np.divmod(backptr[i - 1][rows[:n, None], state[:n], rank[:n]], beam)
+        tokens[:n, :, i - 1] = state[:n]
 
     # Re-sort on the exact expression re-ranking uses, so equal fusion
     # parameters can never reorder the list (the search key accumulates the
@@ -406,17 +454,17 @@ def _decode_chunk(
     order = np.argsort(
         np.where(found, -(am_out + lm_weight * lm_out), np.inf), axis=1, kind="stable"
     )
-    coverage = float(n_blocks)
     return [
         [
-            ScoredHypothesis(Transcript(tuple(seq)), am_score, lm_score, coverage)
+            ScoredHypothesis(Transcript(tuple(seq[:length])), am_score, lm_score, float(length))
             for seq, am_score, lm_score in zip(seqs[:count], ams, lms)
         ]
-        for seqs, ams, lms, count in zip(
+        for seqs, ams, lms, count, length in zip(
             np.take_along_axis(tokens, order[:, :, None], axis=1).tolist(),
             np.take_along_axis(am_out, order, axis=1).tolist(),
             np.take_along_axis(lm_out, order, axis=1).tolist(),
             found.sum(axis=1).tolist(),
+            n_blocks.tolist(),
         )
     ]
 
@@ -429,23 +477,26 @@ def toy_transcribe(
 ) -> list[list[ScoredHypothesis]]:
     """Per-utterance top-``beam`` hypothesis lists, sorted by am + lm_weight * lm.
 
-    Utterances are grouped by block count and decoded a chunk at a time;
+    Every utterance's shape is checked first, in input order. Utterances
+    are then decoded longest first, a chunk of any block counts at a time;
     each chunk's acoustic scores are computed only when it is decoded.
     """
     if beam < 1:
         raise RecognizerError("beam must be >= 1")
-    groups: dict[int, list[int]] = {}
-    for index, u in enumerate(utterances):
-        groups.setdefault(_block_count(model, u.features), []).append(index)
+    counts = [_block_count(model, u.features) for u in utterances]
+    by_length = sorted(range(len(utterances)), key=lambda j: -counts[j])
     v = len(model.tokens)
     chunk = max(1, _CHUNK_CANDIDATES // (v * beam * v))
     results: list[list[ScoredHypothesis]] = [[] for _ in utterances]
-    for members in groups.values():
-        for lo in range(0, len(members), chunk):
-            indices = members[lo : lo + chunk]
-            am = np.stack([_am_matrix(model, utterances[j].features) for j in indices])
-            for j, hyps in zip(indices, _decode_chunk(am, model.bigram_log, beam, lm_weight)):
-                results[j] = hyps
+    for lo in range(0, len(by_length), chunk):
+        indices = by_length[lo : lo + chunk]
+        n_blocks = np.array([counts[j] for j in indices])
+        am = np.zeros((len(indices), n_blocks[0], v))
+        for row, j in enumerate(indices):
+            am[row, : n_blocks[row]] = _am_matrix(model, utterances[j].features)
+        hyp_lists = _decode_chunk(am, n_blocks, model.bigram_log, beam, lm_weight)
+        for j, hyps in zip(indices, hyp_lists):
+            results[j] = hyps
     return results
 
 
@@ -453,7 +504,9 @@ def _read_model(path: str | Path) -> ToyModel:
     try:
         return ToyModel.from_dict(read_json(path, RecognizerError))
     except (TypeError, ValueError, RecognizerError) as exc:
-        raise RecognizerError(f"{path}: not a toy model file ({exc!r})") from None
+        # The path once, first, as in every other file error; read_json's reason starts with it.
+        reason = str(exc).removeprefix(f"{path}: ")
+        raise RecognizerError(f"{path}: {reason}; not a toy model file") from None
 
 
 class ToyRecognizer:

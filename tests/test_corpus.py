@@ -144,6 +144,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             u.features[0, 0] = 5.0
 
+    @pytest.mark.parametrize(
+        "transcript, position, value",
+        [((1, None), 0, "1"), (("a", None), 1, "None"), (("a", b"b"), 1, "b'b'")],
+    )
+    def test_utterance_refuses_a_token_that_is_not_a_string(self, transcript, position, value):
+        # str() once turned (1, None) into ('1', 'None') and raised nothing.
+        refusal = f"'u': token {position} must be a string, got {value}"
+        with pytest.raises(CorpusError, match=refusal):
+            Utterance(id="u", features=np.ones((1, 2)), transcript=transcript)
+
     def test_dataset_unique_ids(self):
         u = Utterance(id="u", features=np.ones((1, 2)))
         with pytest.raises(CorpusError):

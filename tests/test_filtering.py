@@ -224,6 +224,18 @@ def survival(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2))
 
 
+class TestScoredTranscript:
+    @pytest.mark.parametrize(
+        "tokens, position, value", [((1, None), 0, "1"), (("a", None), 1, "None")]
+    )
+    def test_refuses_a_token_that_is_not_a_string(self, tokens, position, value):
+        with pytest.raises(FilteringError, match=f"token {position} must be a string, got {value}"):
+            ScoredTranscript(tokens, -1.0)
+
+    def test_string_tokens_pass_through(self):
+        assert ScoredTranscript(["a", "b"], -1).tokens == ("a", "b")
+
+
 class TestScoreCurves:
     @pytest.fixture
     def dev_and_hyps(self):

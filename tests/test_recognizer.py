@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 from collections import Counter
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nst import recognizer
 from nst.augment import identity_policy
@@ -397,6 +399,68 @@ class TestBatchedDecode:
         unbatched = peak(lambda: reference_lists(model, utterances, 8, 0.75))
         assert batched <= unbatched + 2 * 2**20
 
+    @pytest.mark.parametrize(
+        "beam", [3, 20, 24], ids=["beam-under-vocab", "beam-is-vocab", "beam-over-vocab"]
+    )
+    @pytest.mark.parametrize("lm_weight", [0.0, 0.75])
+    def test_one_block_utterance_in_a_chunk_of_long_ones(self, criterion_model, beam, lm_weight):
+        # The 1-block row stops stepping at once and is backtracked from block 0.
+        world, model = criterion_model
+        source = MarkovSentenceSource.structured(20, seed=7, length_range=(8, 14))
+        long = list(synth_generate(world, 5, source, derive_rng("mixed", 0)))
+        short = synth_generate(world, 1, lambda rng: [3], derive_rng("mixed", 1), "short")[0]
+        utterances = [long[0], short, *long[1:]]
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(recognizer, "_CHUNK_CANDIDATES", len(utterances) * 20 * beam * 20)
+            spy_on_decode_chunk(patch, calls)
+            got = toy_transcribe(model, utterances, beam, lm_weight)
+        assert calls == [len(utterances)]
+        assert [h.coverage for h in got[1]] == [1.0] * min(beam, 20)
+        assert exact(got) == reference_lists(model, utterances, beam, lm_weight)
+
+    def test_one_decode_call_per_chunk_across_block_counts(self, criterion_model):
+        world, model = criterion_model
+        source = MarkovSentenceSource.structured(20, seed=2, length_range=(20, 40))
+        utterances = list(synth_generate(world, 80, source, derive_rng("guard", 0)))
+        assert len({u.features.shape[0] for u in utterances}) >= 15
+        chunk = recognizer._CHUNK_CANDIDATES // (20 * 16 * 20)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            spy_on_decode_chunk(patch, calls)
+            toy_transcribe(model, utterances, 16, 0.75)
+        assert len(calls) == math.ceil(80 / chunk) == 8
+
+
+def spy_on_decode_chunk(patch, calls):
+    """Record the utterance count of each ``_decode_chunk`` call in ``calls``."""
+    decode = recognizer._decode_chunk
+
+    def spy(am, *args):
+        calls.append(len(am))
+        return decode(am, *args)
+
+    patch.setattr(recognizer, "_decode_chunk", spy)
+
+
+@st.composite
+def sorted_runs(draw):
+    """(rows, width, k) values on a few levels, each run non-increasing, often to a -inf tail."""
+    rows, width, k = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    levels = st.sampled_from([-np.inf, -np.inf, -2.0, -1.0, -0.5, 0.0])
+    values = draw(arrays(np.float64, (rows, width, k), elements=levels))
+    return -np.sort(-values, axis=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_runs())
+def test_merge_takes_what_a_stable_sort_takes(runs):
+    rows, width, k = runs.shape
+    index = np.arange(rows)
+    got = recognizer._merge_top(runs[:, :, 0], lambda run, rank: runs[index, run, rank], k)
+    expected = np.argsort(-runs.reshape(rows, -1), axis=1, kind="stable")[:, :k]
+    assert got.tolist() == expected.tolist()
+
 
 class TestToyRecognizer:
     def test_train_then_transcribe(self, world):
@@ -457,6 +521,17 @@ class TestToyRecognizer:
             ToyRecognizer(world.vocab(), world.frames_per_token).load(path)
         with pytest.raises(RecognizerError, match="not a toy model file"):
             ToyRecognizer.from_file(path)
+
+    def test_truncated_model_file_named_once(self, tmp_path, world):
+        # The refusal once read "m.json: not a toy model file (RecognizerError('m.json: ...'))".
+        path = tmp_path / "m.json"
+        path.write_text('{"tokens": ')
+        for load in (ToyRecognizer.from_file, ToyRecognizer(world.vocab(), 2).load):
+            with pytest.raises(RecognizerError, match="not a toy model file") as refused:
+                load(path)
+            message = str(refused.value)
+            assert message.startswith(f"{path}: invalid JSON (")
+            assert message.count(str(path)) == 1 and "RecognizerError(" not in message
 
     @pytest.mark.parametrize(
         "key, value",
