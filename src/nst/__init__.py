@@ -27,7 +27,7 @@ from .corpus import (
     tokenize,
 )
 from .errors import NstError
-from .scoring import FusionParams, ScoredHypothesis, fuse_score, grid_search_fusion, wer
+from .scoring import FusionParams, ScoredHypothesis, grid_search_fusion, wer
 from .filtering import FilterModel, apply_filter, filter_score, fit_filter
 from .balancing import SamplerConfig, cost_benefit, kl_divergence, submodular_sample
 from .augment import AugmentPolicy, apply_policy
@@ -70,7 +70,6 @@ __all__ = [
     "emit_reports",
     "filter_score",
     "fit_filter",
-    "fuse_score",
     "grid_search_fusion",
     "kl_divergence",
     "load_manifest",

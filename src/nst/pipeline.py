@@ -396,7 +396,7 @@ def _pseudo_label(
     hyp_lists = recognizer.transcribe(list(unlabeled), beam)
     vocab = recognizer.vocab
     labeled = []
-    for u, hyps in zip(unlabeled, hyp_lists):
+    for u, hyps in zip(unlabeled, hyp_lists, strict=True):
         best = best_hypothesis(hyps, fusion)
         labeled.append(
             replace(u, transcript=vocab.decode(best.transcript), score=best.fused)

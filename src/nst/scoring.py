@@ -118,21 +118,6 @@ def fuse_components(
     return base + params.nonblank_reward * length
 
 
-def fuse_score(hyp: ScoredHypothesis, params: FusionParams) -> float:
-    return fuse_components(
-        hyp.am_score, hyp.lm_score, hyp.coverage, len(hyp.transcript), params
-    )
-
-
-def rerank(
-    hyps: Sequence[ScoredHypothesis], params: FusionParams
-) -> list[ScoredHypothesis]:
-    """Hypotheses sorted by fused score, descending, stable under ties."""
-    fused = [h.with_fused(fuse_score(h, params)) for h in hyps]
-    order = sorted(range(len(fused)), key=lambda i: (-fused[i].fused, i))
-    return [fused[i] for i in order]
-
-
 def best_hypothesis(
     hyps: Sequence[ScoredHypothesis], params: FusionParams
 ) -> ScoredHypothesis:
@@ -142,7 +127,7 @@ def best_hypothesis(
     best = None
     best_score = -math.inf
     for h in hyps:
-        score = fuse_score(h, params)
+        score = fuse_components(h.am_score, h.lm_score, h.coverage, len(h.transcript), params)
         if score > best_score:
             best, best_score = h, score
     return best.with_fused(best_score)
@@ -150,51 +135,32 @@ def best_hypothesis(
 
 @dataclass(frozen=True)
 class WerResult:
-    substitutions: int
-    insertions: int
-    deletions: int
+    errors: int
     wer: float
 
-    @property
-    def errors(self) -> int:
-        return self.substitutions + self.insertions + self.deletions
 
+def edit_alignment_counts(reference: Sequence, hypothesis: Sequence) -> int:
+    """Levenshtein distance: the fewest substitutions, insertions and deletions
+    that turn ``reference`` into ``hypothesis``. It is symmetric in its arguments.
 
-def edit_alignment_counts(
-    reference: Sequence, hypothesis: Sequence
-) -> tuple[int, int, int]:
-    """(substitutions, insertions, deletions) of a minimal edit alignment.
-
-    Among all minimal-distance alignments, the one with the most matches is
-    used; this makes the decomposition canonical, so swapping the arguments
-    exchanges insertions and deletions exactly.
+    ``bench/spans.py`` traces this function, and counts its calls, by this name.
     """
-    n, m = len(reference), len(hypothesis)
-    # DP over (edits, -matches), compared lexicographically.
-    prev = [(j, 0) for j in range(m + 1)]
-    for i in range(1, n + 1):
-        cur = [(i, 0)]
-        r = reference[i - 1]
-        for j in range(1, m + 1):
-            diag_e, diag_m = prev[j - 1]
-            if r == hypothesis[j - 1]:
-                best = (diag_e, diag_m - 1)
-            else:
-                best = (diag_e + 1, diag_m)
-            up = (prev[j][0] + 1, prev[j][1])
-            left = (cur[j - 1][0] + 1, cur[j - 1][1])
-            if up < best:
-                best = up
-            if left < best:
-                best = left
-            cur.append(best)
+    prev = list(range(len(hypothesis) + 1))
+    for i, r in enumerate(reference, 1):
+        cost = i
+        cur = [cost]
+        for h, diag, up in zip(hypothesis, prev, prev[1:]):
+            # cost = min(left + 1, up + 1, diag + (r != h)), where left is the previous cost.
+            if up < cost:
+                cost = up
+            cost += 1
+            if r != h:
+                diag += 1
+            if diag < cost:
+                cost = diag
+            cur.append(cost)
         prev = cur
-    edits, neg_matches = prev[m]
-    matches = -neg_matches
-    substitutions = n + m - 2 * matches - edits
-    deletions = n - matches - substitutions
-    insertions = m - matches - substitutions
-    return substitutions, insertions, deletions
+    return prev[-1]
 
 
 def wer(reference: Sequence, hypothesis: Sequence) -> WerResult:
@@ -205,24 +171,20 @@ def wer(reference: Sequence, hypothesis: Sequence) -> WerResult:
     """
     if len(reference) == 0:
         raise EmptyReferenceError("reference is empty; the error ratio is undefined")
-    s, i, d = edit_alignment_counts(reference, hypothesis)
-    return WerResult(s, i, d, (s + i + d) / len(reference))
+    return corpus_wer([(reference, hypothesis)])
 
 
 def corpus_wer(
     pairs: Iterable[tuple[Sequence[str], Sequence[str]]]
 ) -> WerResult:
-    """Aggregate WER: summed edit counts over summed reference length."""
-    total_s = total_i = total_d = total_ref = 0
+    """Aggregate WER: summed edit distances over summed reference length."""
+    errors = total_ref = 0
     for reference, hypothesis in pairs:
-        s, i, d = edit_alignment_counts(reference, hypothesis)
-        total_s += s
-        total_i += i
-        total_d += d
+        errors += edit_alignment_counts(reference, hypothesis)
         total_ref += len(reference)
     if total_ref == 0:
         raise EmptyReferenceError("total reference length is 0")
-    return WerResult(total_s, total_i, total_d, (total_s + total_i + total_d) / total_ref)
+    return WerResult(errors, errors / total_ref)
 
 
 @dataclass(frozen=True)
@@ -245,10 +207,12 @@ def grid_search_table(
     lists. ``hyp_lists`` short-circuits transcription when the caller already
     has them.
 
-    Grid points mostly agree on an utterance's best hypothesis, so each
-    distinct (utterance, best hypothesis) pair is aligned once per call, and
-    every point's WER is its summed errors over the total reference length:
-    the integer ratio ``corpus_wer`` returns for the same pairs.
+    Grid points mostly agree on an utterance's best hypothesis, so the edit
+    distance of each distinct (utterance, best hypothesis) pair is computed
+    once per call, and every point's WER is its summed edits over the total
+    reference length: the integer ratio ``corpus_wer`` returns for the same
+    pairs. A recognizer that returns a list count other than the utterance
+    count raises ``ValueError``.
     """
     if not grid:
         raise ScoringError("fusion grid is empty")
@@ -257,11 +221,13 @@ def grid_search_table(
         if u.transcript is None:
             raise MissingTranscriptError(u.id)
         references.append(u.transcript)
+    total_ref = sum(map(len, references))
+    if total_ref == 0:
+        raise EmptyReferenceError("total reference length is 0")
     if hyp_lists is None:
         hyp_lists = recognizer.transcribe(list(dev), beam)
     vocab = recognizer.vocab
-    pairs = list(zip(references, hyp_lists))
-    total_ref = sum(len(reference) for reference, _ in pairs)
+    pairs = list(zip(references, hyp_lists, strict=True))
     errors_of: dict[tuple[int, Transcript], int] = {}
     table = []
     for params in grid:
@@ -269,10 +235,8 @@ def grid_search_table(
         for index, (reference, hyps) in enumerate(pairs):
             key = (index, best_hypothesis(hyps, params).transcript)
             if key not in errors_of:
-                errors_of[key] = sum(edit_alignment_counts(reference, vocab.decode(key[1])))
+                errors_of[key] = edit_alignment_counts(reference, vocab.decode(key[1]))
             errors += errors_of[key]
-        if total_ref == 0:
-            raise EmptyReferenceError("total reference length is 0")
         table.append(GridPoint(params, errors / total_ref))
     return table
 
@@ -315,7 +279,7 @@ def hypothesis_records(
             lm=h.lm_score,
             coverage=h.coverage,
         )
-        for u, hyps in zip(dataset, hyp_lists)
+        for u, hyps in zip(dataset, hyp_lists, strict=True)
         for h in hyps
     ]
 

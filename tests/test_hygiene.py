@@ -1,5 +1,5 @@
 """Source hygiene: no unused imports, layered imports, independent oracles, checked record
-readers, one JSON parser, a public API that resolves."""
+readers, one JSON parser, a public API that resolves, no public definition nothing uses."""
 import ast
 from pathlib import Path
 
@@ -270,3 +270,56 @@ def test_public_names_resolve():
     missing = [name for name in nst.__all__ if not hasattr(nst, name)]
     assert not missing, f"nst.__all__ lists names the package lacks: {missing}"
     assert len(set(nst.__all__)) == len(nst.__all__)
+
+
+def _unreferenced_definitions(trees: dict[str, ast.Module], exported: set[str]) -> list[str]:
+    """``<module>.<name> (line)`` of every public top-level function or class that no other
+    top-level statement of any module uses and that ``exported`` does not name."""
+    referenced = set()
+    for tree in trees.values():
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            names = _used_names(node) | {
+                n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+            }
+            referenced |= names - {own}
+    return [
+        f"{module}.{node.name} (line {node.lineno})"
+        for module, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in referenced | exported
+    ]
+
+
+def test_every_public_definition_is_used_or_exported():
+    # A definition nothing calls is a second way to do a thing, kept only by its tests.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in MODULES
+    }
+    unused = _unreferenced_definitions(trees, set(nst.__all__))
+    assert not unused, f"public definitions neither used in nst nor exported: {', '.join(unused)}"
+
+
+def test_unused_definition_is_detected():
+    trees = {
+        "a": ast.parse(
+            "def used():\n"
+            "    return helper()\n"
+            "def helper():\n"
+            "    return 1\n"
+            "def unused(n):\n"
+            "    return unused(n - 1)\n"
+            "class Exported:\n"
+            "    pass\n"
+            "def _private():\n"
+            "    pass\n"
+        ),
+        "b": ast.parse("from .a import used\nx = used()\n"),
+    }
+    assert _unreferenced_definitions(trees, {"Exported"}) == ["a.unused (line 5)"]
+    assert _unreferenced_definitions(trees, set()) == [
+        "a.unused (line 5)", "a.Exported (line 7)",
+    ]

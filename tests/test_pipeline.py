@@ -355,6 +355,23 @@ class TestStageErrors:
         assert err.value.stage == "load_teacher"
         assert (workdir / "state.json").read_bytes() == snapshot
 
+    def test_a_recognizer_that_drops_a_hypothesis_list_is_refused(self, task, tmp_path):
+        class DroppingRecognizer(ToyRecognizer):
+            def transcribe(self, utterances, beam):
+                return super().transcribe(utterances, beam)[:-1]
+
+        config = make_config(task, [gen_config(0), gen_config(1)])
+        state = init_state(tmp_path / "work", config, seed=2)
+        with pytest.raises(StageError) as err:
+            run_generation(state, config.generations[0], recognizer=DroppingRecognizer)
+        assert (err.value.generation, err.value.stage) == (0, "tune_fusion")
+        assert isinstance(err.value.cause, ValueError) and "shorter" in str(err.value.cause)
+        state = run_generation(state, config.generations[0])
+        with pytest.raises(StageError) as err:
+            run_generation(state, config.generations[1], recognizer=DroppingRecognizer)
+        assert (err.value.generation, err.value.stage) == (1, "transcribe_unlabeled")
+        assert isinstance(err.value.cause, ValueError) and "shorter" in str(err.value.cause)
+
     @pytest.mark.parametrize(
         "key, value",
         [("tokens", [f"x{i}" for i in range(8)]), ("frames_per_token", 3)],

@@ -25,7 +25,7 @@ from nst.recognizer import (
     toy_train,
     toy_transcribe,
 )
-from nst.scoring import FusionParams, best_hypothesis, rerank
+from nst.scoring import FusionParams, best_hypothesis, fuse_components
 from nst.seeding import derive_rng
 
 from oracles import reference_decode
@@ -273,8 +273,11 @@ class TestToyTranscribe:
         hyp_lists = toy_transcribe(model, list(data), beam=4, lm_weight=0.5)
         params = FusionParams(lm_weight=0.5)
         for hyps in hyp_lists:
-            reranked = rerank(hyps, params)
-            assert [h.transcript for h in reranked] == [h.transcript for h in hyps]
+            fused = [
+                fuse_components(h.am_score, h.lm_score, h.coverage, len(h.transcript), params)
+                for h in hyps
+            ]
+            assert fused == sorted(fused, reverse=True)
             best = best_hypothesis(hyps, params)
             assert best.transcript == hyps[0].transcript
 
