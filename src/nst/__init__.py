@@ -2,7 +2,7 @@
 
 Modules:
     corpus      dataset model, tokenization, manifests, feature files
-    scoring     fused score combination, grid search, WER
+    scoring     N-best lists, fused score combination, grid search, WER
     filtering   length-normalized score fitting and cutoff filtering
     balancing   greedy token-distribution balancing
     augment     frequency/time masking and time warping
@@ -27,7 +27,14 @@ from .corpus import (
     tokenize,
 )
 from .errors import NstError
-from .scoring import FusionParams, ScoredHypothesis, grid_search_fusion, wer
+from .scoring import (
+    FusionParams,
+    NBest,
+    ScoredHypothesis,
+    best_hypothesis,
+    grid_search_fusion,
+    wer,
+)
 from .filtering import FilterModel, apply_filter, filter_score, fit_filter
 from .balancing import SamplerConfig, cost_benefit, kl_divergence, submodular_sample
 from .augment import AugmentPolicy, apply_policy
@@ -51,6 +58,7 @@ __all__ = [
     "FusionParams",
     "GenerationConfig",
     "MixPlan",
+    "NBest",
     "NstError",
     "PipelineConfig",
     "PipelineState",
@@ -65,6 +73,7 @@ __all__ = [
     "WeightedSample",
     "apply_filter",
     "apply_policy",
+    "best_hypothesis",
     "cost_benefit",
     "detokenize",
     "emit_reports",

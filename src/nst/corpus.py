@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 import os
 import re
 import struct
@@ -73,14 +75,32 @@ class MissingTranscriptError(CorpusError):
         self.utterance_id = utterance_id
 
 
+def _integer_or_none(value: object) -> int | None:
+    """``value`` as an ``int`` when it is an integer other than a bool, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True)
 class Transcript:
-    """Ordered sequence of token ids. The empty transcript is legal."""
+    """Ordered sequence of token ids. The empty transcript is legal.
+
+    A token id is any integer but a bool (NumPy integers included); a float
+    or a string is refused, not rounded or parsed.
+    """
 
     tokens: tuple[int, ...]
 
     def __post_init__(self):
-        toks = tuple(int(t) for t in self.tokens)
+        given = tuple(self.tokens)
+        toks = tuple(map(_integer_or_none, given))
+        if None in toks:
+            position = toks.index(None)
+            raise CorpusError(f"token id {position} must be an integer, got {given[position]!r}")
         if any(t < 0 for t in toks):
             raise CorpusError("token ids must be nonnegative")
         object.__setattr__(self, "tokens", toks)
@@ -279,13 +299,23 @@ class Utterance:
             transcript = string_tokens(self.transcript, CorpusError, f"utterance {self.id!r}:")
             object.__setattr__(self, "transcript", transcript)
         if self.score is not None:
+            if isinstance(self.score, bool) or not isinstance(self.score, numbers.Real):
+                raise CorpusError(
+                    f"utterance {self.id!r}: score must be a number, got {self.score!r}"
+                )
             score = float(self.score)
             if not math.isfinite(score):
                 raise CorpusError(f"score must be finite, got {score!r}")
             object.__setattr__(self, "score", score)
-        if int(self.multiplicity) < 1:
+        multiplicity = _integer_or_none(self.multiplicity)
+        if multiplicity is None:
+            raise CorpusError(
+                f"utterance {self.id!r}: multiplicity must be an integer, "
+                f"got {self.multiplicity!r}"
+            )
+        if multiplicity < 1:
             raise CorpusError("multiplicity must be >= 1")
-        object.__setattr__(self, "multiplicity", int(self.multiplicity))
+        object.__setattr__(self, "multiplicity", multiplicity)
 
     @property
     def n_channels(self) -> int:
@@ -479,12 +509,19 @@ def save_manifest(dataset: Dataset, path: str | Path) -> None:
     existing = set(os.listdir(feature_dir)) if feature_dir.is_dir() else set()
     fresh: list[Utterance] = []
     sidecars = []
+    # Each sidecar directory's path relative to the manifest directory; the
+    # joined result is what os.path.relpath gives for each sidecar.
+    relative_dirs: dict[str, str] = {}
     for u in dataset:
         if not _SAFE_ID.match(u.id):
             raise CorpusError(f"utterance id not filesystem-safe: {u.id!r}")
         source = u.feature_source
         if source is not None and source[1] is u.features:
-            rel = os.path.relpath(source[0], manifest_dir)
+            directory, name = os.path.split(source[0])
+            if directory not in relative_dirs:
+                relative_dirs[directory] = os.path.relpath(directory or os.curdir, manifest_dir)
+            relative_dir = relative_dirs[directory]
+            rel = name if relative_dir == os.curdir else os.path.join(relative_dir, name)
         else:
             rel = f"{features_dirname}/{u.id}.nstf"
             target = feature_dir / f"{u.id}.nstf"

@@ -63,13 +63,7 @@ from .filtering import (
 )
 from .mixing import BATCHWISE, MixPlan, mix_batchwise, mix_uniform
 from .recognizer import Recognizer, ToyRecognizer
-from .scoring import (
-    FusionParams,
-    best_hypothesis,
-    grid_search_table,
-    hypothesis_records,
-    write_hypotheses,
-)
+from .scoring import FusionParams, grid_search_table, hypothesis_records, write_hypotheses
 from .seeding import derive_rng, derive_seed
 
 STATE_FILENAME = "state.json"
@@ -393,15 +387,13 @@ def _pseudo_label(
     beam: int,
 ) -> Dataset:
     """Transcribe the unlabeled set and attach fused top hypotheses."""
-    hyp_lists = recognizer.transcribe(list(unlabeled), beam)
+    nbest = recognizer.transcribe(list(unlabeled), beam)
+    ranks, scores = nbest.best(fusion)
     vocab = recognizer.vocab
-    labeled = []
-    for u, hyps in zip(unlabeled, hyp_lists, strict=True):
-        best = best_hypothesis(hyps, fusion)
-        labeled.append(
-            replace(u, transcript=vocab.decode(best.transcript), score=best.fused)
-        )
-    return Dataset(labeled)
+    return Dataset(
+        replace(u, transcript=vocab.decode(ids), score=score)
+        for u, ids, score in zip(unlabeled, nbest.token_ids(ranks), scores.tolist(), strict=True)
+    )
 
 
 def balance_sample(
@@ -545,9 +537,9 @@ def run_generation(
         student.save(workdir / model_file)
 
     with _Stage(g, "tune_fusion"):
-        dev_hyp_lists = student.transcribe(list(dev), state.beam)
+        dev_nbest = student.transcribe(list(dev), state.beam)
         table = grid_search_table(
-            config.fusion_grid, dev, student, state.beam, hyp_lists=dev_hyp_lists
+            config.fusion_grid, dev, student, state.beam, hyp_lists=dev_nbest
         )
         best = min(table, key=lambda point: point.dev_wer)  # the earliest of equal points
         fusion, dev_wer = best.params, best.dev_wer
@@ -556,21 +548,19 @@ def run_generation(
         )
 
     with _Stage(g, "fit_filter"):
-        best_hyps = [best_hypothesis(hyps, fusion) for hyps in dev_hyp_lists]
-        pairs = [
-            (len(b.transcript), b.fused) for b in best_hyps if len(b.transcript) >= 1
-        ]
-        filter_model = fit_filter(pairs)
+        ranks, scores = dev_nbest.best(fusion)
+        dev_best = list(zip(dev_nbest.token_ids(ranks), scores.tolist()))
+        filter_model = fit_filter([(len(ids), score) for ids, score in dev_best if len(ids) >= 1])
         atomic_write_json(workdir / f"filter_gen{g}.json", filter_model.to_dict())
         write_hypotheses(
-            hypothesis_records(dev, dev_hyp_lists, vocab),
+            hypothesis_records(dev, dev_nbest, vocab),
             workdir / f"dev_hyps_gen{g}.jsonl",
         )
 
     with _Stage(g, "score_curves"):
         scored = {
-            u.id: ScoredTranscript(vocab.decode(b.transcript), b.fused)
-            for u, b in zip(dev, best_hyps)
+            u.id: ScoredTranscript(vocab.decode(ids), score)
+            for u, (ids, score) in zip(dev, dev_best)
         }
         curves = score_curves(dev, scored, filter_model, default_thresholds())
         atomic_write_text(workdir / f"curves_gen{g}.tsv", curves_to_tsv(curves))

@@ -37,13 +37,12 @@ from .corpus import (
     Dataset,
     MissingTranscriptError,
     TokenVocab,
-    Transcript,
     Utterance,
     atomic_write_text,
     read_json,
 )
 from .errors import NstError, read_record
-from .scoring import ScoredHypothesis
+from .scoring import NBest
 from .seeding import derive_rng
 
 
@@ -62,18 +61,17 @@ class FrameAlignmentError(RecognizerError):
 class Recognizer(Protocol):
     """What the generation loop needs of a recognizer.
 
-    ``train`` replaces the current model; ``transcribe`` returns one list of
-    at most ``beam`` hypotheses per utterance; ``load`` refuses, with
-    ``RecognizerError``, a model made for another vocabulary or frame rate.
+    ``train`` replaces the current model; ``transcribe`` returns an
+    ``NBest`` with one row per utterance, in input order, each holding at
+    most ``beam`` hypotheses; ``load`` refuses, with ``RecognizerError``, a
+    model made for another vocabulary or frame rate.
     """
 
     vocab: TokenVocab
 
     def train(self, dataset: Dataset, policy: AugmentPolicy, seed: int) -> None: ...
 
-    def transcribe(
-        self, utterances: Sequence[Utterance], beam: int
-    ) -> list[list[ScoredHypothesis]]: ...
+    def transcribe(self, utterances: Sequence[Utterance], beam: int) -> NBest: ...
 
     def save(self, path: str | Path) -> None: ...
 
@@ -377,8 +375,13 @@ def _merge_top(
 
 def _decode_chunk(
     am: np.ndarray, n_blocks: np.ndarray, bigram_log: np.ndarray, beam: int, lm_weight: float
-) -> list[list[ScoredHypothesis]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact top-``beam`` search over the block lattices of a chunk of utterances.
+
+    Returns each row's hypotheses, sorted by am + lm_weight * lm: the (rows,
+    beam, longest block count) token ids, the (rows, beam) am and lm scores,
+    and the (rows,) number of hypotheses found. A row's hypotheses span its
+    own block count; ranks past the number found are padding.
 
     ``am`` is (utterances, longest block count, V), each row zero-padded
     past its own ``n_blocks``. Rows come longest first, so the rows that
@@ -440,7 +443,7 @@ def _decode_chunk(
     found = np.isfinite(np.take_along_axis(keys.reshape(n_utts, -1), best, axis=1))
     am_out = np.take_along_axis(am_tot.reshape(n_utts, -1), best, axis=1)
     lm_out = np.take_along_axis(lm_tot.reshape(n_utts, -1), best, axis=1)
-    tokens = np.empty((n_utts, beam, max_blocks), dtype=np.int64)
+    tokens = np.zeros((n_utts, beam, max_blocks), dtype=np.int64)
     state, rank = np.divmod(best, beam)
     tokens[rows, :, n_blocks - 1] = state
     for i in range(max_blocks - 1, 0, -1):
@@ -454,19 +457,12 @@ def _decode_chunk(
     order = np.argsort(
         np.where(found, -(am_out + lm_weight * lm_out), np.inf), axis=1, kind="stable"
     )
-    return [
-        [
-            ScoredHypothesis(Transcript(tuple(seq[:length])), am_score, lm_score, float(length))
-            for seq, am_score, lm_score in zip(seqs[:count], ams, lms)
-        ]
-        for seqs, ams, lms, count, length in zip(
-            np.take_along_axis(tokens, order[:, :, None], axis=1).tolist(),
-            np.take_along_axis(am_out, order, axis=1).tolist(),
-            np.take_along_axis(lm_out, order, axis=1).tolist(),
-            found.sum(axis=1).tolist(),
-            n_blocks.tolist(),
-        )
-    ]
+    return (
+        np.take_along_axis(tokens, order[:, :, None], axis=1),
+        np.take_along_axis(am_out, order, axis=1),
+        np.take_along_axis(lm_out, order, axis=1),
+        found.sum(axis=1),
+    )
 
 
 def toy_transcribe(
@@ -474,12 +470,14 @@ def toy_transcribe(
     utterances: Sequence[Utterance],
     beam: int,
     lm_weight: float = 0.0,
-) -> list[list[ScoredHypothesis]]:
-    """Per-utterance top-``beam`` hypothesis lists, sorted by am + lm_weight * lm.
+) -> NBest:
+    """Per-utterance top-``beam`` hypotheses, sorted by am + lm_weight * lm.
 
     Every utterance's shape is checked first, in input order. Utterances
     are then decoded longest first, a chunk of any block counts at a time;
-    each chunk's acoustic scores are computed only when it is decoded.
+    each chunk's acoustic scores are computed only when it is decoded, and
+    its rows are scattered back to input order. Every hypothesis of an
+    utterance spans its block count, which is also its coverage.
     """
     if beam < 1:
         raise RecognizerError("beam must be >= 1")
@@ -487,17 +485,21 @@ def toy_transcribe(
     by_length = sorted(range(len(utterances)), key=lambda j: -counts[j])
     v = len(model.tokens)
     chunk = max(1, _CHUNK_CANDIDATES // (v * beam * v))
-    results: list[list[ScoredHypothesis]] = [[] for _ in utterances]
+    tokens = np.zeros((len(utterances), beam, max(counts, default=0)), dtype=np.int64)
+    am_scores, lm_scores = np.zeros((2, len(utterances), beam))
+    found = np.zeros(len(utterances), dtype=np.int64)
     for lo in range(0, len(by_length), chunk):
         indices = by_length[lo : lo + chunk]
         n_blocks = np.array([counts[j] for j in indices])
         am = np.zeros((len(indices), n_blocks[0], v))
         for row, j in enumerate(indices):
             am[row, : n_blocks[row]] = _am_matrix(model, utterances[j].features)
-        hyp_lists = _decode_chunk(am, n_blocks, model.bigram_log, beam, lm_weight)
-        for j, hyps in zip(indices, hyp_lists):
-            results[j] = hyps
-    return results
+        (
+            tokens[indices, :, : n_blocks[0]], am_scores[indices], lm_scores[indices],
+            found[indices],
+        ) = _decode_chunk(am, n_blocks, model.bigram_log, beam, lm_weight)
+    lengths = np.repeat(np.array(counts, dtype=np.int64)[:, None], beam, axis=1)
+    return NBest(tokens, lengths, found, am_scores, lm_scores, lengths.astype(np.float64))
 
 
 def _read_model(path: str | Path) -> ToyModel:
@@ -533,9 +535,7 @@ class ToyRecognizer:
     def train(self, dataset: Dataset, policy: AugmentPolicy, seed: int) -> None:
         self.model = toy_train(dataset, self.vocab, self.frames_per_token, policy, seed)
 
-    def transcribe(
-        self, utterances: Sequence[Utterance], beam: int
-    ) -> list[list[ScoredHypothesis]]:
+    def transcribe(self, utterances: Sequence[Utterance], beam: int) -> NBest:
         return toy_transcribe(self._trained(), utterances, beam, self.decode_lm_weight)
 
     def save(self, path: str | Path) -> None:

@@ -1,15 +1,21 @@
-"""Fused decode score combination, fusion-parameter grid search, and WER.
+"""N-best lists, fused decode score combination, fusion-parameter grid search, and WER.
 
 The fused score of a hypothesis is an affine combination of its acoustic and
 language-model scores plus a mode-dependent auxiliary term: a coverage bonus
 for attention decoders, a per-token reward for transducer decoders.
+
+A recognizer returns its hypotheses as one ``NBest``, a set of arrays, so the
+loop picks each utterance's best hypothesis by an array argmax and builds no
+object per hypothesis.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import (
     Dataset,
@@ -133,6 +139,145 @@ def best_hypothesis(
     return best.with_fused(best_score)
 
 
+@dataclass(frozen=True, eq=False)
+class NBest:
+    """Every utterance's hypothesis list, as columns.
+
+    Row ``i`` holds utterance ``i``'s ``counts[i]`` hypotheses, best decode
+    score first. Hypothesis ``(i, r)`` is the token ids ``tokens[i, r,
+    :lengths[i, r]]`` with the scores ``am[i, r]``, ``lm[i, r]`` and
+    ``coverage[i, r]``. Every other cell is padding, which is never read.
+
+    The arrays are checked once each, never per hypothesis: counts within
+    ``0..k``, held lengths within ``0..L``, held token ids nonnegative, held
+    scores finite and held coverage nonnegative.
+
+    An ``NBest`` reads like the list of hypothesis lists it replaces: its
+    length is the row count, a row (by index or by iteration) is a
+    ``list[ScoredHypothesis]`` built when asked for, a slice is an ``NBest``
+    of those rows, and ``==`` compares row by row.
+    """
+
+    tokens: np.ndarray  # (n, k, L) integers
+    lengths: np.ndarray  # (n, k) integers
+    counts: np.ndarray  # (n,) integers
+    am: np.ndarray  # (n, k) float64
+    lm: np.ndarray  # (n, k) float64
+    coverage: np.ndarray  # (n, k) float64
+
+    def __post_init__(self):
+        arrays = {}
+        for name in ("tokens", "lengths", "counts"):
+            arrays[name] = np.asarray(getattr(self, name))
+            if arrays[name].dtype.kind not in "iu":
+                raise ScoringError(f"{name} must hold integers, got {arrays[name].dtype}")
+        for name in ("am", "lm", "coverage"):
+            arrays[name] = np.asarray(getattr(self, name), dtype=np.float64)
+        if arrays["tokens"].ndim != 3:
+            raise ScoringError(f"tokens must be (n, k, L), got shape {arrays['tokens'].shape}")
+        n, k, width = arrays["tokens"].shape
+        for name, shape in (("lengths", (n, k)), ("counts", (n,)), ("am", (n, k)),
+                            ("lm", (n, k)), ("coverage", (n, k))):
+            if arrays[name].shape != shape:
+                raise ScoringError(f"{name} must have shape {shape}, got {arrays[name].shape}")
+        counts = arrays["counts"]
+        if np.any((counts < 0) | (counts > k)):
+            raise ScoringError(f"hypothesis counts must lie in 0..{k}")
+        held = np.arange(k) < counts[:, None]
+        lengths = arrays["lengths"]
+        if np.any(held & ((lengths < 0) | (lengths > width))):
+            raise ScoringError(f"hypothesis lengths must lie in 0..{width}")
+        held_tokens = held[:, :, None] & (np.arange(width) < lengths[:, :, None])
+        if np.any(held_tokens & (arrays["tokens"] < 0)):
+            raise ScoringError("token ids must be nonnegative")
+        for name in ("am", "lm", "coverage"):
+            if not np.all(np.isfinite(arrays[name][held])):
+                raise ScoringError(f"{name} scores must be finite")
+        if np.any(arrays["coverage"][held] < 0):
+            raise ScoringError("coverage must be nonnegative")
+        for name, array in arrays.items():
+            view = array.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+
+    @classmethod
+    def from_lists(cls, hyp_lists: Sequence[Sequence[ScoredHypothesis]]) -> "NBest":
+        """The rows of per-utterance hypothesis lists, in order."""
+        counts = [len(hyps) for hyps in hyp_lists]
+        width = max((len(h.transcript) for hyps in hyp_lists for h in hyps), default=0)
+        tokens = np.zeros((len(counts), max(counts, default=0), width), dtype=np.int64)
+        lengths = np.zeros(tokens.shape[:2], dtype=np.int64)
+        scores = np.zeros((3, *tokens.shape[:2]))
+        for i, hyps in enumerate(hyp_lists):
+            for r, h in enumerate(hyps):
+                tokens[i, r, : len(h.transcript)] = h.transcript.tokens
+                lengths[i, r] = len(h.transcript)
+                scores[:, i, r] = h.am_score, h.lm_score, h.coverage
+        return cls(tokens, lengths, np.array(counts, dtype=np.int64), *scores)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return NBest(*(getattr(self, f.name)[index] for f in fields(self)))
+        return [
+            ScoredHypothesis(Transcript(ids), am, lm, coverage)
+            for ids, am, lm, coverage in self._held(range(len(self))[index])
+        ]
+
+    def __iter__(self) -> Iterator[list[ScoredHypothesis]]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NBest):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def _held(self, row: int) -> list[tuple[tuple[int, ...], float, float, float]]:
+        """Row ``row``'s hypotheses as (token ids, am, lm, coverage) Python values."""
+        count = int(self.counts[row])
+        columns = (self.tokens[row, :count].tolist(), self.lengths[row, :count].tolist(),
+                   self.am[row, :count].tolist(), self.lm[row, :count].tolist(),
+                   self.coverage[row, :count].tolist())
+        return [(tuple(ids[:length]), am, lm, coverage)
+                for ids, length, am, lm, coverage in zip(*columns)]
+
+    def best(self, params: FusionParams) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's hypothesis with maximal fused score: its rank and that score.
+
+        The fused score is ``fuse_components``' expression in its operation
+        order and the first maximum wins ties, so each row's choice and float
+        are those of ``best_hypothesis`` on that row. A row with no hypotheses,
+        or a best fused score that overflows, raises ``ScoringError``.
+        """
+        if np.any(self.counts == 0):
+            raise ScoringError("empty hypothesis list")
+        if len(self) == 0:
+            return np.zeros(0, dtype=np.intp), np.zeros(0)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+            base = self.am + params.lm_weight * self.lm
+            if params.mode == ATTENTION:
+                fused = base + params.coverage_weight * self.coverage
+            else:
+                fused = base + params.nonblank_reward * self.lengths
+        held = np.arange(fused.shape[1]) < self.counts[:, None]
+        ranks = np.where(held, fused, -np.inf).argmax(axis=1)
+        scores = fused[np.arange(len(self)), ranks]
+        if not np.all(np.isfinite(scores)):
+            raise ScoringError("fused score must be finite")
+        return ranks, scores
+
+    def token_ids(self, ranks: np.ndarray) -> list[tuple[int, ...]]:
+        """The token ids of hypothesis ``ranks[i]`` of each row ``i``."""
+        ranks = np.asarray(ranks)
+        if ranks.shape != self.counts.shape or np.any((ranks < 0) | (ranks >= self.counts)):
+            raise ScoringError("each rank must name one of its row's hypotheses")
+        rows = np.arange(len(self))
+        return [tuple(ids[:length]) for ids, length in zip(
+            self.tokens[rows, ranks].tolist(), self.lengths[rows, ranks].tolist())]
+
+
 @dataclass(frozen=True)
 class WerResult:
     errors: int
@@ -198,20 +343,20 @@ def grid_search_table(
     dev: Dataset,
     recognizer,
     beam: int = 4,
-    hyp_lists: Sequence[Sequence[ScoredHypothesis]] | None = None,
+    hyp_lists: NBest | None = None,
 ) -> list[GridPoint]:
     """Dev-set WER of every grid point under fused re-ranking.
 
     ``recognizer`` needs only ``vocab`` and ``transcribe(utterances, beam)``.
-    It is called once; each grid point only re-ranks the same hypothesis
-    lists. ``hyp_lists`` short-circuits transcription when the caller already
-    has them.
+    It is called once; each grid point only re-ranks the same N-best rows.
+    ``hyp_lists`` short-circuits transcription when the caller already has
+    them.
 
     Grid points mostly agree on an utterance's best hypothesis, so the edit
     distance of each distinct (utterance, best hypothesis) pair is computed
     once per call, and every point's WER is its summed edits over the total
     reference length: the integer ratio ``corpus_wer`` returns for the same
-    pairs. A recognizer that returns a list count other than the utterance
+    pairs. A recognizer that returns a row count other than the utterance
     count raises ``ValueError``.
     """
     if not grid:
@@ -227,15 +372,16 @@ def grid_search_table(
     if hyp_lists is None:
         hyp_lists = recognizer.transcribe(list(dev), beam)
     vocab = recognizer.vocab
-    pairs = list(zip(references, hyp_lists, strict=True))
-    errors_of: dict[tuple[int, Transcript], int] = {}
+    errors_of: dict[tuple[int, tuple[int, ...]], int] = {}
     table = []
     for params in grid:
+        ranks, _ = hyp_lists.best(params)
+        best = zip(references, hyp_lists.token_ids(ranks), strict=True)
         errors = 0
-        for index, (reference, hyps) in enumerate(pairs):
-            key = (index, best_hypothesis(hyps, params).transcript)
+        for index, (reference, ids) in enumerate(best):
+            key = (index, ids)
             if key not in errors_of:
-                errors_of[key] = edit_alignment_counts(reference, vocab.decode(key[1]))
+                errors_of[key] = edit_alignment_counts(reference, vocab.decode(ids))
             errors += errors_of[key]
         table.append(GridPoint(params, errors / total_ref))
     return table
@@ -246,7 +392,7 @@ def grid_search_fusion(
     dev: Dataset,
     recognizer,
     beam: int = 4,
-    hyp_lists: Sequence[Sequence[ScoredHypothesis]] | None = None,
+    hyp_lists: NBest | None = None,
 ) -> FusionParams:
     """The grid point minimizing dev WER; ties go to the earliest index."""
     table = grid_search_table(grid, dev, recognizer, beam, hyp_lists)
@@ -266,21 +412,13 @@ class HypothesisRecord:
 
 
 def hypothesis_records(
-    dataset: Dataset,
-    hyp_lists: Sequence[Sequence[ScoredHypothesis]],
-    vocab: TokenVocab,
+    dataset: Dataset, hyp_lists: NBest, vocab: TokenVocab
 ) -> list[HypothesisRecord]:
-    """Unfused records of every hypothesis, utterance by utterance, in list order."""
+    """Unfused records of every hypothesis, utterance by utterance, in rank order."""
     return [
-        HypothesisRecord(
-            utterance_id=u.id,
-            tokens=vocab.decode(h.transcript),
-            am=h.am_score,
-            lm=h.lm_score,
-            coverage=h.coverage,
-        )
-        for u, hyps in zip(dataset, hyp_lists, strict=True)
-        for h in hyps
+        HypothesisRecord(u.id, vocab.decode(ids), am, lm, coverage)
+        for u, row in zip(dataset, range(len(hyp_lists)), strict=True)
+        for ids, am, lm, coverage in hyp_lists._held(row)
     ]
 
 

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -130,6 +132,38 @@ class TestTypes:
     def test_transcript_negative_id(self):
         with pytest.raises(CorpusError):
             Transcript((-1,))
+
+    @pytest.mark.parametrize(
+        "tokens, position",
+        [((1.7, True, "3"), 0), ((0, True), 1), ((0, 1, "3"), 2), ((np.float64(2.0),), 0),
+         ((np.True_,), 0)],
+    )
+    def test_transcript_refuses_a_token_id_that_is_not_an_integer(self, tokens, position):
+        # int() once turned (1.7, True, '3') into (1, 1, 3) and raised nothing.
+        refusal = f"token id {position} must be an integer, got {tokens[position]!r}"
+        with pytest.raises(CorpusError, match=re.escape(refusal)):
+            Transcript(tokens)
+
+    def test_transcript_accepts_numpy_integers(self):
+        transcript = Transcript((np.int64(3), np.uint8(2), 0))
+        assert transcript.tokens == (3, 2, 0)
+        assert all(type(t) is int for t in transcript.tokens)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("multiplicity", 2.7), ("multiplicity", True), ("multiplicity", "2"),
+         ("score", True), ("score", "1.5"), ("score", np.True_)],
+    )
+    def test_utterance_refuses_a_coerced_multiplicity_or_score(self, field, value):
+        # multiplicity=2.7 once became 2, and score=True became 1.0.
+        with pytest.raises(CorpusError, match=f"'u': {field} must be an? (integer|number)"):
+            Utterance(id="u", features=np.ones((1, 2)), **{field: value})
+
+    def test_utterance_accepts_numpy_numbers(self):
+        u = Utterance(id="u", features=np.ones((1, 2)), score=np.float32(0.5),
+                      multiplicity=np.int64(3))
+        assert (u.score, u.multiplicity) == (0.5, 3)
+        assert type(u.score) is float and type(u.multiplicity) is int
 
     def test_weighted_sample_multiplicity(self):
         with pytest.raises(CorpusError):
@@ -308,6 +342,33 @@ class TestManifests:
             assert json.loads(line)["features"].startswith("../in/data_features/")
         for a, b in zip(load_manifest(derived), small_dataset):
             assert a.features.tobytes() == b.features.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize(
+        "manifest",
+        ["task/derived.jsonl", "task/a_features/derived.jsonl", "task/sub/derived.jsonl",
+         "out/derived.jsonl", "out/deeper/derived.jsonl"],
+        ids=["parent-dir", "own-dir", "sibling-dir", "other-tree", "deeper-tree"],
+    )
+    def test_sidecar_references_are_the_relpath_of_each_sidecar(
+        self, tmp_path, small_dataset, manifest
+    ):
+        # Relative paths are computed once per sidecar directory; each must still
+        # be exactly os.path.relpath of its sidecar, with no "./" in the manifest's
+        # own directory.
+        task = tmp_path / "task"
+        task.mkdir()
+        save_manifest(Dataset(small_dataset[:2]), task / "a.jsonl")
+        save_manifest(Dataset(small_dataset[2:]), task / "b.jsonl")
+        loaded = [*load_manifest(task / "a.jsonl"), *load_manifest(task / "b.jsonl")]
+        path = tmp_path / manifest
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_manifest(Dataset(loaded), path)
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        expected = [os.path.relpath(u.feature_source[0], path.parent) for u in loaded]
+        assert [r["features"] for r in records] == expected
+        if manifest == "task/a_features/derived.jsonl":
+            assert expected[:2] == ["u-0.nstf", "u-1.nstf"]
+        assert_datasets_equal(load_manifest(path), small_dataset)
 
     def test_replaced_features_get_their_own_sidecar(self, tmp_path, small_dataset):
         source = tmp_path / "data.jsonl"

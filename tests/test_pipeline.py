@@ -8,7 +8,7 @@ import pytest
 
 from nst import pipeline, scoring
 from nst.augment import AugmentPolicy
-from nst.corpus import load_manifest, save_manifest, save_vocab
+from nst.corpus import load_manifest, load_vocab, save_manifest, save_vocab
 from nst.augment import AugmentError
 from nst.mixing import MixingError, MixPlan
 from nst.pipeline import (
@@ -259,6 +259,29 @@ class TestDecodeCount:
             state = run_generation(state, gen)
             per_generation.append(list(calls))
         assert per_generation == [[30], [80, 30], [80, 30]]
+
+    def test_a_generation_builds_no_hypothesis_object(self, task, tmp_path, monkeypatch):
+        # The loop reads the decoder's N-best columns; a hypothesis object is built
+        # only when a caller indexes or iterates an NBest row.
+        built = []
+        post_init = scoring.ScoredHypothesis.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(scoring.ScoredHypothesis, "__post_init__", counting)
+        config = make_config(task, [gen_config(0), gen_config(1, cutoff=0.0, balance=True)])
+        state = init_state(tmp_path / "work", config, seed=6)
+        state = run_generation(state, config.generations[0])
+        built.clear()
+        state = run_generation(state, config.generations[1])
+        assert built == []
+        student = ToyRecognizer(load_vocab(state.vocab), 2)
+        student.load(state.workdir / state.model_file)
+        nbest = student.transcribe(list(load_manifest(task / "dev.jsonl")), 3)
+        assert built == []
+        assert len(nbest[0]) == len(built) == 3
 
     def test_one_generation_aligns_distinct_grid_pairs_plus_dev_at_most(
         self, task, tmp_path, monkeypatch

@@ -422,6 +422,25 @@ class TestBatchedDecode:
         assert [h.coverage for h in got[1]] == [1.0] * min(beam, 20)
         assert exact(got) == reference_lists(model, utterances, beam, lm_weight)
 
+    def test_best_of_each_row_is_best_hypothesis_when_rows_hold_fewer_than_beam(
+        self, criterion_model
+    ):
+        # A 1-block utterance at beam 24 > V = 20 holds 20 hypotheses; its
+        # padding ranks must never win.
+        world, model = criterion_model
+        source = MarkovSentenceSource.structured(20, seed=7, length_range=(3, 5))
+        long = list(synth_generate(world, 2, source, derive_rng("short-rows", 0)))
+        short = synth_generate(world, 1, lambda rng: [3], derive_rng("short-rows", 1), "short")[0]
+        nbest = toy_transcribe(model, [long[0], short, long[1]], 24, 0.75)
+        assert nbest.counts.tolist() == [24, 20, 24]
+        for params in (FusionParams(0.3, 0.7, 0.0, "attention"),
+                       FusionParams(1.3, 0.0, -0.7, "transducer")):
+            ranks, fused = nbest.best(params)
+            for hyps, rank, score in zip(nbest, ranks.tolist(), fused.tolist()):
+                expected = best_hypothesis(hyps, params)
+                assert hyps[rank].transcript == expected.transcript
+                assert score.hex() == expected.fused.hex()
+
     def test_one_decode_call_per_chunk_across_block_counts(self, criterion_model):
         world, model = criterion_model
         source = MarkovSentenceSource.structured(20, seed=2, length_range=(20, 40))

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nst.scoring import (
     EmptyReferenceError,
     FusionParams,
     HypothesisRecord,
+    NBest,
     ScoredHypothesis,
     ScoringError,
     best_hypothesis,
@@ -179,6 +181,146 @@ class TestBestHypothesis:
             best_hypothesis([], FusionParams())
 
 
+@st.composite
+def nbest_cases(draw):
+    """Random N-best lists, mostly on coarse score levels, so equal fused scores are common.
+
+    Rows hold 1..k hypotheses of 0..3 tokens, and some repeat an earlier
+    hypothesis exactly. Padding cells hold NaN scores and negative ids and
+    lengths, which no reader may touch.
+    """
+    level = st.one_of(st.sampled_from([-2.0, -1.3, -0.5, 0.0, 0.7]), st.floats(-50, 50))
+    k = draw(st.integers(1, 4))
+    hyp_lists = []
+    for _ in range(draw(st.integers(1, 5))):
+        hyps = []
+        for _ in range(draw(st.integers(1, k))):
+            if hyps and draw(st.booleans()):
+                hyps.append(draw(st.sampled_from(hyps)))
+            else:
+                tokens = draw(st.lists(st.integers(0, 3), max_size=3))
+                hyps.append(hyp(tokens, draw(level), draw(level), abs(draw(level))))
+        hyp_lists.append(hyps)
+    nbest = NBest.from_lists(hyp_lists)
+    held = np.arange(nbest.am.shape[1]) < nbest.counts[:, None]
+    padded = {
+        "tokens": np.where(np.arange(nbest.tokens.shape[2]) < nbest.lengths[:, :, None],
+                           nbest.tokens, -7),
+        "lengths": np.where(held, nbest.lengths, -1),
+        **{name: np.where(held, getattr(nbest, name), np.nan)
+           for name in ("am", "lm", "coverage")},
+    }
+    padded["tokens"] = np.where(held[:, :, None], padded["tokens"], -9)
+    params = FusionParams(draw(st.sampled_from([0.0, 0.3, 1.0, 2.7])),
+                          draw(st.sampled_from([0.0, 0.1, -1.3])),
+                          draw(st.sampled_from([0.0, 0.1, -1.3])),
+                          draw(st.sampled_from(["attention", "transducer"])))
+    return hyp_lists, replace(nbest, **padded), params
+
+
+def valid_nbest():
+    return NBest.from_lists([
+        [hyp((0, 1), -1.0, -2.0, 2.0), hyp((1,), -1.5, -0.5, 1.0)],
+        [hyp((2,), -0.5, -1.0, 1.0)],
+    ])
+
+
+class TestNBest:
+    @settings(max_examples=300, deadline=None)
+    @given(nbest_cases())
+    def test_best_is_best_hypothesis_of_each_row(self, case):
+        hyp_lists, nbest, params = case
+        assert list(nbest) == hyp_lists
+        ranks, fused = nbest.best(params)
+        assert nbest.token_ids(ranks) == [
+            tuple(hyps[r].transcript) for hyps, r in zip(hyp_lists, ranks)
+        ]
+        for hyps, rank, score in zip(nbest, ranks.tolist(), fused.tolist()):
+            expected = best_hypothesis(hyps, params)
+            assert score.hex() == expected.fused.hex()
+            first = next(r for r, h in enumerate(hyps) if h.with_fused(expected.fused) == expected)
+            assert rank == first
+
+    def test_reads_like_a_list_of_hypothesis_lists(self):
+        hyp_lists = [[hyp((0, 1), -1.0, -2.0, 2.0), hyp((1,), -1.5, -0.5, 1.0)],
+                     [hyp((2,), -0.5, -1.0, 1.0)], [hyp((), -3.0, 0.0)]]
+        nbest = NBest.from_lists(hyp_lists)
+        assert len(nbest) == 3
+        assert nbest[0] == hyp_lists[0] and nbest[-1] == hyp_lists[-1]
+        assert list(nbest) == hyp_lists
+        assert isinstance(nbest[1:], NBest) and list(nbest[1:]) == hyp_lists[1:]
+        assert list(nbest[::-1]) == hyp_lists[::-1]
+        assert nbest == NBest.from_lists(hyp_lists) and nbest[:2] != nbest[1:]
+        with pytest.raises(IndexError):
+            nbest[3]
+
+    def test_an_empty_row_is_refused(self):
+        nbest = NBest.from_lists([[hyp((0,), -1.0)], []])
+        assert nbest[1] == []
+        with pytest.raises(ScoringError, match="empty hypothesis list"):
+            nbest.best(FusionParams())
+
+    def test_an_overflowing_best_score_is_refused_as_by_best_hypothesis(self):
+        hyps = [hyp((0,), 1e308, 1e308)]
+        params = FusionParams(lm_weight=1.0)
+        with pytest.raises(ScoringError, match="fused score must be finite"):
+            best_hypothesis(hyps, params)
+        with pytest.raises(ScoringError, match="fused score must be finite"):
+            NBest.from_lists([hyps]).best(params)
+
+    def test_nan_in_padding_is_accepted(self):
+        nbest = valid_nbest()
+        am = nbest.am.copy()
+        am[1, 1] = np.nan
+        padded = replace(nbest, am=am)
+        assert padded == nbest
+        assert [r.tolist() for r in padded.best(FusionParams())] == [[0, 0], [-1.0, -0.5]]
+
+    @pytest.mark.parametrize(
+        "name, cell, value, named",
+        [("counts", (0,), -1, "counts must lie in 0..2"),
+         ("counts", (1,), 3, "counts must lie in 0..2"),
+         ("lengths", (0, 1), -1, "lengths must lie in 0..2"),
+         ("lengths", (1, 0), 3, "lengths must lie in 0..2"),
+         ("tokens", (0, 0, 1), -1, "token ids must be nonnegative"),
+         ("am", (0, 1), np.nan, "am scores must be finite"),
+         ("lm", (1, 0), -np.inf, "lm scores must be finite"),
+         ("coverage", (0, 0), np.inf, "coverage scores must be finite"),
+         ("coverage", (1, 0), -1.0, "coverage must be nonnegative")],
+        ids=["negative-count", "count-over-k", "negative-length", "length-over-L",
+             "negative-token", "nan-am", "infinite-lm", "infinite-coverage",
+             "negative-coverage"],
+    )
+    def test_an_invalid_held_cell_is_refused(self, name, cell, value, named):
+        nbest = valid_nbest()
+        array = getattr(nbest, name).copy()
+        array[cell] = value
+        with pytest.raises(ScoringError, match=named):
+            replace(nbest, **{name: array})
+
+    @pytest.mark.parametrize(
+        "name, array, named",
+        [("tokens", np.zeros((2, 2, 2)), "tokens must hold integers"),
+         ("counts", np.ones(2, dtype=bool), "counts must hold integers"),
+         ("tokens", np.zeros((2, 2), dtype=np.int64), "tokens must be"),
+         ("lengths", np.zeros((2, 3), dtype=np.int64), "lengths must have shape"),
+         ("am", np.zeros(2), "am must have shape")],
+        ids=["float-tokens", "bool-counts", "2d-tokens", "wide-lengths", "1d-am"],
+    )
+    def test_a_mistyped_or_misshapen_array_is_refused(self, name, array, named):
+        with pytest.raises(ScoringError, match=named):
+            replace(valid_nbest(), **{name: array})
+
+    def test_arrays_are_read_only(self):
+        nbest = valid_nbest()
+        with pytest.raises(ValueError):
+            nbest.am[0, 0] = 0.0
+
+    def test_a_rank_outside_its_row_is_refused(self):
+        with pytest.raises(ScoringError, match="each rank"):
+            valid_nbest().token_ids(np.array([0, 1]))
+
+
 class FakeRecognizer:
     """Recognizer stub returning canned hypothesis lists keyed by utterance id."""
 
@@ -187,7 +329,7 @@ class FakeRecognizer:
         self._hyp_lists = hyp_lists
 
     def transcribe(self, utterances, beam):
-        return [self._hyp_lists[u.id] for u in utterances]
+        return NBest.from_lists([self._hyp_lists[u.id] for u in utterances])
 
 
 class DroppingRecognizer(FakeRecognizer):
