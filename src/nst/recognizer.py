@@ -443,7 +443,7 @@ def _decode_chunk(
     found = np.isfinite(np.take_along_axis(keys.reshape(n_utts, -1), best, axis=1))
     am_out = np.take_along_axis(am_tot.reshape(n_utts, -1), best, axis=1)
     lm_out = np.take_along_axis(lm_tot.reshape(n_utts, -1), best, axis=1)
-    tokens = np.zeros((n_utts, beam, max_blocks), dtype=np.int64)
+    tokens = np.zeros((n_utts, beam, max_blocks), dtype=np.int32)
     state, rank = np.divmod(best, beam)
     tokens[rows, :, n_blocks - 1] = state
     for i in range(max_blocks - 1, 0, -1):
@@ -478,6 +478,10 @@ def toy_transcribe(
     each chunk's acoustic scores are computed only when it is decoded, and
     its rows are scattered back to input order. Every hypothesis of an
     utterance spans its block count, which is also its coverage.
+
+    The decoder's working memory is bounded per chunk, but the result is
+    not: its int32 token ids are padded to the longest utterance, so they
+    take ``4 * len(utterances) * beam * max_blocks`` bytes.
     """
     if beam < 1:
         raise RecognizerError("beam must be >= 1")
@@ -485,7 +489,7 @@ def toy_transcribe(
     by_length = sorted(range(len(utterances)), key=lambda j: -counts[j])
     v = len(model.tokens)
     chunk = max(1, _CHUNK_CANDIDATES // (v * beam * v))
-    tokens = np.zeros((len(utterances), beam, max(counts, default=0)), dtype=np.int64)
+    tokens = np.zeros((len(utterances), beam, max(counts, default=0)), dtype=np.int32)
     am_scores, lm_scores = np.zeros((2, len(utterances), beam))
     found = np.zeros(len(utterances), dtype=np.int64)
     for lo in range(0, len(by_length), chunk):

@@ -117,7 +117,11 @@ def fuse_components(
     length: int,
     params: FusionParams,
 ) -> float:
-    """Fused score from raw components; ``length`` is the token count."""
+    """Fused score from raw components; ``length`` is the token count.
+
+    It is plain arithmetic, so it also applies elementwise to NumPy arrays:
+    ``NBest.best`` fuses whole columns with it.
+    """
     base = am_score + params.lm_weight * lm_score
     if params.mode == ATTENTION:
         return base + params.coverage_weight * coverage
@@ -246,9 +250,9 @@ class NBest:
     def best(self, params: FusionParams) -> tuple[np.ndarray, np.ndarray]:
         """Each row's hypothesis with maximal fused score: its rank and that score.
 
-        The fused score is ``fuse_components``' expression in its operation
-        order and the first maximum wins ties, so each row's choice and float
-        are those of ``best_hypothesis`` on that row. A row with no hypotheses,
+        The fused score is ``fuse_components`` applied to the columns and the
+        first maximum wins ties, so each row's choice and float are those of
+        ``best_hypothesis`` on that row. A row with no hypotheses,
         or a best fused score that overflows, raises ``ScoringError``.
         """
         if np.any(self.counts == 0):
@@ -256,11 +260,7 @@ class NBest:
         if len(self) == 0:
             return np.zeros(0, dtype=np.intp), np.zeros(0)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-            base = self.am + params.lm_weight * self.lm
-            if params.mode == ATTENTION:
-                fused = base + params.coverage_weight * self.coverage
-            else:
-                fused = base + params.nonblank_reward * self.lengths
+            fused = fuse_components(self.am, self.lm, self.coverage, self.lengths, params)
         held = np.arange(fused.shape[1]) < self.counts[:, None]
         ranks = np.where(held, fused, -np.inf).argmax(axis=1)
         scores = fused[np.arange(len(self)), ranks]
