@@ -25,15 +25,16 @@ from .filtering import (
     apply_filter,
     curves_to_tsv,
     default_thresholds,
-    fit_filter,
     score_curves,
 )
-from .mixing import MixPlan, mix_batchwise, mix_uniform
+from .mixing import MixPlan
 from .pipeline import (
     BalanceSettings,
     PipelineConfig,
     balance_sample,
+    draw_mix,
     emit_reports,
+    fit_scored,
     load_state,
     parse_cutoff,
     run_pipeline,
@@ -41,7 +42,6 @@ from .pipeline import (
 from .recognizer import MarkovSentenceSource, ToyRecognizer, ToyWorld, synth_generate
 from .scoring import (
     FusionParams,
-    HypothesisRecord,
     fuse_components,
     hypothesis_records,
     read_hypotheses,
@@ -116,22 +116,20 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _best_fused_by_utterance(records) -> dict[str, HypothesisRecord]:
-    best: dict[str, HypothesisRecord] = {}
-    for r in records:
+def _best_scored(path: str) -> dict[str, ScoredTranscript]:
+    """Each utterance's highest-fused hypothesis in a fused hypotheses JSONL."""
+    best: dict[str, ScoredTranscript] = {}
+    for r in read_hypotheses(path):
         if r.fused is None:
             raise NstError(f"hypothesis for {r.utterance_id!r} lacks a fused score")
         current = best.get(r.utterance_id)
         if current is None or r.fused > current.fused:
-            best[r.utterance_id] = r
+            best[r.utterance_id] = ScoredTranscript(r.tokens, r.fused)
     return best
 
 
 def cmd_fit_filter(args) -> int:
-    records = read_hypotheses(args.hyps)
-    best = _best_fused_by_utterance(records)
-    pairs = [(len(r.tokens), r.fused) for r in best.values() if len(r.tokens) >= 1]
-    model = fit_filter(pairs)
+    model = fit_scored(_best_scored(args.hyps))
     atomic_write_json(args.out, model.to_dict())
     print(f"fit mu={model.mu:.6g} beta={model.beta:.6g} sigma={model.sigma:.6g}")
     return 0
@@ -153,10 +151,7 @@ def cmd_filter(args) -> int:
 def cmd_curves(args) -> int:
     dev = load_manifest(args.refs)
     model = _load_filter_model(args.filter_model)
-    best = _best_fused_by_utterance(read_hypotheses(args.hyps))
-    scored = {
-        utt_id: ScoredTranscript(rec.tokens, rec.fused) for utt_id, rec in best.items()
-    }
+    scored = _best_scored(args.hyps)
     points = score_curves(dev, scored, model, default_thresholds(args.low, args.high, args.step))
     atomic_write_text(args.out, curves_to_tsv(points))
     print(f"wrote {len(points)} curve rows to {args.out}")
@@ -173,11 +168,7 @@ def cmd_balance(args) -> int:
         min_tokens=args.min_tokens,
         smoothing_epsilon=args.epsilon,
     )
-    result = balance_sample(dataset, target_set, vocab, settings)
-    by_id = {s.utterance_id: s.multiplicity for s in result.samples}
-    balanced = Dataset(
-        replace(u, multiplicity=by_id[u.id]) for u in dataset if u.id in by_id
-    )
+    balanced, result = balance_sample(dataset, target_set, vocab, settings)
     save_manifest(balanced, args.out)
     status = "infeasible floor, pool exhausted" if result.infeasible else "ok"
     print(
@@ -203,20 +194,13 @@ def cmd_augment(args) -> int:
 def cmd_mix(args) -> int:
     sup = load_manifest(args.sup)
     semi = load_manifest(args.semi) if args.semi else Dataset([])
-    rng = derive_rng(args.seed, "mix")
+    ratio = tuple(int(x) for x in args.ratio.split(":"))
+    plan = MixPlan(mode=args.mode, ratio=ratio, batch_size=args.batch)
+    items = draw_mix(sup, semi, plan, derive_rng(args.seed, "mix"), args.num_batches)
     lines = ["batch\tutterance_id\torigin"]
-    if args.mode == "batchwise":
-        ratio = tuple(int(x) for x in args.ratio.split(":"))
-        plan = MixPlan(mode="batchwise", ratio=ratio, batch_size=args.batch)
-        stream = mix_batchwise(sup, semi, plan, rng)
-        for index in range(args.num_batches):
-            for utt, origin in next(stream):
-                lines.append(f"{index}\t{utt.id}\t{origin}")
-    else:
-        stream = mix_uniform(sup, semi, rng)
-        for index in range(args.num_batches):
-            utt, origin = next(stream)
-            lines.append(f"{index}\t{utt.id}\t{origin}")
+    lines.extend(
+        f"{index}\t{utt.id}\t{origin}" for index, item in enumerate(items) for utt, origin in item
+    )
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote mix stream to {args.out}")
     return 0

@@ -85,6 +85,19 @@ def _integer_or_none(value: object) -> int | None:
         return None
 
 
+def _multiplicity(value: object, where: str = "") -> int:
+    """``value`` as a sampling multiplicity: an integer other than a bool, at least 1.
+
+    ``where`` prefixes the error message.
+    """
+    multiplicity = _integer_or_none(value)
+    if multiplicity is None:
+        raise CorpusError(f"{where}multiplicity must be an integer, got {value!r}")
+    if multiplicity < 1:
+        raise CorpusError(f"{where}multiplicity must be >= 1, got {multiplicity}")
+    return multiplicity
+
+
 @dataclass(frozen=True)
 class Transcript:
     """Ordered sequence of token ids. The empty transcript is legal.
@@ -230,9 +243,7 @@ def token_distribution(
         raise CorpusError("weights must match transcripts in length")
     counts = np.zeros(vocab_size, dtype=np.float64)
     for k, transcript in enumerate(transcripts):
-        w = 1 if weights is None else int(weights[k])
-        if w < 1:
-            raise CorpusError("multiplicities must be >= 1")
+        w = 1 if weights is None else _multiplicity(weights[k])
         for t in transcript:
             if not 0 <= t < vocab_size:
                 raise CorpusError(f"token id {t} outside vocab of size {vocab_size}")
@@ -251,8 +262,7 @@ class WeightedSample:
     multiplicity: int = 1
 
     def __post_init__(self):
-        if self.multiplicity < 1:
-            raise CorpusError("multiplicity must be >= 1")
+        object.__setattr__(self, "multiplicity", _multiplicity(self.multiplicity))
 
 
 def string_tokens(tokens: Iterable, error: type[NstError], what: str) -> tuple[str, ...]:
@@ -307,15 +317,9 @@ class Utterance:
             if not math.isfinite(score):
                 raise CorpusError(f"score must be finite, got {score!r}")
             object.__setattr__(self, "score", score)
-        multiplicity = _integer_or_none(self.multiplicity)
-        if multiplicity is None:
-            raise CorpusError(
-                f"utterance {self.id!r}: multiplicity must be an integer, "
-                f"got {self.multiplicity!r}"
-            )
-        if multiplicity < 1:
-            raise CorpusError("multiplicity must be >= 1")
-        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(
+            self, "multiplicity", _multiplicity(self.multiplicity, f"utterance {self.id!r}: ")
+        )
 
     @property
     def n_channels(self) -> int:

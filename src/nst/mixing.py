@@ -68,6 +68,11 @@ class MixPlan:
         unit = self.batch_size // (sup + semi)
         return sup * unit, semi * unit
 
+    @property
+    def item_size(self) -> int:
+        """Examples per item of the plan's stream: a batch, or one uniform draw."""
+        return self.batch_size if self.mode == BATCHWISE else 1
+
     @classmethod
     def from_dict(cls, record: Mapping) -> "MixPlan":
         """The plan a ``to_dict`` record describes; absent keys take their defaults.

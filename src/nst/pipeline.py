@@ -32,9 +32,13 @@ randomness derives from (master seed, generation, stage name).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .augment import AugmentPolicy
 from .balancing import BalanceResult, SamplerConfig, submodular_sample
@@ -127,6 +131,12 @@ class BalanceSettings:
     batch_fraction: float = 0.1
     min_tokens: int | None = None
     smoothing_epsilon: float = 1e-6
+
+    def __post_init__(self):
+        # The sampler's checks, run now so a bad setting fails at config load.
+        if self.min_tokens is not None and self.min_tokens < 0:
+            raise PipelineError("balance settings: min_tokens must be >= 0")
+        self.resolve(0)
 
     def resolve(self, supervised_tokens: int) -> SamplerConfig:
         floor = self.min_tokens if self.min_tokens is not None else supervised_tokens
@@ -398,31 +408,41 @@ def _pseudo_label(
 
 def balance_sample(
     pool: Dataset, target: Dataset, vocab: TokenVocab, settings: BalanceSettings
-) -> BalanceResult:
+) -> tuple[Dataset, BalanceResult]:
     """Sample ``pool`` toward the token distribution of ``target``.
 
-    A ``min_tokens`` of None takes ``target``'s token total as the floor.
+    Returns the sampled utterances in pool order, each with its sampled
+    multiplicity, and the sampler's result. A ``min_tokens`` of None takes
+    ``target``'s token total as the floor.
     """
     samples = [WeightedSample(u.id, vocab.encode_tokens(u.transcript), 1) for u in pool]
     distribution = token_distribution(
         [vocab.encode_tokens(u.transcript) for u in target], vocab.size
     )
-    return submodular_sample(samples, distribution, settings.resolve(target.total_tokens()))
+    result = submodular_sample(samples, distribution, settings.resolve(target.total_tokens()))
+    chosen = {s.utterance_id: s.multiplicity for s in result.samples}
+    balanced = Dataset(replace(u, multiplicity=chosen[u.id]) for u in pool if u.id in chosen)
+    return balanced, result
 
 
-def _balance(
-    filtered: Dataset,
+def draw_mix(
     supervised: Dataset,
-    vocab: TokenVocab,
-    settings: BalanceSettings,
-) -> tuple[Dataset, bool]:
-    """The balanced semi set, in sample order."""
-    result = balance_sample(filtered, supervised, vocab, settings)
-    semi = Dataset(
-        replace(filtered.by_id(s.utterance_id), multiplicity=s.multiplicity)
-        for s in result.samples
-    )
-    return semi, result.infeasible
+    semi: Dataset,
+    plan: MixPlan,
+    rng: np.random.Generator,
+    items: int,
+) -> list[list[tuple[Utterance, str]]]:
+    """The first ``items`` items of ``plan``'s stream as lists of (utterance, origin).
+
+    An item is one batch in batchwise mode and one example in uniform mode.
+    """
+    if items < 0:
+        raise PipelineError(f"cannot draw a negative number of mix items: {items}")
+    if plan.mode == BATCHWISE:
+        stream = mix_batchwise(supervised, semi, plan, rng)
+    else:
+        stream = ([example] for example in mix_uniform(supervised, semi, rng))
+    return list(islice(stream, items))
 
 
 def _draw_training_set(
@@ -437,34 +457,23 @@ def _draw_training_set(
     A drawn example appearing k times trains with weight k, which is exactly
     what physical duplication would do for this trainer.
     """
-    semi_examples = sum(u.multiplicity for u in semi)
-    target = len(supervised) + semi_examples
-    rng = derive_rng(seed, generation, "mix")
-    counts: dict[tuple[str, str], int] = {}
-    sources: dict[tuple[str, str], Utterance] = {}
+    examples = len(supervised) + sum(u.multiplicity for u in semi)
+    items = draw_mix(supervised, semi, plan, derive_rng(seed, generation, "mix"),
+                     math.ceil(examples / plan.item_size))
+    # Utterances hash by identity, and each dataset holds one utterance per id.
+    drawn = Counter((origin, utt) for item in items for utt, origin in item)
+    return Dataset(
+        replace(utt, id=f"{origin}.{utt.id}", multiplicity=count)
+        for (origin, utt), count in drawn.items()
+    )
 
-    def record(utt: Utterance, origin: str) -> None:
-        key = (origin, utt.id)
-        counts[key] = counts.get(key, 0) + 1
-        sources[key] = utt
 
-    if plan.mode == BATCHWISE:
-        stream = mix_batchwise(supervised, semi, plan, rng)
-        n_batches = math.ceil(target / plan.batch_size)
-        for _ in range(n_batches):
-            for utt, origin in next(stream):
-                record(utt, origin)
-    else:
-        stream = mix_uniform(supervised, semi, rng)
-        for _ in range(target):
-            utt, origin = next(stream)
-            record(utt, origin)
+def fit_scored(scored: Mapping[str, ScoredTranscript]) -> FilterModel:
+    """The filter model fit on each scored transcript's (length, fused score).
 
-    drawn = [
-        replace(sources[key], id=f"{key[0]}.{key[1]}", multiplicity=count)
-        for key, count in counts.items()
-    ]
-    return Dataset(drawn)
+    Blank transcripts do not enter the fit.
+    """
+    return fit_filter([(len(s.tokens), s.fused) for s in scored.values() if s.tokens])
 
 
 def run_generation(
@@ -514,9 +523,8 @@ def run_generation(
                 filtered = pseudo
         with _Stage(g, "balance"):
             if config.balancing and len(filtered) > 0:
-                semi, balance_infeasible = _balance(
-                    filtered, supervised, vocab, config.balance
-                )
+                semi, result = balance_sample(filtered, supervised, vocab, config.balance)
+                balance_infeasible = result.infeasible
                 save_manifest(semi, workdir / f"balanced_gen{g}.jsonl")
             else:
                 semi = filtered
@@ -538,9 +546,7 @@ def run_generation(
 
     with _Stage(g, "tune_fusion"):
         dev_nbest = student.transcribe(list(dev), state.beam)
-        table = grid_search_table(
-            config.fusion_grid, dev, student, state.beam, hyp_lists=dev_nbest
-        )
+        table = grid_search_table(config.fusion_grid, dev, dev_nbest, vocab)
         best = min(table, key=lambda point: point.dev_wer)  # the earliest of equal points
         fusion, dev_wer = best.params, best.dev_wer
         atomic_write_json(
@@ -549,8 +555,11 @@ def run_generation(
 
     with _Stage(g, "fit_filter"):
         ranks, scores = dev_nbest.best(fusion)
-        dev_best = list(zip(dev_nbest.token_ids(ranks), scores.tolist()))
-        filter_model = fit_filter([(len(ids), score) for ids, score in dev_best if len(ids) >= 1])
+        scored = {
+            u.id: ScoredTranscript(vocab.decode(ids), score)
+            for u, ids, score in zip(dev, dev_nbest.token_ids(ranks), scores.tolist())
+        }
+        filter_model = fit_scored(scored)
         atomic_write_json(workdir / f"filter_gen{g}.json", filter_model.to_dict())
         write_hypotheses(
             hypothesis_records(dev, dev_nbest, vocab),
@@ -558,10 +567,6 @@ def run_generation(
         )
 
     with _Stage(g, "score_curves"):
-        scored = {
-            u.id: ScoredTranscript(vocab.decode(ids), score)
-            for u, (ids, score) in zip(dev, dev_best)
-        }
         curves = score_curves(dev, scored, filter_model, default_thresholds())
         atomic_write_text(workdir / f"curves_gen{g}.tsv", curves_to_tsv(curves))
 

@@ -341,23 +341,19 @@ class GridPoint:
 def grid_search_table(
     grid: Sequence[FusionParams],
     dev: Dataset,
-    recognizer,
-    beam: int = 4,
-    hyp_lists: NBest | None = None,
+    nbest: NBest,
+    vocab: TokenVocab,
 ) -> list[GridPoint]:
-    """Dev-set WER of every grid point under fused re-ranking.
+    """Dev-set WER of every grid point under fused re-ranking of ``nbest``.
 
-    ``recognizer`` needs only ``vocab`` and ``transcribe(utterances, beam)``.
-    It is called once; each grid point only re-ranks the same N-best rows.
-    ``hyp_lists`` short-circuits transcription when the caller already has
-    them.
+    ``nbest`` holds one row per dev utterance; each grid point only re-ranks
+    the same rows, and ``vocab`` decodes the winners.
 
     Grid points mostly agree on an utterance's best hypothesis, so the edit
     distance of each distinct (utterance, best hypothesis) pair is computed
     once per call, and every point's WER is its summed edits over the total
     reference length: the integer ratio ``corpus_wer`` returns for the same
-    pairs. A recognizer that returns a row count other than the utterance
-    count raises ``ValueError``.
+    pairs. A row count other than the utterance count raises ``ValueError``.
     """
     if not grid:
         raise ScoringError("fusion grid is empty")
@@ -369,14 +365,11 @@ def grid_search_table(
     total_ref = sum(map(len, references))
     if total_ref == 0:
         raise EmptyReferenceError("total reference length is 0")
-    if hyp_lists is None:
-        hyp_lists = recognizer.transcribe(list(dev), beam)
-    vocab = recognizer.vocab
     errors_of: dict[tuple[int, tuple[int, ...]], int] = {}
     table = []
     for params in grid:
-        ranks, _ = hyp_lists.best(params)
-        best = zip(references, hyp_lists.token_ids(ranks), strict=True)
+        ranks, _ = nbest.best(params)
+        best = zip(references, nbest.token_ids(ranks), strict=True)
         errors = 0
         for index, (reference, ids) in enumerate(best):
             key = (index, ids)
@@ -392,10 +385,14 @@ def grid_search_fusion(
     dev: Dataset,
     recognizer,
     beam: int = 4,
-    hyp_lists: NBest | None = None,
 ) -> FusionParams:
-    """The grid point minimizing dev WER; ties go to the earliest index."""
-    table = grid_search_table(grid, dev, recognizer, beam, hyp_lists)
+    """The grid point minimizing dev WER; ties go to the earliest index.
+
+    ``recognizer`` needs only ``vocab`` and ``transcribe(utterances, beam)``;
+    it transcribes ``dev`` once.
+    """
+    nbest = recognizer.transcribe(list(dev), beam)
+    table = grid_search_table(grid, dev, nbest, recognizer.vocab)
     return min(table, key=lambda point: point.dev_wer).params
 
 

@@ -6,11 +6,22 @@ import pytest
 from nst import cli
 from nst.augment import AugmentError
 from nst.cli import main
-from nst.corpus import load_manifest, save_manifest
+from nst.corpus import load_manifest, load_vocab, save_manifest
 from nst.filtering import FilteringError
-from nst.pipeline import PipelineConfig, PipelineError, load_state
+from nst.mixing import MixPlan
+from nst.pipeline import (
+    BalanceSettings,
+    PipelineConfig,
+    PipelineError,
+    balance_sample,
+    draw_mix,
+    load_state,
+)
 from nst.recognizer import RecognizerError, ToyRecognizer
 from nst.scoring import read_hypotheses
+from nst.seeding import derive_rng
+
+from conftest import assert_datasets_equal
 
 
 def synth_argv(out, seed):
@@ -351,6 +362,40 @@ def test_mix_cli(task_dir, tmp_path):
         assert origin in {"sup", "semi"}
 
 
+def test_balance_cli_writes_the_loops_balanced_set(task_dir, tmp_path):
+    pool, target = task_dir / "dev.jsonl", task_dir / "supervised.jsonl"
+    out = tmp_path / "balanced.jsonl"
+    code = main(["balance", "--manifest", str(pool), "--target", str(target),
+                 "--vocab", str(task_dir / "vocab.txt"), "--cap", "3", "--min-tokens", "150",
+                 "--out", str(out)])
+    assert code == 0
+    settings = BalanceSettings(multiplicity_cap=3, min_tokens=150)
+    expected, _ = balance_sample(
+        load_manifest(pool), load_manifest(target), load_vocab(task_dir / "vocab.txt"), settings
+    )
+    written = load_manifest(out)
+    assert [(u.id, u.multiplicity) for u in written] == [(u.id, u.multiplicity) for u in expected]
+    assert_datasets_equal(written, expected)
+    # A real selection: some sentences left out, some drawn more than once.
+    assert len(written) < len(load_manifest(pool))
+    assert max(u.multiplicity for u in written) > 1
+
+
+@pytest.mark.parametrize("mode", ["batchwise", "uniform"])
+def test_mix_cli_writes_the_loops_draw(task_dir, tmp_path, mode):
+    sup, semi = task_dir / "supervised.jsonl", task_dir / "dev.jsonl"
+    out = tmp_path / "stream.tsv"
+    code = main(["mix", "--sup", str(sup), "--semi", str(semi), "--mode", mode,
+                 "--ratio", "1:3", "--batch", "8", "--num-batches", "6", "--seed", "4",
+                 "--out", str(out)])
+    assert code == 0
+    plan = MixPlan(mode=mode, ratio=(1, 3), batch_size=8)
+    items = draw_mix(load_manifest(sup), load_manifest(semi), plan, derive_rng(4, "mix"), 6)
+    rows = [f"{i}\t{utt.id}\t{origin}" for i, item in enumerate(items) for utt, origin in item]
+    assert out.read_text().splitlines() == ["batch\tutterance_id\torigin", *rows]
+    assert len(rows) == 6 * plan.item_size
+
+
 def test_run_and_report_cli(task_dir, tmp_path):
     config = {
         "datasets": {
@@ -452,8 +497,12 @@ def test_hypotheses_with_a_mistyped_line_exit_2(dev_hyps, tmp_path, capsys):
         (["curves", "--low", "3", "--high", "-3"], "low <= high"),
         (["filter", "--cutoff", "nan"], "filter_cutoff"),
         (["mix", "--ratio", "1:2:3", "--batch", "6"], "two integers"),
+        (["mix", "--mode", "uniform", "--ratio", "1:2:3"], "two integers"),
+        (["mix", "--mode", "uniform", "--ratio", "1:one"], "'one'"),
+        (["mix", "--num-batches", "-1"], "negative number of mix items"),
     ],
-    ids=["curves-step-zero", "curves-high-below-low", "filter-nan-cutoff", "mix-three-terms"],
+    ids=["curves-step-zero", "curves-high-below-low", "filter-nan-cutoff", "mix-three-terms",
+         "mix-uniform-three-terms", "mix-uniform-word-term", "mix-negative-count"],
 )
 def test_bad_settings_exit_2(task_dir, dev_hyps, filter_model_path, tmp_path, capsys, argv, named):
     paths = {

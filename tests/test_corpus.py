@@ -109,6 +109,12 @@ class TestTokenDistribution:
         with pytest.raises(EmptyInputError):
             token_distribution([Transcript(())], 2)
 
+    @pytest.mark.parametrize("weight", [2.7, True], ids=["float", "bool"])
+    def test_non_integer_weight_refused(self, weight):
+        # Truncated or read as 1, the weight would count the transcript a wrong number of times.
+        with pytest.raises(CorpusError, match=f"multiplicity must be an integer, got {weight!r}"):
+            token_distribution([Transcript((0,)), Transcript((1,))], 2, weights=[1, weight])
+
     @given(
         st.lists(
             st.lists(st.integers(min_value=0, max_value=4), max_size=6),
@@ -168,6 +174,15 @@ class TestTypes:
     def test_weighted_sample_multiplicity(self):
         with pytest.raises(CorpusError):
             WeightedSample("u", Transcript((0,)), 0)
+
+    @pytest.mark.parametrize("multiplicity", [2.7, True], ids=["float", "bool"])
+    def test_weighted_sample_refuses_a_non_integer_multiplicity(self, multiplicity):
+        with pytest.raises(CorpusError, match=f"must be an integer, got {multiplicity!r}"):
+            WeightedSample("u", Transcript((0,)), multiplicity)
+
+    def test_weighted_sample_accepts_numpy_integers(self):
+        sample = WeightedSample("u", Transcript((0,)), np.int64(3))
+        assert sample.multiplicity == 3 and type(sample.multiplicity) is int
 
     def test_utterance_needs_rows(self):
         with pytest.raises(CorpusError):

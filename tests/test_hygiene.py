@@ -13,7 +13,8 @@ MODULES = sorted(SOURCE_DIR.glob("*.py"))
 # For each module, the sibling modules it may not import from, mapped to the
 # names it may import from them anyway. The data-side modules know nothing of
 # the recognizer, the loop or the CLI; the loop knows the recognizer only
-# through its protocol and its default implementation.
+# through its protocol and its default implementation. The CLI balances and
+# mixes through the loop's helpers, so the two cannot drift apart.
 LAYERING = {
     **{
         name: {"recognizer": (), "pipeline": (), "cli": ()}
@@ -21,6 +22,7 @@ LAYERING = {
     },
     "recognizer": {"pipeline": (), "cli": ()},
     "pipeline": {"recognizer": ("Recognizer", "ToyRecognizer"), "cli": ()},
+    "cli": {"mixing": ("MixPlan",), "balancing": ()},
 }
 
 

@@ -10,6 +10,7 @@ from nst import pipeline, scoring
 from nst.augment import AugmentPolicy
 from nst.corpus import load_manifest, load_vocab, save_manifest, save_vocab
 from nst.augment import AugmentError
+from nst.balancing import BalancingError
 from nst.mixing import MixingError, MixPlan
 from nst.pipeline import (
     BalanceSettings,
@@ -298,15 +299,15 @@ class TestDecodeCount:
         distinct_pairs = []
         grid_search_table = pipeline.grid_search_table
 
-        def recording_grid(grid, dev, recognizer, beam, hyp_lists):
+        def recording_grid(grid, dev, nbest, vocab):
             distinct_pairs.append(
                 len({
                     (i, scoring.best_hypothesis(hyps, params).transcript)
                     for params in grid
-                    for i, hyps in enumerate(hyp_lists)
+                    for i, hyps in enumerate(nbest)
                 })
             )
-            return grid_search_table(grid, dev, recognizer, beam, hyp_lists=hyp_lists)
+            return grid_search_table(grid, dev, nbest, vocab)
 
         monkeypatch.setattr(scoring, "edit_alignment_counts", counting_alignment)
         monkeypatch.setattr(pipeline, "grid_search_table", recording_grid)
@@ -479,7 +480,7 @@ INJECTIONS = [
     (1, "load_teacher", "load", 1),
     (1, "transcribe_unlabeled", "transcribe", 2),
     (1, "filter", "apply_filter", 1),
-    (1, "balance", "_balance", 1),
+    (1, "balance", "balance_sample", 1),
     (1, "mix", "_draw_training_set", 1),
     (1, "train", "save", 2),
     (1, "tune_fusion", "transcribe", 3),
@@ -679,13 +680,20 @@ class TestConfigParsing:
             ("generation", "filter_cutoff", float("nan"), PipelineError),
             ("generation", "filter_cutoff", "high", PipelineError),
             ("mix", "ratio", [1, 2, 3], MixingError),
+            ("balance", "multiplicity_cap", 0, BalancingError),
+            ("balance", "batch_fraction", 0.0, BalancingError),
+            ("balance", "batch_fraction", 7.0, BalancingError),
+            ("balance", "min_tokens", -5, PipelineError),
+            ("balance", "smoothing_epsilon", 0.0, BalancingError),
         ],
         ids=["beam-float", "beam-string", "frames_per_token-float", "generation-float",
              "filter_cutoff-bool", "ratio-float-term", "ratio-not-a-list", "min_tokens-float",
              "fusion_grid-mapping", "time_mask_param-null-alone", "missing-frames_per_token",
              "missing-generation", "missing-datasets", "beam-zero", "frames_per_token-zero",
              "decode_lm_weight-nan", "decode_lm_weight-inf", "filter_cutoff-nan-string",
-             "filter_cutoff-nan", "filter_cutoff-word", "ratio-three-terms"],
+             "filter_cutoff-nan", "filter_cutoff-word", "ratio-three-terms",
+             "multiplicity_cap-zero", "batch_fraction-zero", "batch_fraction-above-one",
+             "min_tokens-negative", "smoothing_epsilon-zero"],
     )
     def test_malformed_config_refused(self, where, key, value, error):
         PipelineConfig.from_dict(VALID_CONFIG)

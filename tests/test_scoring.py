@@ -366,7 +366,7 @@ class TestGridSearch:
     def test_picks_strictly_lower_wer_point(self, fake_dev):
         dev, recognizer = fake_dev
         grid = [FusionParams(lm_weight=0.0), FusionParams(lm_weight=1.0)]
-        table = grid_search_table(grid, dev, recognizer)
+        table = grid_search_table(grid, dev, recognizer.transcribe(list(dev), 4), recognizer.vocab)
         assert table[0].dev_wer == 1.0
         assert table[1].dev_wer == 0.0
         assert grid_search_fusion(grid, dev, recognizer) == grid[1]
@@ -378,7 +378,7 @@ class TestGridSearch:
             FusionParams(lm_weight=1.0, coverage_weight=0.0),
             FusionParams(lm_weight=1.0, coverage_weight=5.0),
         ]
-        table = grid_search_table(grid, dev, recognizer)
+        table = grid_search_table(grid, dev, recognizer.transcribe(list(dev), 4), recognizer.vocab)
         assert table[0].dev_wer == table[1].dev_wer
         assert grid_search_fusion(grid, dev, recognizer) == grid[0]
 
@@ -387,7 +387,9 @@ class TestGridSearch:
         dev, recognizer = fake_dev
         dropping = DroppingRecognizer(recognizer.vocab, recognizer._hyp_lists)
         with pytest.raises(ValueError, match="shorter"):
-            grid_search_table([FusionParams()], dev, dropping)
+            grid_search_table(
+                [FusionParams()], dev, dropping.transcribe(list(dev), 4), dropping.vocab
+            )
         with pytest.raises(ValueError, match="shorter"):
             hypothesis_records(dev, dropping.transcribe(list(dev), 4), dropping.vocab)
 
@@ -476,7 +478,7 @@ class TestGridAlignmentCount:
             return original(reference, hypothesis)
 
         monkeypatch.setattr(scoring, "edit_alignment_counts", counting)
-        table = grid_search_table(grid, dev, recognizer, beam=4, hyp_lists=hyp_lists)
+        table = grid_search_table(grid, dev, hyp_lists, recognizer.vocab)
         assert Counter(aligned) == Counter((refs[i], decode(t)) for i, t in distinct)
         assert [point.dev_wer for point in table] == manual
         assert [point.params for point in table] == grid
@@ -487,7 +489,9 @@ class TestGridAlignmentCount:
             Utterance(id=u.id, features=u.features, transcript=()) for u in dev
         )
         with pytest.raises(EmptyReferenceError):
-            grid_search_table([FusionParams()], blank, recognizer)
+            grid_search_table(
+                [FusionParams()], blank, recognizer.transcribe(list(blank), 4), recognizer.vocab
+            )
 
 
 class TestHypothesesJsonl:
