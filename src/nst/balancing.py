@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import TokenDistribution, Transcript, WeightedSample
+from .corpus import TokenDistribution, Transcript, WeightedSample, token_counts
 from .errors import NstError
 
 
@@ -74,13 +74,6 @@ def _smooth(vec: np.ndarray, epsilon: float) -> np.ndarray:
     return smoothed / smoothed.sum()
 
 
-def _counts_to_probs(counts: np.ndarray) -> np.ndarray:
-    total = counts.sum()
-    if total > 0:
-        return counts / total
-    return np.zeros_like(counts)
-
-
 def kl_divergence(
     p: TokenDistribution, q: TokenDistribution, epsilon: float = 1e-6
 ) -> float:
@@ -98,18 +91,12 @@ def kl_divergence(
     return float(np.sum(ps * (np.log(ps) - np.log(qs))))
 
 
-def sentence_counts(transcript: Transcript | Sequence[int], vocab_size: int) -> np.ndarray:
-    ids = np.fromiter((int(t) for t in transcript), dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
-        raise VocabMismatchError(
-            f"token id outside vocab of size {vocab_size}"
-        )
-    return np.bincount(ids, minlength=vocab_size).astype(np.float64)
-
-
-def _kl_from_counts(counts: np.ndarray, log_q: np.ndarray, epsilon: float) -> float:
-    ps = _smooth(_counts_to_probs(counts), epsilon)
-    return float(np.sum(ps * (np.log(ps) - log_q)))
+def _row_kls(rows: np.ndarray, log_q: np.ndarray, epsilon: float) -> np.ndarray:
+    """Smoothed KL of each count row against ``log_q``; an all-zero row reads as uniform."""
+    totals = rows.sum(axis=1, keepdims=True)
+    smoothed = rows / np.where(totals > 0, totals, 1.0) + epsilon
+    smoothed /= smoothed.sum(axis=1, keepdims=True)
+    return np.sum(smoothed * (np.log(smoothed) - log_q), axis=1)
 
 
 def cost_benefit(
@@ -131,10 +118,10 @@ def cost_benefit(
         raise VocabMismatchError(
             f"counts have shape {counts.shape}, expected ({target.vocab_size},)"
         )
-    log_q = np.log(_smooth(target.probs, epsilon))
-    before = _kl_from_counts(counts, log_q, epsilon)
-    after = _kl_from_counts(counts + sentence_counts(sentence, target.vocab_size), log_q, epsilon)
-    return (before - after) / length
+    # Rows: the current counts, then the counts with the sentence added.
+    rows = counts + token_counts([(), sentence], target.vocab_size)
+    before, after = _row_kls(rows, np.log(_smooth(target.probs, epsilon)), epsilon)
+    return float(before - after) / length
 
 
 @dataclass(frozen=True)
@@ -164,9 +151,7 @@ def submodular_sample(
     vocab_size = target.vocab_size
     epsilon = config.smoothing_epsilon
     n = len(pool)
-    counts_matrix = np.stack(
-        [sentence_counts(s.transcript, vocab_size) for s in pool]
-    )
+    counts_matrix = token_counts([s.transcript for s in pool], vocab_size)
     lengths = counts_matrix.sum(axis=1)
     batch = config.batch_size(n)
     log_q = np.log(_smooth(target.probs, epsilon))
@@ -174,20 +159,15 @@ def submodular_sample(
     selections = np.zeros(n, dtype=np.int64)
     counts = np.zeros(vocab_size, dtype=np.float64)
     total_tokens = 0
-    kl_current = _kl_from_counts(counts, log_q, epsilon)
+    kl_current = _row_kls(counts[None, :], log_q, epsilon)[0]
 
     while True:
         eligible = np.flatnonzero(
             (selections < config.multiplicity_cap) & (lengths >= 1)
         )
         if eligible.size == 0:
-            infeasible = total_tokens < config.min_token_total
             break
-        candidate_counts = counts[None, :] + counts_matrix[eligible]
-        probs = candidate_counts / candidate_counts.sum(axis=1, keepdims=True)
-        smoothed = probs + epsilon
-        smoothed /= smoothed.sum(axis=1, keepdims=True)
-        kls = np.sum(smoothed * (np.log(smoothed) - log_q[None, :]), axis=1)
+        kls = _row_kls(counts + counts_matrix[eligible], log_q, epsilon)
         scores = (kl_current - kls) / lengths[eligible]
         # Stable sort on the negated score keeps pool order among ties.
         order = np.argsort(-scores, kind="stable")
@@ -195,10 +175,8 @@ def submodular_sample(
         selections[chosen] += 1
         counts += counts_matrix[chosen].sum(axis=0)
         total_tokens += int(lengths[chosen].sum())
-        kl_next = _kl_from_counts(counts, log_q, epsilon)
+        kl_next = _row_kls(counts[None, :], log_q, epsilon)[0]
         if total_tokens >= config.min_token_total and kl_next >= kl_current:
-            infeasible = False
-            kl_current = kl_next
             break
         kl_current = kl_next
 
@@ -207,4 +185,4 @@ def submodular_sample(
         for i in range(n)
         if selections[i] > 0
     )
-    return BalanceResult(samples=samples, infeasible=infeasible)
+    return BalanceResult(samples=samples, infeasible=total_tokens < config.min_token_total)

@@ -302,11 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--target", required=True, help="manifest defining the target distribution")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--cap", type=int, default=2)
-    p.add_argument("--batch-frac", type=float, default=0.1)
+    p.add_argument("--cap", type=int, default=BalanceSettings().multiplicity_cap)
+    p.add_argument("--batch-frac", type=float, default=BalanceSettings().batch_fraction)
     p.add_argument("--min-tokens", type=_min_tokens, default="auto",
                    help="token floor: an integer, or 'auto' for the target's token total")
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--epsilon", type=float, default=BalanceSettings().smoothing_epsilon)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_balance)
 
@@ -320,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mix", help="emit a mixed training stream as TSV")
     p.add_argument("--sup", required=True)
     p.add_argument("--semi")
-    p.add_argument("--mode", choices=["batchwise", "uniform"], default="batchwise")
-    p.add_argument("--ratio", default="1:1")
-    p.add_argument("--batch", type=int, default=2)
+    p.add_argument("--mode", choices=["batchwise", "uniform"], default=MixPlan().mode)
+    p.add_argument("--ratio", default=":".join(map(str, MixPlan().ratio)))
+    p.add_argument("--batch", type=int, default=MixPlan().batch_size)
     p.add_argument("--num-batches", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

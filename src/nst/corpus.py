@@ -21,6 +21,7 @@ import os
 import re
 import struct
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -229,6 +230,24 @@ class TokenDistribution:
         return cls(arr / total)
 
 
+def token_counts(transcripts: Sequence[Transcript | Sequence[int]], vocab_size: int) -> np.ndarray:
+    """``(len(transcripts), vocab_size)`` float64 matrix; row i counts the ids of transcript i.
+
+    Raises CorpusError naming the first id outside ``0..vocab_size-1``.
+    """
+    lengths = np.fromiter(map(len, transcripts), dtype=np.int64, count=len(transcripts))
+    try:
+        ids = np.fromiter(chain.from_iterable(transcripts), dtype=np.int64, count=int(lengths.sum()))
+    except OverflowError:  # an id beyond int64, refused below like any id outside the vocab
+        ids = np.array(list(chain.from_iterable(transcripts)), dtype=object)
+    outside = np.flatnonzero((ids < 0) | (ids >= vocab_size))
+    if outside.size:
+        raise CorpusError(f"token id {ids[outside[0]]} outside vocab of size {vocab_size}")
+    rows = np.repeat(np.arange(len(transcripts), dtype=np.int64), lengths)
+    flat = np.bincount(rows * vocab_size + ids, minlength=len(transcripts) * vocab_size)
+    return flat.reshape(len(transcripts), vocab_size).astype(np.float64)
+
+
 def token_distribution(
     transcripts: Sequence[Transcript | Sequence[int]],
     vocab_size: int,
@@ -241,16 +260,10 @@ def token_distribution(
     """
     if weights is not None and len(weights) != len(transcripts):
         raise CorpusError("weights must match transcripts in length")
-    counts = np.zeros(vocab_size, dtype=np.float64)
-    for k, transcript in enumerate(transcripts):
-        w = 1 if weights is None else _multiplicity(weights[k])
-        for t in transcript:
-            if not 0 <= t < vocab_size:
-                raise CorpusError(f"token id {t} outside vocab of size {vocab_size}")
-            counts[t] += w
-    if counts.sum() == 0:
-        raise EmptyInputError("total token count is 0")
-    return TokenDistribution.from_counts(counts)
+    counts = token_counts(transcripts, vocab_size)
+    if weights is not None:
+        counts *= np.array([_multiplicity(w) for w in weights], dtype=np.float64)[:, None]
+    return TokenDistribution.from_counts(counts.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -392,7 +405,7 @@ def _feature_bytes(features: np.ndarray) -> bytes:
 
 
 def write_features(path: str | Path, features: np.ndarray) -> None:
-    Path(path).write_bytes(_feature_bytes(features))
+    _atomic_write_bytes(path, _feature_bytes(features))
 
 
 def read_features(path: str | Path) -> np.ndarray:
@@ -412,22 +425,27 @@ def read_features(path: str | Path) -> np.ndarray:
     return np.frombuffer(data, dtype="<f4", offset=12).reshape(rows, cols)
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` so readers see the old file or the new one, never a torn one.
+def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write ``data`` so readers see the old file or the new one, never a torn one.
 
-    The text goes to a fresh temp file beside ``path`` (created with the
-    usual mode, so the umask applies), which is removed if anything fails.
+    The bytes go to a fresh temp file beside ``path`` (created with the usual
+    mode, so the umask applies), which is removed if anything fails.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    handle = open(tmp, "x", encoding="utf-8", newline="\n")
+    handle = open(tmp, "xb")
     try:
         with handle:
-            handle.write(text)
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """``text`` as UTF-8 with newlines kept as written, written atomically."""
+    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_json(path: str | Path, record: object) -> None:

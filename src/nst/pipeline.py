@@ -413,13 +413,16 @@ def balance_sample(
 
     Returns the sampled utterances in pool order, each with its sampled
     multiplicity, and the sampler's result. A ``min_tokens`` of None takes
-    ``target``'s token total as the floor.
+    ``target``'s token total as the floor. An utterance of either set without
+    a transcript raises MissingTranscriptError before anything is sampled.
     """
+    pool.total_tokens()
+    config = settings.resolve(target.total_tokens())
     samples = [WeightedSample(u.id, vocab.encode_tokens(u.transcript), 1) for u in pool]
     distribution = token_distribution(
         [vocab.encode_tokens(u.transcript) for u in target], vocab.size
     )
-    result = submodular_sample(samples, distribution, settings.resolve(target.total_tokens()))
+    result = submodular_sample(samples, distribution, config)
     chosen = {s.utterance_id: s.multiplicity for s in result.samples}
     balanced = Dataset(replace(u, multiplicity=chosen[u.id]) for u in pool if u.id in chosen)
     return balanced, result

@@ -13,7 +13,13 @@ from nst.balancing import (
     kl_divergence,
     submodular_sample,
 )
-from nst.corpus import TokenDistribution, Transcript, WeightedSample, token_distribution
+from nst.corpus import (
+    CorpusError,
+    TokenDistribution,
+    Transcript,
+    WeightedSample,
+    token_distribution,
+)
 
 from oracles import reference_balance
 
@@ -87,6 +93,10 @@ class TestCostBenefit:
     def test_zero_length_sentence(self):
         with pytest.raises(ZeroLengthSentenceError):
             cost_benefit(np.zeros(2), Transcript(()), self.uniform)
+
+    def test_id_outside_vocab_named(self):
+        with pytest.raises(CorpusError, match="token id 2 outside vocab of size 2"):
+            cost_benefit(np.zeros(2), Transcript((0, 2)), self.uniform)
 
     def test_counts_shape_checked(self):
         with pytest.raises(VocabMismatchError):
@@ -210,6 +220,12 @@ class TestSubmodularSample:
         pool = pool_of([(), (0, 1), ()])
         result = submodular_sample(pool, dist(0.5, 0.5), SamplerConfig())
         assert {s.utterance_id for s in result.samples} == {"s001"}
+
+    def test_id_outside_vocab_named(self):
+        # The same refusal as token_distribution's, from the one token counter.
+        pool = pool_of([(0, 1), (1, 5, 0)])
+        with pytest.raises(CorpusError, match="token id 5 outside vocab of size 2"):
+            submodular_sample(pool, dist(0.5, 0.5), SamplerConfig())
 
     def test_empty_pool_rejected(self):
         with pytest.raises(EmptyPoolError):

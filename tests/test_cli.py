@@ -381,6 +381,36 @@ def test_balance_cli_writes_the_loops_balanced_set(task_dir, tmp_path):
     assert max(u.multiplicity for u in written) > 1
 
 
+@pytest.mark.parametrize("pool, target", [("unlabeled", "supervised"), ("supervised", "unlabeled")])
+def test_balance_refuses_a_manifest_without_transcripts(task_dir, tmp_path, capsys, pool, target):
+    # Either manifest without transcripts once died in a TypeError traceback.
+    out = tmp_path / "balanced.jsonl"
+    capsys.readouterr()
+    code = main(["balance", "--manifest", str(task_dir / f"{pool}.jsonl"),
+                 "--target", str(task_dir / f"{target}.jsonl"),
+                 "--vocab", str(task_dir / "vocab.txt"), "--out", str(out)])
+    assert code == 2
+    first = load_manifest(task_dir / "unlabeled.jsonl")[0].id
+    assert capsys.readouterr().err == f"error: utterance {first!r} has no transcript\n"
+    assert not out.exists()
+
+
+def test_parser_defaults_are_the_dataclass_defaults():
+    # One home per default: the flags read them from the settings they build.
+    parser = cli.build_parser()
+    balance = parser.parse_args(["balance", "--manifest", "m", "--target", "t", "--vocab", "v",
+                                 "--out", "o"])
+    settings = BalanceSettings()
+    assert (balance.cap, balance.batch_frac, balance.min_tokens, balance.epsilon) == (
+        settings.multiplicity_cap, settings.batch_fraction, settings.min_tokens,
+        settings.smoothing_epsilon,
+    )
+    mix = parser.parse_args(["mix", "--sup", "s", "--out", "o"])
+    plan = MixPlan()
+    assert (mix.mode, mix.ratio, mix.batch) == (plan.mode, "1:1", plan.batch_size)
+    assert tuple(int(term) for term in mix.ratio.split(":")) == plan.ratio
+
+
 @pytest.mark.parametrize("mode", ["batchwise", "uniform"])
 def test_mix_cli_writes_the_loops_draw(task_dir, tmp_path, mode):
     sup, semi = task_dir / "supervised.jsonl", task_dir / "dev.jsonl"

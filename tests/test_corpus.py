@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from nst.corpus import (
     read_jsonl,
     save_manifest,
     save_vocab,
+    token_counts,
     token_distribution,
     tokenize,
     write_features,
@@ -126,6 +128,43 @@ class TestTokenDistribution:
     def test_sums_to_one(self, sequences):
         dist = token_distribution([Transcript(tuple(s)) for s in sequences], 5)
         assert abs(float(dist.probs.sum()) - 1.0) <= 1e-9
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(min_value=0, max_value=6), max_size=8),
+                st.integers(min_value=1, max_value=5),
+            ),
+            min_size=1,
+            max_size=12,
+        ).filter(lambda rows: any(tokens for tokens, _ in rows))
+    )
+    @settings(max_examples=100)
+    def test_counts_match_a_plain_counter(self, rows):
+        transcripts = [Transcript(tuple(tokens)) for tokens, _ in rows]
+        weights = [weight for _, weight in rows]
+        counts = token_counts(transcripts, 7)
+        assert counts.shape == (len(rows), 7) and counts.dtype == np.float64
+        for row, (tokens, _) in zip(counts, rows):
+            assert row.tolist() == [Counter(tokens)[t] for t in range(7)]
+        naive = Counter()
+        for tokens, weight in rows:
+            for t in tokens:
+                naive[t] += weight
+        total = sum(naive.values())
+        expected = np.array([naive[t] for t in range(7)], dtype=np.float64) / total
+        assert token_distribution(transcripts, 7, weights).probs.tobytes() == expected.tobytes()
+
+    def test_counts_of_no_transcripts(self):
+        assert token_counts([], 3).shape == (0, 3)
+        assert token_counts([Transcript(())], 3).tolist() == [[0.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("ids", [(0, 3, 5), (1, -1), (2**70,)],
+                             ids=["too-large", "negative", "beyond-int64"])
+    def test_id_outside_vocab_named(self, ids):
+        bad = next(t for t in ids if not 0 <= t < 3)
+        with pytest.raises(CorpusError, match=f"token id {bad} outside vocab of size 3"):
+            token_distribution([Transcript((0, 1)), ids], 3)
 
     def test_invalid_distribution_rejected(self):
         with pytest.raises(CorpusError):
@@ -252,6 +291,16 @@ class TestFeatureFiles:
     def test_missing(self, tmp_path):
         with pytest.raises(MissingFeatureFileError):
             read_features(tmp_path / "absent.nstf")
+
+    def test_failed_replace_leaves_no_file(self, tmp_path, monkeypatch):
+        # A torn sidecar would make the overwrite guard refuse to re-run the same save.
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("nst.corpus.os.replace", fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_features(tmp_path / "f.nstf", np.zeros((2, 3), dtype=np.float32))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestManifests:

@@ -1,5 +1,5 @@
 """Source hygiene: no unused imports, layered imports, independent oracles, checked record
-readers, one JSON parser, a public API that resolves, no public definition nothing uses."""
+readers, one JSON parser, a public API that resolves, no definition nothing uses."""
 import ast
 from pathlib import Path
 
@@ -274,54 +274,77 @@ def test_public_names_resolve():
     assert len(set(nst.__all__)) == len(nst.__all__)
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """Names a top-level statement defines that must be used: a function or class, or a
+    private constant (``_NAME = ...``). Dunder names such as ``__all__`` are exempt."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [
+        t.id for t in targets
+        if isinstance(t, ast.Name) and t.id.startswith("_") and not t.id.startswith("__")
+    ]
+
+
 def _unreferenced_definitions(trees: dict[str, ast.Module], exported: set[str]) -> list[str]:
-    """``<module>.<name> (line)`` of every public top-level function or class that no other
-    top-level statement of any module uses and that ``exported`` does not name."""
+    """``<module>.<name> (line)`` of every top-level function, class or private constant
+    that no other top-level statement of any module uses. A public name that ``exported``
+    names is used by the package's users."""
     referenced = set()
     for tree in trees.values():
         for node in tree.body:
-            own = getattr(node, "name", None)
             names = _used_names(node) | {
                 n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
             }
-            referenced |= names - {own}
+            referenced |= names - set(_defined_names(node))
     return [
-        f"{module}.{node.name} (line {node.lineno})"
+        f"{module}.{name} (line {node.lineno})"
         for module, tree in sorted(trees.items())
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in referenced | exported
+        for name in _defined_names(node)
+        if name not in referenced and (name.startswith("_") or name not in exported)
     ]
 
 
 def test_every_public_definition_is_used_or_exported():
-    # A definition nothing calls is a second way to do a thing, kept only by its tests.
+    # A definition nothing calls is a second way to do a thing, kept only by its tests;
+    # a private one nothing calls is a leftover.
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in MODULES
     }
     unused = _unreferenced_definitions(trees, set(nst.__all__))
-    assert not unused, f"public definitions neither used in nst nor exported: {', '.join(unused)}"
+    assert not unused, f"definitions neither used in nst nor exported: {', '.join(unused)}"
 
 
 def test_unused_definition_is_detected():
     trees = {
         "a": ast.parse(
+            "__all__ = []\n"
+            "_LIMIT = 3\n"
+            "_UNUSED: int = 4\n"
             "def used():\n"
-            "    return helper()\n"
+            "    return helper() + _LIMIT\n"
             "def helper():\n"
-            "    return 1\n"
+            "    return _kernel()\n"
             "def unused(n):\n"
             "    return unused(n - 1)\n"
             "class Exported:\n"
             "    pass\n"
+            "def _kernel():\n"
+            "    return 1\n"
             "def _private():\n"
+            "    return _private()\n"
+            "class _Hidden:\n"
             "    pass\n"
         ),
         "b": ast.parse("from .a import used\nx = used()\n"),
     }
-    assert _unreferenced_definitions(trees, {"Exported"}) == ["a.unused (line 5)"]
+    assert _unreferenced_definitions(trees, {"Exported", "_private"}) == [
+        "a._UNUSED (line 3)", "a.unused (line 8)", "a._private (line 14)", "a._Hidden (line 16)",
+    ]
     assert _unreferenced_definitions(trees, set()) == [
-        "a.unused (line 5)", "a.Exported (line 7)",
+        "a._UNUSED (line 3)", "a.unused (line 8)", "a.Exported (line 10)",
+        "a._private (line 14)", "a._Hidden (line 16)",
     ]
