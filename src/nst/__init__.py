@@ -21,6 +21,7 @@ from .corpus import (
     detokenize,
     load_manifest,
     load_vocab,
+    read_features,
     save_manifest,
     save_vocab,
     token_distribution,
@@ -85,6 +86,7 @@ __all__ = [
     "load_vocab",
     "mix_batchwise",
     "mix_uniform",
+    "read_features",
     "run_generation",
     "run_pipeline",
     "save_manifest",

@@ -2,14 +2,17 @@
 
 Utterances carry a feature matrix (frames x channels, float32) plus optional
 transcript, score, and sampling multiplicity. Manifests are JSON Lines with
-one object per utterance; feature matrices live in binary sidecar files so
-manifests stay diffable.
+one object per utterance; feature matrices live in binary files beside them
+so manifests stay diffable.
 
-Only new feature matrices get new sidecars. An utterance loaded from a
-manifest remembers the sidecar its features came from, and a manifest derived
-from it (relabeled, filtered, rebalanced) references that sidecar by relative
-path instead of copying it. A derived manifest therefore stays loadable only
-while the input files it points into exist unchanged.
+A save writes a manifest's new feature matrices to one pack, ``<stem>.nstp``:
+feature records laid end to end, each referenced from its manifest line as
+``<pack>:<byte offset>``. A lone ``.nstf`` file is a one-record pack read
+whole. An utterance loaded from a manifest remembers the record its features
+came from, and a manifest derived from it (relabeled, filtered, rebalanced)
+references that record by relative path instead of copying it. A derived
+manifest therefore stays loadable only while the files it points into exist
+unchanged.
 """
 from __future__ import annotations
 
@@ -296,8 +299,8 @@ class Utterance:
     score attached by transcription. Instances are immutable; the feature
     matrix is frozen on construction.
 
-    ``feature_source`` is set by ``load_manifest``: the sidecar path and the
-    array read from it. ``save_manifest`` references that sidecar while
+    ``feature_source`` is set by ``load_manifest``: the feature reference and
+    the array read from it. ``save_manifest`` references that record while
     ``features`` is still that array, so ``replace`` may carry it along.
     """
 
@@ -404,29 +407,73 @@ def _feature_bytes(features: np.ndarray) -> bytes:
     return FEATURE_MAGIC + struct.pack("<II", rows, cols) + arr.tobytes()
 
 
-def write_features(path: str | Path, features: np.ndarray) -> None:
-    _atomic_write_bytes(path, _feature_bytes(features))
+def write_features(path: str | Path, *matrices: np.ndarray) -> None:
+    """Write ``matrices`` to ``path`` as feature records laid end to end, atomically."""
+    _atomic_write(path, map(_feature_bytes, matrices))
 
 
-def read_features(path: str | Path) -> np.ndarray:
-    p = Path(path)
-    try:
-        data = p.read_bytes()
-    except FileNotFoundError:
-        raise MissingFeatureFileError(p) from None
-    if len(data) < 12 or data[:4] != FEATURE_MAGIC:
-        raise FeatureFileError(f"{p}: not a feature file (bad magic)")
-    rows, cols = struct.unpack("<II", data[4:12])
-    expected = 12 + rows * cols * 4
-    if len(data) != expected:
-        raise FeatureFileError(
-            f"{p}: truncated feature file ({len(data)} bytes, expected {expected})"
-        )
-    return np.frombuffer(data, dtype="<f4", offset=12).reshape(rows, cols)
+# A reference to one record of a pack: its path, a colon, and its byte offset.
+_PACK_REFERENCE = re.compile(r"(.*):([0-9]+)", re.DOTALL)
 
 
-def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write ``data`` so readers see the old file or the new one, never a torn one.
+class _FeatureFiles:
+    """Reads feature records, opening each file once until the reader is closed."""
+
+    def __init__(self):
+        self._open: dict[str, tuple[int, int]] = {}
+
+    def __enter__(self) -> "_FeatureFiles":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for fd, _ in self._open.values():
+            os.close(fd)
+
+    def read(self, reference: str | Path) -> np.ndarray:
+        """The matrix at ``reference``, as ``read_features`` describes."""
+        reference = os.fspath(reference)
+        packed = _PACK_REFERENCE.fullmatch(reference)
+        path, offset = (packed[1], int(packed[2])) if packed else (reference, 0)
+        if path not in self._open:
+            try:
+                fd = os.open(path, os.O_RDONLY)
+            except FileNotFoundError:
+                raise MissingFeatureFileError(path) from None
+            self._open[path] = (fd, os.fstat(fd).st_size)
+        # A lone .nstf holds one record, so it is closed after it: an old
+        # manifest's thousands of files are never all open at once.
+        fd, size = self._open[path] if packed else self._open.pop(path)
+        try:
+            if offset >= size:  # an offset beyond int64 included
+                raise FeatureFileError(f"{reference}: offset past the end of {size} bytes")
+            header = os.pread(fd, 12, offset)
+            if len(header) < 12 or header[:4] != FEATURE_MAGIC:
+                raise FeatureFileError(f"{reference}: not a feature record (bad magic)")
+            rows, cols = struct.unpack("<II", header[4:])
+            end = offset + 12 + rows * cols * 4
+            if end > size or (not packed and end != size):
+                raise FeatureFileError(
+                    f"{reference}: truncated feature record ({size - offset} bytes, "
+                    f"expected {end - offset})"
+                )
+            data = os.pread(fd, end - offset - 12, offset + 12)
+        finally:
+            if not packed:
+                os.close(fd)
+        return np.frombuffer(data, dtype="<f4").reshape(rows, cols)
+
+
+def read_features(reference: str | Path) -> np.ndarray:
+    """The matrix at ``reference``: ``<path>:<byte offset>`` in a pack, or a whole ``.nstf``.
+
+    A record must fit in its pack, and a whole file must be exactly one record.
+    """
+    with _FeatureFiles() as files:
+        return files.read(reference)
+
+
+def _atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` in order so readers see the old file or the new one, never a torn one.
 
     The bytes go to a fresh temp file beside ``path`` (created with the usual
     mode, so the umask applies), which is removed if anything fails.
@@ -436,16 +483,23 @@ def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
     handle = open(tmp, "xb")
     try:
         with handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def _holds(path: Path, chunks: Iterable[bytes]) -> bool:
+    """Whether the file at ``path`` holds exactly ``chunks`` in order."""
+    with open(path, "rb") as handle:
+        return all(handle.read(len(chunk)) == chunk for chunk in chunks) and not handle.read(1)
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """``text`` as UTF-8 with newlines kept as written, written atomically."""
-    _atomic_write_bytes(path, text.encode("utf-8"))
+    _atomic_write(path, [text.encode("utf-8")])
 
 
 def atomic_write_json(path: str | Path, record: object) -> None:
@@ -501,7 +555,7 @@ def read_jsonl(
 
 
 def _manifest_record(u: Utterance, features: str) -> dict:
-    """The manifest line of ``u``, whose sidecar is at ``features`` relative to the manifest."""
+    """The manifest line of ``u``, whose features are at ``features`` relative to the manifest."""
     record: dict[str, object] = {"id": u.id, "features": features}
     if u.transcript is not None:
         record["transcript"] = list(u.transcript)
@@ -513,26 +567,25 @@ def _manifest_record(u: Utterance, features: str) -> dict:
 
 
 def save_manifest(dataset: Dataset, path: str | Path) -> None:
-    """Write ``dataset`` as a JSONL manifest plus binary feature sidecars.
+    """Write ``dataset`` as a JSONL manifest plus a binary feature pack.
 
     An utterance whose features are still the array ``load_manifest`` read
-    references that sidecar by a path relative to the manifest. Any other
-    feature matrix is written to ``<stem>_features/<id>.nstf`` next to the
-    manifest. Sidecars are written before the manifest, which is replaced
-    atomically. Other manifests may reference an existing sidecar, so a fresh
-    one may not replace an existing file with different bytes: every target
-    is checked, and such a save refused, before anything is written. An
-    identical existing file is left in place.
+    references that record by a path relative to the manifest. Every other
+    feature matrix is written, in dataset order, to the pack ``<stem>.nstp``
+    next to the manifest and referenced as ``<stem>.nstp:<byte offset>``. The
+    pack is written before the manifest, and each is replaced atomically.
+    Other manifests may reference an existing pack, so a fresh one may not
+    replace an existing file with different bytes: such a save is refused
+    before anything is written. An identical existing pack is left in place.
     """
     manifest_path = Path(path)
     manifest_dir = os.path.abspath(manifest_path.parent)
-    features_dirname = manifest_path.stem + "_features"
-    feature_dir = manifest_path.parent / features_dirname
-    existing = set(os.listdir(feature_dir)) if feature_dir.is_dir() else set()
-    fresh: list[Utterance] = []
-    sidecars = []
-    # Each sidecar directory's path relative to the manifest directory; the
-    # joined result is what os.path.relpath gives for each sidecar.
+    pack_name = manifest_path.stem + ".nstp"
+    fresh: list[np.ndarray] = []
+    offset = 0
+    references = []
+    # Each source directory's path relative to the manifest directory; the
+    # joined result is what os.path.relpath gives for each record.
     relative_dirs: dict[str, str] = {}
     for u in dataset:
         if not _SAFE_ID.match(u.id):
@@ -545,30 +598,30 @@ def save_manifest(dataset: Dataset, path: str | Path) -> None:
             relative_dir = relative_dirs[directory]
             rel = name if relative_dir == os.curdir else os.path.join(relative_dir, name)
         else:
-            rel = f"{features_dirname}/{u.id}.nstf"
-            target = feature_dir / f"{u.id}.nstf"
-            if target.name not in existing:
-                fresh.append(u)
-            elif target.read_bytes() != _feature_bytes(u.features):
-                raise CorpusError(
-                    f"refusing to overwrite {target}: it holds other features, "
-                    "which other manifests may reference"
-                )
-        sidecars.append(rel)
+            rel = f"{pack_name}:{offset}"
+            fresh.append(u.features)
+            offset += 12 + 4 * u.features.size
+        references.append(rel)
     if fresh:
-        feature_dir.mkdir(parents=True, exist_ok=True)
-        for u in fresh:
-            write_features(feature_dir / f"{u.id}.nstf", u.features)
-    write_jsonl(manifest_path, map(_manifest_record, dataset, sidecars))
+        pack = manifest_path.with_name(pack_name)
+        if not pack.exists():
+            write_features(pack, *fresh)
+        elif not _holds(pack, map(_feature_bytes, fresh)):
+            raise CorpusError(
+                f"refusing to overwrite {pack}: it holds other features, "
+                "which other manifests may reference"
+            )
+    write_jsonl(manifest_path, map(_manifest_record, dataset, references))
 
 
 def load_manifest(path: str | Path) -> Dataset:
-    """Load a JSONL manifest, reading feature sidecars relative to it.
+    """Load a JSONL manifest, reading feature records relative to it.
 
     Utterance order follows manifest order. A malformed line raises
-    ManifestError with its 1-based line number before its sidecar is read; a
+    ManifestError with its 1-based line number before its record is read; a
     dangling feature reference raises MissingFeatureFileError naming the
-    resolved path.
+    resolved file, and a bad offset FeatureFileError naming the reference.
+    Each file is opened once per load.
     """
     manifest_path = Path(path)
     manifest_dir = os.path.abspath(manifest_path.parent)
@@ -576,19 +629,20 @@ def load_manifest(path: str | Path) -> Dataset:
     def utterance(record: dict, line_number: int) -> Utterance:
         if not record["id"] or record.get("multiplicity", 1) < 1:
             raise ManifestError(manifest_path, line_number, "needs an id and a multiplicity >= 1")
-        sidecar = os.path.join(manifest_dir, record["features"])
-        features = read_features(sidecar)
+        reference = os.path.join(manifest_dir, record["features"])
+        features = files.read(reference)
         return Utterance(
             id=record["id"],
             features=features,
             transcript=record.get("transcript"),
             score=record.get("score"),
             multiplicity=record.get("multiplicity", 1),
-            feature_source=(sidecar, features),
+            feature_source=(reference, features),
         )
 
-    return Dataset(read_jsonl(manifest_path, _MANIFEST_SPEC, "manifest record", utterance,
-                              required=("id", "features")))
+    with _FeatureFiles() as files:
+        return Dataset(read_jsonl(manifest_path, _MANIFEST_SPEC, "manifest record", utterance,
+                                  required=("id", "features")))
 
 
 def save_vocab(vocab: TokenVocab, path: str | Path) -> None:

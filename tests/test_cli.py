@@ -57,7 +57,7 @@ def test_synth_writes_task(task_dir):
 
 
 def test_synth_rerun_with_another_seed_refused(task_dir, tmp_path, capsys):
-    # A derived copy references the dev sidecars; a second synth into the same
+    # A derived copy references the dev pack; a second synth into the same
     # directory would rewrite them under it.
     dev = task_dir / "dev.jsonl"
     copy = tmp_path / "copy.jsonl"
@@ -168,7 +168,7 @@ def test_filter_and_curves(task_dir, model_path, filter_model_path, tmp_path):
     assert code == 0
     kept = load_manifest(kept_path)
     assert 0 < len(kept) < len(scored)
-    assert not (tmp_path / "kept_features").exists()
+    assert not (tmp_path / "kept.nstp").exists()
 
     everything = tmp_path / "all.jsonl"
     # argparse needs the '=' form for values that begin with a dash
@@ -176,7 +176,7 @@ def test_filter_and_curves(task_dir, model_path, filter_model_path, tmp_path):
           "--filter-model", str(filter_model_path),
           "--cutoff=-inf", "--out", str(everything)])
     assert len(load_manifest(everything)) == len(scored)
-    assert not (tmp_path / "all_features").exists()
+    assert not (tmp_path / "all.nstp").exists()
 
     curves = tmp_path / "curves.tsv"
     code = main(["curves", "--refs", str(task_dir / "dev.jsonl"),
@@ -196,7 +196,7 @@ def test_filter_and_curves(task_dir, model_path, filter_model_path, tmp_path):
                  "--out", str(balanced)])
     assert code == 0
     assert all(1 <= u.multiplicity <= 2 for u in load_manifest(balanced))
-    assert not (tmp_path / "balanced_features").exists()
+    assert not (tmp_path / "balanced.nstp").exists()
 
 
 def test_augment_cli(task_dir, tmp_path):
@@ -211,12 +211,32 @@ def test_augment_cli(task_dir, tmp_path):
     augmented = load_manifest(out)
     assert augmented.ids() == original.ids()
     assert augmented[0].features.shape == original[0].features.shape
-    sidecars = sorted(p.stem for p in (tmp_path / "aug_features").iterdir())
-    assert sidecars == sorted(original.ids())
+    # Every augmented matrix is a fresh record, in order, in the output's own pack.
+    offsets = np.cumsum([0] + [12 + 4 * u.features.size for u in original])
+    references = [json.loads(line)["features"] for line in out.read_text().splitlines()]
+    assert references == [f"aug.nstp:{o}" for o in offsets[:-1]]
+    assert (tmp_path / "aug.nstp").stat().st_size == offsets[-1]
+
+
+def test_filter_on_a_bad_feature_offset_exits_2(task_dir, tmp_path, capsys):
+    manifest = tmp_path / "bad.jsonl"
+    records = [json.loads(line) for line in (task_dir / "supervised.jsonl").read_text().splitlines()]
+    for r in records:
+        r["features"] = f"task/{r['features']}"
+    bad = records[3]["features"] = f"task/supervised.nstp:{2**64}"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+    model = tmp_path / "filter.json"
+    model.write_text(json.dumps({"mu": 0.0, "beta": 0.0, "sigma": 1.0}))
+    code = main(["filter", "--manifest", str(manifest), "--filter-model", str(model),
+                 "--cutoff", "0", "--out", str(tmp_path / "kept.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "offset past the end" in err and bad in err
+    assert not (tmp_path / "kept.jsonl").exists()
 
 
 def test_augment_in_place_refused(task_dir, tmp_path, capsys):
-    # A derived copy references the dev sidecars; augmenting dev in place
+    # A derived copy references the dev pack; augmenting dev in place
     # would rewrite them under the copy.
     dev = task_dir / "dev.jsonl"
     copy = tmp_path / "copy.jsonl"

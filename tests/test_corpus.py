@@ -1,14 +1,18 @@
 import json
 import os
 import re
+import resource
+import tempfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nst import corpus
 from nst.corpus import (
     CorpusError,
     Dataset,
@@ -293,7 +297,7 @@ class TestFeatureFiles:
             read_features(tmp_path / "absent.nstf")
 
     def test_failed_replace_leaves_no_file(self, tmp_path, monkeypatch):
-        # A torn sidecar would make the overwrite guard refuse to re-run the same save.
+        # A torn pack would make the overwrite guard refuse to re-run the same save.
         def fail_replace(src, dst):
             raise OSError("disk full")
 
@@ -301,6 +305,39 @@ class TestFeatureFiles:
         with pytest.raises(OSError, match="disk full"):
             write_features(tmp_path / "f.nstf", np.zeros((2, 3), dtype=np.float32))
         assert list(tmp_path.iterdir()) == []
+
+    def test_pack_records_lie_end_to_end(self, tmp_path):
+        matrices = [np.arange(n * 2, dtype=np.float32).reshape(n, 2) for n in (1, 3, 2)]
+        write_features(tmp_path / "p.nstp", *matrices)
+        raw = (tmp_path / "p.nstp").read_bytes()
+        offsets = [0, 12 + 8, 12 + 8 + 12 + 24]
+        assert len(raw) == offsets[-1] + 12 + 16
+        for offset, matrix in zip(offsets, matrices):
+            assert raw[offset:offset + 4] == b"NSTF"
+            assert np.array_equal(read_features(f"{tmp_path / 'p.nstp'}:{offset}"), matrix)
+        # A pack read whole is not one record.
+        with pytest.raises(FeatureFileError, match="truncated"):
+            read_features(tmp_path / "p.nstp")
+
+    @pytest.mark.parametrize(
+        "offset, named",
+        [("36", "offset past the end"), ("4", "bad magic"), ("20", "truncated"),
+         ("9" * 30, "offset past the end"), (str(2**63), "offset past the end")],
+        ids=["past-end", "off-magic", "record-past-end", "huge", "int64-max-plus-1"],
+    )
+    def test_bad_offset_is_refused_naming_the_reference(self, tmp_path, offset, named):
+        # Two 20-byte records, the second cut short by one value.
+        write_features(tmp_path / "p.nstp", np.zeros((1, 2)), np.zeros((1, 2)))
+        (tmp_path / "p.nstp").write_bytes((tmp_path / "p.nstp").read_bytes()[:-4])
+        reference = f"{tmp_path / 'p.nstp'}:{offset}"
+        with pytest.raises(FeatureFileError) as err:
+            read_features(reference)
+        assert reference in str(err.value) and named in str(err.value)
+
+    def test_missing_pack_names_the_pack(self, tmp_path):
+        with pytest.raises(MissingFeatureFileError) as err:
+            read_features(f"{tmp_path / 'absent.nstp'}:0")
+        assert err.value.path == str(tmp_path / "absent.nstp")
 
 
 class TestManifests:
@@ -336,11 +373,25 @@ class TestManifests:
     def test_missing_feature_file_names_path(self, tmp_path, small_dataset):
         path = tmp_path / "data.jsonl"
         save_manifest(small_dataset, path)
-        victim = tmp_path / "data_features" / "u-1.nstf"
+        victim = tmp_path / "data.nstp"
         victim.unlink()
         with pytest.raises(MissingFeatureFileError) as err:
             load_manifest(path)
-        assert "u-1.nstf" in err.value.path
+        assert err.value.path == str(victim)
+
+    @pytest.mark.parametrize(
+        "offset", ["312", "4", str(2**64)], ids=["past-end", "off-magic", "beyond-int64"]
+    )
+    def test_bad_offset_in_a_manifest_fails_at_load(self, tmp_path, small_dataset, offset):
+        path = tmp_path / "data.jsonl"
+        save_manifest(small_dataset, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["features"] = f"data.nstp:{offset}"
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FeatureFileError, match=re.escape(f"data.nstp:{offset}")):
+            load_manifest(path)
 
     def test_schema_violations(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -376,7 +427,7 @@ class TestManifests:
              "nan-score", "missing-features", "list-record"],
     )
     def test_mistyped_lines_refused_naming_line_and_key(self, tmp_path, record, named):
-        # Each would otherwise load as another utterance; no sidecar exists, so the
+        # Each would otherwise load as another utterance; no feature file exists, so the
         # refusal must come before any is read.
         path = tmp_path / "data.jsonl"
         path.write_text("\n" + json.dumps(record) + "\n")
@@ -402,22 +453,23 @@ class TestManifests:
         derived.parent.mkdir()
         save_manifest(loaded, derived)
         assert list(derived.parent.iterdir()) == [derived]
-        for line in derived.read_text(encoding="utf-8").splitlines():
-            assert json.loads(line)["features"].startswith("../in/data_features/")
+        references = [json.loads(line)["features"]
+                      for line in derived.read_text(encoding="utf-8").splitlines()]
+        assert references == [f"../in/data.nstp:{o}" for o in (0, 60, 132, 216)]
         for a, b in zip(load_manifest(derived), small_dataset):
             assert a.features.tobytes() == b.features.astype(np.float32).tobytes()
 
     @pytest.mark.parametrize(
         "manifest",
-        ["task/derived.jsonl", "task/a_features/derived.jsonl", "task/sub/derived.jsonl",
+        ["derived.jsonl", "task/derived.jsonl", "task/sub/derived.jsonl",
          "out/derived.jsonl", "out/deeper/derived.jsonl"],
-        ids=["parent-dir", "own-dir", "sibling-dir", "other-tree", "deeper-tree"],
+        ids=["parent-dir", "own-dir", "child-dir", "other-tree", "deeper-tree"],
     )
     def test_sidecar_references_are_the_relpath_of_each_sidecar(
         self, tmp_path, small_dataset, manifest
     ):
-        # Relative paths are computed once per sidecar directory; each must still
-        # be exactly os.path.relpath of its sidecar, with no "./" in the manifest's
+        # Relative paths are computed once per pack directory; each must still
+        # be exactly os.path.relpath of its record, with no "./" in the manifest's
         # own directory.
         task = tmp_path / "task"
         task.mkdir()
@@ -430,8 +482,8 @@ class TestManifests:
         records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         expected = [os.path.relpath(u.feature_source[0], path.parent) for u in loaded]
         assert [r["features"] for r in records] == expected
-        if manifest == "task/a_features/derived.jsonl":
-            assert expected[:2] == ["u-0.nstf", "u-1.nstf"]
+        if manifest == "task/derived.jsonl":
+            assert expected == ["a.nstp:0", "a.nstp:60", "b.nstp:0", "b.nstp:84"]
         assert_datasets_equal(load_manifest(path), small_dataset)
 
     def test_replaced_features_get_their_own_sidecar(self, tmp_path, small_dataset):
@@ -441,9 +493,9 @@ class TestManifests:
         changed = replace(loaded[1], features=loaded[1].features + 1)
         derived = tmp_path / "derived.jsonl"
         save_manifest(Dataset([loaded[0], changed]), derived)
-        assert sorted(p.name for p in (tmp_path / "derived_features").iterdir()) == [
-            "u-1.nstf"
-        ]
+        references = [json.loads(line)["features"] for line in derived.read_text().splitlines()]
+        assert references == ["data.nstp:0", "derived.nstp:0"]
+        assert (tmp_path / "derived.nstp").stat().st_size == 72
         reloaded = load_manifest(derived)
         assert np.array_equal(reloaded[0].features, loaded[0].features)
         assert np.array_equal(reloaded[1].features, loaded[1].features + 1)
@@ -457,9 +509,11 @@ class TestManifests:
         fresh = Utterance(id="new", features=np.ones((2, 3)))
         changed = replace(loaded[1], features=loaded[1].features + 1)
         before = path.read_bytes()
-        with pytest.raises(CorpusError, match="u-1.nstf"):
+        pack_before = (tmp_path / "data.nstp").read_bytes()
+        with pytest.raises(CorpusError, match="refusing to overwrite .*data.nstp"):
             save_manifest(Dataset([fresh, changed]), path)
-        assert not (tmp_path / "data_features" / "new.nstf").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "data.nstp"]
+        assert (tmp_path / "data.nstp").read_bytes() == pack_before
         assert path.read_bytes() == before
         assert_datasets_equal(load_manifest(path), small_dataset)
 
@@ -475,6 +529,162 @@ class TestManifests:
         with pytest.raises(OSError):
             save_manifest(small_dataset.strip_labels(), path)
         assert path.read_bytes() == before
+
+
+    def test_identical_pack_is_left_in_place_and_a_differing_one_refused(
+        self, tmp_path, small_dataset
+    ):
+        path = tmp_path / "data.jsonl"
+        save_manifest(small_dataset, path)
+        pack = tmp_path / "data.nstp"
+        inode = pack.stat().st_ino
+        save_manifest(small_dataset, path)
+        assert pack.stat().st_ino == inode
+        # Same shapes, so the same size, but other values.
+        shifted = Dataset(replace(u, features=u.features + 1) for u in small_dataset)
+        before = path.read_bytes()
+        with pytest.raises(CorpusError, match="refusing to overwrite"):
+            save_manifest(shifted, path)
+        assert pack.stat().st_ino == inode and path.read_bytes() == before
+        assert_datasets_equal(load_manifest(path), small_dataset)
+
+    @pytest.mark.parametrize("failure", ["replace", "write"])
+    def test_failed_pack_save_leaves_no_pack_and_the_previous_manifest(
+        self, tmp_path, small_dataset, monkeypatch, failure
+    ):
+        source = tmp_path / "in" / "data.jsonl"
+        source.parent.mkdir()
+        save_manifest(small_dataset, source)
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "data.jsonl"
+        save_manifest(load_manifest(source), path)
+        before = path.read_bytes()
+
+        if failure == "replace":
+            def fail_replace(src, dst):
+                raise OSError("disk full")
+
+            monkeypatch.setattr("nst.corpus.os.replace", fail_replace)
+        else:
+            # The third record fails after two were streamed to the temp file.
+            real = corpus._feature_bytes
+            calls = iter(range(100))
+
+            def fail_third(features):
+                if next(calls) == 2:
+                    raise OSError("disk full")
+                return real(features)
+
+            monkeypatch.setattr("nst.corpus._feature_bytes", fail_third)
+        with pytest.raises(OSError, match="disk full"):
+            save_manifest(small_dataset, path)
+        assert [p.name for p in out.iterdir()] == ["data.jsonl"]
+        assert path.read_bytes() == before
+
+
+class TestLegacyFeatureFiles:
+    """Manifests written before packs: one ``<stem>_features/<id>.nstf`` file per utterance."""
+
+    @staticmethod
+    def write_legacy(directory, dataset, stem="old"):
+        (directory / f"{stem}_features").mkdir(parents=True)
+        for u in dataset:
+            write_features(directory / f"{stem}_features" / f"{u.id}.nstf", u.features)
+        path = directory / f"{stem}.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": u.id, "features": f"{stem}_features/{u.id}.nstf",
+                        "transcript": list(u.transcript), "score": u.score}) + "\n"
+            for u in dataset
+        ))
+        return path
+
+    def test_legacy_manifest_loads(self, tmp_path, small_dataset):
+        path = self.write_legacy(tmp_path, small_dataset)
+        assert_datasets_equal(load_manifest(path), small_dataset)
+
+    def test_derived_save_keeps_referencing_the_nstf_files(self, tmp_path, small_dataset):
+        path = self.write_legacy(tmp_path / "task", small_dataset)
+        derived = tmp_path / "out" / "derived.jsonl"
+        derived.parent.mkdir()
+        save_manifest(load_manifest(path), derived)
+        assert list(derived.parent.iterdir()) == [derived]
+        references = [json.loads(line)["features"] for line in derived.read_text().splitlines()]
+        assert references == [f"../task/old_features/{u.id}.nstf" for u in small_dataset]
+        assert_datasets_equal(load_manifest(derived), small_dataset)
+
+    def test_mixed_pack_and_nstf_rows_round_trip_bit_for_bit(self, tmp_path, small_dataset):
+        legacy = load_manifest(self.write_legacy(tmp_path, small_dataset))
+        mixed = Dataset(
+            u if i % 2 else replace(u, features=u.features * 2) for i, u in enumerate(legacy)
+        )
+        path = tmp_path / "mixed.jsonl"
+        save_manifest(mixed, path)
+        references = [json.loads(line)["features"] for line in path.read_text().splitlines()]
+        assert references == [
+            "mixed.nstp:0", "old_features/u-1.nstf", "mixed.nstp:60", "old_features/u-3.nstf"
+        ]
+        again = tmp_path / "again" / "mixed.jsonl"
+        again.parent.mkdir()
+        save_manifest(load_manifest(path), again)
+        for loaded in (load_manifest(path), load_manifest(again)):
+            assert [u.features.tobytes() for u in loaded] == [
+                u.features.tobytes() for u in mixed
+            ]
+
+    def test_legacy_files_are_not_all_held_open(self, tmp_path):
+        # One file per utterance, more than the process may hold open at once.
+        path = self.write_legacy(tmp_path, Dataset(
+            Utterance(id=f"u{i}", features=np.full((1, 1), i), transcript=(), score=0.0)
+            for i in range(300)
+        ))
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (256, hard))
+        try:
+            loaded = load_manifest(path)
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert [u.features[0, 0] for u in loaded] == list(range(300))
+
+    def test_legacy_file_keeps_its_whole_file_length_check(self, tmp_path, small_dataset):
+        path = self.write_legacy(tmp_path, small_dataset)
+        victim = tmp_path / "old_features" / "u-2.nstf"
+        victim.write_bytes(victim.read_bytes() + b"\0" * 4)
+        with pytest.raises(FeatureFileError, match="u-2.nstf: truncated"):
+            load_manifest(path)
+
+
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    st.integers(1, 4),
+    st.lists(st.booleans(), min_size=6, max_size=6),
+    st.sampled_from(["derived.jsonl", "task/derived.jsonl", "task/sub/derived.jsonl",
+                     "out/derived.jsonl"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_pack_round_trip_over_random_shapes(frames, cols, replaced, manifest):
+    # A fresh save, then a derived save elsewhere that replaces some rows'
+    # features: every row reads back bit for bit, from whichever file holds it.
+    rng = np.random.default_rng(len(frames) * 7 + cols)
+    dataset = Dataset(
+        Utterance(id=f"u{i}", features=rng.standard_normal((n, cols)))
+        for i, n in enumerate(frames)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "task").mkdir()
+        save_manifest(dataset, root / "task" / "data.jsonl")
+        loaded = load_manifest(root / "task" / "data.jsonl")
+        derived = Dataset(
+            replace(u, features=-u.features) if flip else u for u, flip in zip(loaded, replaced)
+        )
+        path = root / manifest
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_manifest(derived, path)
+        assert [u.features.tobytes() for u in load_manifest(path)] == [
+            u.features.tobytes() for u in derived
+        ]
+        assert path.with_suffix(".nstp").exists() == any(replaced[: len(frames)])
 
 
 class TestAtomicWrite:

@@ -171,6 +171,7 @@ class TestFullLoop:
         for stem in ("pseudo", "filtered", "balanced"):
             assert (workdir / f"{stem}_gen1.jsonl").exists()
         assert list(workdir.glob("*_features")) == []
+        assert list(workdir.glob("*.nstp")) == []
         pseudo = load_manifest(workdir / "pseudo_gen1.jsonl")
         unlab = load_manifest(task / "unlab.jsonl")
         assert pseudo.ids() == unlab.ids()
@@ -535,7 +536,7 @@ class TestFailureInjection:
     ):
         config, reference = uninterrupted
         # A sibling of the reference, so derived manifests' relative
-        # references to the task's sidecars are the same strings.
+        # references to the task's packs are the same strings.
         workdir = reference.parent / f"gen{generation}-{stage}"
         cue = Cue(nth)
         if target in RECOGNIZER_METHODS:
