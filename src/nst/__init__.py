@@ -1,7 +1,7 @@
 """Data-side machinery for noisy student training of sequence recognizers.
 
 Modules:
-    corpus      dataset model, tokenization, manifests, feature files
+    corpus      dataset model, token vocabulary, manifests, feature files
     scoring     N-best lists, fused score combination, grid search, WER
     filtering   length-normalized score fitting and cutoff filtering
     balancing   greedy token-distribution balancing
@@ -18,14 +18,12 @@ from .corpus import (
     Transcript,
     Utterance,
     WeightedSample,
-    detokenize,
     load_manifest,
     load_vocab,
     read_features,
     save_manifest,
     save_vocab,
     token_distribution,
-    tokenize,
 )
 from .errors import NstError
 from .scoring import (
@@ -37,7 +35,7 @@ from .scoring import (
     wer,
 )
 from .filtering import FilterModel, apply_filter, filter_score, fit_filter
-from .balancing import SamplerConfig, cost_benefit, kl_divergence, submodular_sample
+from .balancing import SamplerConfig, kl_divergence, submodular_sample
 from .augment import AugmentPolicy, apply_policy
 from .mixing import MixPlan, mix_batchwise, mix_uniform
 from .recognizer import ToyRecognizer, ToyWorld, synth_generate, toy_train, toy_transcribe
@@ -75,8 +73,6 @@ __all__ = [
     "apply_filter",
     "apply_policy",
     "best_hypothesis",
-    "cost_benefit",
-    "detokenize",
     "emit_reports",
     "filter_score",
     "fit_filter",
@@ -94,7 +90,6 @@ __all__ = [
     "submodular_sample",
     "synth_generate",
     "token_distribution",
-    "tokenize",
     "toy_train",
     "toy_transcribe",
     "wer",

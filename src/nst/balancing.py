@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import TokenDistribution, Transcript, WeightedSample, token_counts
+from .corpus import TokenDistribution, WeightedSample, token_counts
 from .errors import NstError
 
 
@@ -29,10 +29,6 @@ class BalancingError(NstError):
 
 
 class VocabMismatchError(BalancingError):
-    pass
-
-
-class ZeroLengthSentenceError(BalancingError):
     pass
 
 
@@ -97,31 +93,6 @@ def _row_kls(rows: np.ndarray, log_q: np.ndarray, epsilon: float) -> np.ndarray:
     smoothed = rows / np.where(totals > 0, totals, 1.0) + epsilon
     smoothed /= smoothed.sum(axis=1, keepdims=True)
     return np.sum(smoothed * (np.log(smoothed) - log_q), axis=1)
-
-
-def cost_benefit(
-    current_counts: np.ndarray | Sequence[float],
-    sentence: Transcript | Sequence[int],
-    target: TokenDistribution,
-    epsilon: float = 1e-6,
-) -> float:
-    """KL decrease from adding ``sentence`` to the sampled set, per token.
-
-    With an empty current set the starting point is the smoothed all-zero
-    count vector, i.e. the uniform distribution.
-    """
-    length = len(sentence)
-    if length == 0:
-        raise ZeroLengthSentenceError("cost-benefit is undefined for an empty sentence")
-    counts = np.asarray(current_counts, dtype=np.float64)
-    if counts.shape != (target.vocab_size,):
-        raise VocabMismatchError(
-            f"counts have shape {counts.shape}, expected ({target.vocab_size},)"
-        )
-    # Rows: the current counts, then the counts with the sentence added.
-    rows = counts + token_counts([(), sentence], target.vocab_size)
-    before, after = _row_kls(rows, np.log(_smooth(target.probs, epsilon)), epsilon)
-    return float(before - after) / length
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Dataset model, tokenization, token statistics, and manifest persistence.
+"""Dataset model, token vocabulary, token statistics, and manifest persistence.
 
 Utterances carry a feature matrix (frames x channels, float32) plus optional
 transcript, score, and sampling multiplicity. Manifests are JSON Lines with
@@ -34,7 +34,10 @@ from .errors import NstError, read_record
 
 FEATURE_MAGIC = b"NSTF"
 
-_SAFE_ID = re.compile(r"^[A-Za-z0-9._-]+$")
+# Utterance ids keep to these characters, so no tab or newline reaches a TSV such as
+# ``nst mix``'s output.
+_SAFE_ID = re.compile(r"[A-Za-z0-9._-]+")
+_ID_RULE = "utterance id must be a nonempty string of A-Z, a-z, 0-9, '.', '_' and '-'"
 
 # The keys of a manifest line, with their JSON types.
 _MANIFEST_SPEC = {"id": str, "features": str, "transcript": (list, None),
@@ -128,10 +131,6 @@ class Transcript:
     def __iter__(self) -> Iterator[int]:
         return iter(self.tokens)
 
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
 
 class TokenVocab:
     """Total bijection between token strings and ids 0..size-1."""
@@ -185,18 +184,6 @@ class TokenVocab:
         return tuple(self.token_of(t) for t in transcript)
 
 
-def tokenize(text: str, vocab: TokenVocab) -> Transcript:
-    """Whitespace-split ``text`` and map every token through ``vocab``.
-
-    Raises UnknownTokenError naming the first out-of-vocabulary token.
-    """
-    return vocab.encode_tokens(text.split())
-
-
-def detokenize(transcript: Transcript | Sequence[int], vocab: TokenVocab) -> str:
-    return " ".join(vocab.decode(transcript))
-
-
 @dataclass(frozen=True)
 class TokenDistribution:
     """Normalized token counts over ids 0..vocab_size-1."""
@@ -217,12 +204,6 @@ class TokenDistribution:
     @property
     def vocab_size(self) -> int:
         return int(self.probs.size)
-
-    def prob(self, token_id: int) -> float:
-        return float(self.probs[token_id])
-
-    def as_dict(self) -> dict[int, float]:
-        return {i: float(p) for i, p in enumerate(self.probs) if p > 0.0}
 
     @classmethod
     def from_counts(cls, counts: Sequence[float] | np.ndarray) -> "TokenDistribution":
@@ -312,8 +293,8 @@ class Utterance:
     feature_source: tuple[str, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not self.id or not isinstance(self.id, str):
-            raise CorpusError("utterance id must be a nonempty string")
+        if not isinstance(self.id, str) or not _SAFE_ID.fullmatch(self.id):
+            raise CorpusError(f"{_ID_RULE}, got {self.id!r}")
         feats = np.asarray(self.features, dtype=np.float32)
         if feats.ndim != 2 or feats.shape[0] < 1:
             raise CorpusError(
@@ -363,7 +344,6 @@ class Dataset:
                     f"inconsistent channel count: {u.n_channels} != {width} (utterance {u.id!r})"
                 )
         self._utterances = utts
-        self._by_id = {u.id: u for u in utts}
 
     def __len__(self) -> int:
         return len(self._utterances)
@@ -376,12 +356,6 @@ class Dataset:
 
     def ids(self) -> tuple[str, ...]:
         return tuple(u.id for u in self._utterances)
-
-    def by_id(self, utterance_id: str) -> Utterance:
-        try:
-            return self._by_id[utterance_id]
-        except KeyError:
-            raise CorpusError(f"no utterance with id {utterance_id!r}") from None
 
     def total_tokens(self) -> int:
         """Sum of transcript lengths; every utterance must be labeled."""
@@ -502,9 +476,22 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     _atomic_write(path, [text.encode("utf-8")])
 
 
+def _json_text(path: str | Path, records: Iterable[object], **options) -> str:
+    """Each of ``records`` as JSON and a newline, for the file ``path``.
+
+    JSON has no NaN or infinity, so a record holding one raises CorpusError
+    naming ``path``, before anything is written there.
+    """
+    encoder = json.JSONEncoder(allow_nan=False, **options)
+    try:
+        return "".join(encoder.encode(record) + "\n" for record in records)
+    except ValueError as exc:
+        raise CorpusError(f"{path}: cannot write as JSON ({exc})") from None
+
+
 def atomic_write_json(path: str | Path, record: object) -> None:
     """``record`` as indented, key-sorted JSON and a newline, written atomically."""
-    atomic_write_text(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(path, _json_text(path, [record], sort_keys=True, indent=2))
 
 
 def read_json(path: str | Path, error: type[NstError]) -> object:
@@ -517,7 +504,7 @@ def read_json(path: str | Path, error: type[NstError]) -> object:
 
 def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
     """``records`` as JSON Lines, one object and a newline each, written atomically."""
-    atomic_write_text(path, "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records))
+    atomic_write_text(path, _json_text(path, records, ensure_ascii=False))
 
 
 def read_jsonl(
@@ -588,8 +575,6 @@ def save_manifest(dataset: Dataset, path: str | Path) -> None:
     # joined result is what os.path.relpath gives for each record.
     relative_dirs: dict[str, str] = {}
     for u in dataset:
-        if not _SAFE_ID.match(u.id):
-            raise CorpusError(f"utterance id not filesystem-safe: {u.id!r}")
         source = u.feature_source
         if source is not None and source[1] is u.features:
             directory, name = os.path.split(source[0])
@@ -627,8 +612,10 @@ def load_manifest(path: str | Path) -> Dataset:
     manifest_dir = os.path.abspath(manifest_path.parent)
 
     def utterance(record: dict, line_number: int) -> Utterance:
-        if not record["id"] or record.get("multiplicity", 1) < 1:
-            raise ManifestError(manifest_path, line_number, "needs an id and a multiplicity >= 1")
+        if not _SAFE_ID.fullmatch(record["id"]):
+            raise ManifestError(manifest_path, line_number, f"{_ID_RULE}, got {record['id']!r}")
+        if record.get("multiplicity", 1) < 1:
+            raise ManifestError(manifest_path, line_number, "multiplicity must be >= 1")
         reference = os.path.join(manifest_dir, record["features"])
         features = files.read(reference)
         return Utterance(

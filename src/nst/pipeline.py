@@ -375,7 +375,11 @@ def init_state(workdir: str | Path, config: PipelineConfig, seed: int) -> Pipeli
 
 
 class _Stage:
-    """Context manager wrapping a stage so failures carry generation and stage."""
+    """Context manager wrapping a stage so failures carry generation and stage.
+
+    Only an ``Exception`` is wrapped: ``KeyboardInterrupt`` and ``SystemExit``
+    pass through unchanged.
+    """
 
     def __init__(self, generation: int, stage: str):
         self.generation = generation
@@ -385,7 +389,7 @@ class _Stage:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc is not None and not isinstance(exc, StageError):
+        if isinstance(exc, Exception) and not isinstance(exc, StageError):
             raise StageError(self.generation, self.stage, exc) from exc
         return False
 

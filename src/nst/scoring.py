@@ -131,16 +131,13 @@ def fuse_components(
 def best_hypothesis(
     hyps: Sequence[ScoredHypothesis], params: FusionParams
 ) -> ScoredHypothesis:
-    """The hypothesis with maximal fused score; earliest wins ties."""
-    if not hyps:
-        raise ScoringError("empty hypothesis list")
-    best = None
-    best_score = -math.inf
-    for h in hyps:
-        score = fuse_components(h.am_score, h.lm_score, h.coverage, len(h.transcript), params)
-        if score > best_score:
-            best, best_score = h, score
-    return best.with_fused(best_score)
+    """The hypothesis with maximal fused score, carrying that score; earliest wins ties.
+
+    It is ``NBest.best`` of a one-row ``NBest``, so an empty list or an
+    overflowing best score raises ``ScoringError``.
+    """
+    (rank,), (score,) = NBest.from_lists([hyps]).best(params)
+    return hyps[rank].with_fused(score)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,10 +247,9 @@ class NBest:
     def best(self, params: FusionParams) -> tuple[np.ndarray, np.ndarray]:
         """Each row's hypothesis with maximal fused score: its rank and that score.
 
-        The fused score is ``fuse_components`` applied to the columns and the
-        first maximum wins ties, so each row's choice and float are those of
-        ``best_hypothesis`` on that row. A row with no hypotheses,
-        or a best fused score that overflows, raises ``ScoringError``.
+        The fused score is ``fuse_components`` applied to the columns, and the
+        first maximum wins ties. A row with no hypotheses, or a best fused
+        score that overflows, raises ``ScoringError``.
         """
         if np.any(self.counts == 0):
             raise ScoringError("empty hypothesis list")

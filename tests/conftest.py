@@ -3,6 +3,8 @@ import pytest
 
 from nst.corpus import Dataset, TokenVocab, Utterance
 
+from oracles import reference_best
+
 
 def assert_datasets_equal(a: Dataset, b: Dataset) -> None:
     assert len(a) == len(b)
@@ -12,6 +14,14 @@ def assert_datasets_equal(a: Dataset, b: Dataset) -> None:
         assert ua.transcript == ub.transcript
         assert ua.score == ub.score
         assert ua.multiplicity == ub.multiplicity
+
+
+def reference_best_of(hyps, params) -> tuple[int, float]:
+    """``reference_best`` of ``ScoredHypothesis`` objects under ``FusionParams``."""
+    rows = [(h.transcript.tokens, h.am_score, h.lm_score, h.coverage) for h in hyps]
+    return reference_best(
+        rows, params.lm_weight, params.coverage_weight, params.nonblank_reward, params.mode
+    )
 
 
 @pytest.fixture

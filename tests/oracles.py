@@ -135,6 +135,34 @@ def reference_score_curves(entries, thresholds) -> list[tuple]:
     return rows
 
 
+def _smoothed(vec: list[float], epsilon: float) -> list[float]:
+    total = sum(vec) + epsilon * len(vec)
+    return [(v + epsilon) / total for v in vec]
+
+
+def _kl_of_counts(counts: list[float], target_probs: list[float], epsilon: float) -> float:
+    """Smoothed KL of the normalized ``counts`` against the target; all-zero reads as uniform."""
+    total = sum(counts)
+    probs = [c / total for c in counts] if total > 0 else [0.0] * len(counts)
+    ps = _smoothed(probs, epsilon)
+    qs = _smoothed(list(target_probs), epsilon)
+    return sum(p * (math.log(p) - math.log(q)) for p, q in zip(ps, qs))
+
+
+def reference_gain(
+    counts: list[float], sentence: list[int], target_probs: list[float], epsilon: float
+) -> float:
+    """KL decrease from adding ``sentence`` (token ids) to ``counts``, per token.
+
+    With all-zero counts the starting point is the uniform distribution.
+    """
+    new_counts = list(counts)
+    for t in sentence:
+        new_counts[t] += 1.0
+    before = _kl_of_counts(counts, target_probs, epsilon)
+    return (before - _kl_of_counts(new_counts, target_probs, epsilon)) / len(sentence)
+
+
 def reference_balance(
     pool: list[tuple[str, list[int]]],
     target_probs: list[float],
@@ -149,42 +177,45 @@ def reference_balance(
     selection counts (pool order) and the infeasible-floor flag.
     """
     n = len(pool)
-    vocab = len(target_probs)
     batch = math.ceil(batch_fraction * n)
-
-    def smoothed(vec: list[float]) -> list[float]:
-        total = sum(vec) + epsilon * len(vec)
-        return [(v + epsilon) / total for v in vec]
-
-    def kl_of_counts(counts: list[float]) -> float:
-        total = sum(counts)
-        probs = [c / total for c in counts] if total > 0 else [0.0] * vocab
-        ps = smoothed(probs)
-        qs = smoothed(list(target_probs))
-        return sum(p * (math.log(p) - math.log(q)) for p, q in zip(ps, qs))
-
     selections = [0] * n
-    counts = [0.0] * vocab
+    counts = [0.0] * len(target_probs)
     total_tokens = 0
-    kl_current = kl_of_counts(counts)
+    kl_current = _kl_of_counts(counts, target_probs, epsilon)
     while True:
         eligible = [i for i in range(n) if selections[i] < cap and len(pool[i][1]) >= 1]
         if not eligible:
             return selections, total_tokens < min_tokens
-        scored = []
-        for i in eligible:
-            new_counts = counts[:]
-            for t in pool[i][1]:
-                new_counts[t] += 1.0
-            gain = (kl_current - kl_of_counts(new_counts)) / len(pool[i][1])
-            scored.append((i, gain))
+        scored = [(i, reference_gain(counts, pool[i][1], target_probs, epsilon)) for i in eligible]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         for i, _ in scored[:batch]:
             selections[i] += 1
             for t in pool[i][1]:
                 counts[t] += 1.0
             total_tokens += len(pool[i][1])
-        kl_next = kl_of_counts(counts)
+        kl_next = _kl_of_counts(counts, target_probs, epsilon)
         if total_tokens >= min_tokens and kl_next >= kl_current:
             return selections, False
         kl_current = kl_next
+
+
+def reference_best(
+    hyps: list[tuple], lm_weight: float, coverage_weight: float, nonblank_reward: float,
+    mode: str,
+) -> tuple[int, float]:
+    """Rank and fused score of the first hypothesis with maximal fused score, one at a time.
+
+    ``hyps`` are (token ids, am, lm, coverage). The fused score is am plus
+    ``lm_weight`` times lm, plus ``coverage_weight`` times coverage in
+    "attention" mode or ``nonblank_reward`` per token in "transducer" mode.
+    """
+    best, best_score = None, -math.inf
+    for rank, (tokens, am, lm, coverage) in enumerate(hyps):
+        score = am + lm_weight * lm
+        if mode == "attention":
+            score = score + coverage_weight * coverage
+        else:
+            score = score + nonblank_reward * len(tokens)
+        if score > best_score:
+            best, best_score = rank, score
+    return best, best_score

@@ -540,6 +540,17 @@ def test_hypotheses_with_a_mistyped_line_exit_2(dev_hyps, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_score_that_overflows_exits_2_and_writes_nothing(tmp_path, capsys):
+    # Written as "fused": -Infinity, the file was refused by the next step, fit-filter.
+    hyps = tmp_path / "hyps.jsonl"
+    hyps.write_text(json.dumps({"id": "u1", "tokens": ["a"], "am": -1e308, "lm": -1e308}) + "\n")
+    out = tmp_path / "fused.jsonl"
+    assert main(["score", "--params", "2,0,0", "--hyps", str(hyps), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: cannot write as JSON") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hyps.jsonl"]
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [

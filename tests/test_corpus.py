@@ -25,8 +25,8 @@ from nst.corpus import (
     Transcript,
     Utterance,
     WeightedSample,
+    atomic_write_json,
     atomic_write_text,
-    detokenize,
     load_manifest,
     load_vocab,
     read_features,
@@ -36,7 +36,6 @@ from nst.corpus import (
     save_vocab,
     token_counts,
     token_distribution,
-    tokenize,
     write_features,
     write_jsonl,
 )
@@ -45,27 +44,22 @@ from nst.corpus import UnknownTokenError
 from conftest import assert_datasets_equal
 
 
-class TestTokenize:
+class TestEncodeTokens:
     def test_direct_mapping(self, ab_vocab):
-        t = tokenize("a b a", ab_vocab)
-        assert t.tokens == (0, 1, 0)
-        assert t.length == 3
+        assert ab_vocab.encode_tokens(["a", "b", "a"]) == Transcript((0, 1, 0))
 
-    def test_empty_text(self, ab_vocab):
-        t = tokenize("", ab_vocab)
-        assert t.tokens == ()
-        assert t.length == 0
+    def test_no_tokens(self, ab_vocab):
+        assert ab_vocab.encode_tokens([]) == Transcript(())
 
     def test_unknown_token_named(self, ab_vocab):
         with pytest.raises(UnknownTokenError) as err:
-            tokenize("a c", ab_vocab)
+            ab_vocab.encode_tokens(["a", "c"])
         assert err.value.token == "c"
 
     @given(st.lists(st.sampled_from(["a", "b", "cc", "dd"]), max_size=20))
     def test_roundtrip_identity(self, words):
         vocab = TokenVocab(["a", "b", "cc", "dd"])
-        text = " ".join(words)
-        assert detokenize(tokenize(text, vocab), vocab) == text
+        assert vocab.decode(vocab.encode_tokens(words)) == tuple(words)
 
 
 class TestVocab:
@@ -99,17 +93,15 @@ class TestVocab:
 class TestTokenDistribution:
     def test_symmetric_counts(self):
         dist = token_distribution([Transcript((0, 1)), Transcript((0, 1))], 2)
-        assert dist.as_dict() == {0: 0.5, 1: 0.5}
+        assert dist.probs.tolist() == [0.5, 0.5]
 
     def test_direct_count(self):
         dist = token_distribution([Transcript((0, 0, 1))], 2)
-        assert dist.prob(0) == pytest.approx(2 / 3)
-        assert dist.prob(1) == pytest.approx(1 / 3)
+        assert dist.probs.tolist() == pytest.approx([2 / 3, 1 / 3])
 
     def test_weighted_count(self):
         dist = token_distribution([Transcript((0,)), Transcript((1,))], 2, weights=[3, 1])
-        assert dist.prob(0) == 0.75
-        assert dist.prob(1) == 0.25
+        assert dist.probs.tolist() == [0.75, 0.25]
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
@@ -226,6 +218,14 @@ class TestTypes:
     def test_weighted_sample_accepts_numpy_integers(self):
         sample = WeightedSample("u", Transcript((0,)), np.int64(3))
         assert sample.multiplicity == 3 and type(sample.multiplicity) is int
+
+    @pytest.mark.parametrize(
+        "utterance_id", ["", "spk 1/utt", "a\tb", "u1\n", "ü", 7, None],
+        ids=["empty", "space-and-slash", "tab", "trailing-newline", "non-ascii", "int", "none"],
+    )
+    def test_utterance_refuses_an_id_outside_the_id_characters(self, utterance_id):
+        with pytest.raises(CorpusError, match="utterance id must be a nonempty string of"):
+            Utterance(id=utterance_id, features=np.ones((1, 2)))
 
     def test_utterance_needs_rows(self):
         with pytest.raises(CorpusError):
@@ -414,7 +414,9 @@ class TestManifests:
              "multiplicity must be an integer"),
             ({"id": "u1", "features": "f.nstf", "score": "1.5"}, "score must be a number or null"),
             ({"id": 7, "features": "f.nstf"}, "id must be a string"),
-            ({"id": "", "features": "f.nstf"}, "needs an id"),
+            ({"id": "", "features": "f.nstf"}, "utterance id must be"),
+            ({"id": "spk 1/utt", "features": "f.nstf"}, "utterance id must be.*'spk 1/utt'"),
+            ({"id": "u1\t2", "features": "f.nstf"}, "utterance id must be"),
             ({"id": "u1", "features": "f.nstf", "transcript": "ab"}, "transcript must be a list"),
             ({"id": "u1", "features": "f.nstf", "transcript": ["a", 1]},
              "non-string in transcript"),
@@ -423,8 +425,8 @@ class TestManifests:
             (["u1", "f.nstf"], "manifest record must be a mapping"),
         ],
         ids=["found-record", "bool-score", "bool-multiplicity", "float-multiplicity",
-             "string-score", "int-id", "empty-id", "string-transcript", "int-token",
-             "nan-score", "missing-features", "list-record"],
+             "string-score", "int-id", "empty-id", "unsafe-id", "tab-id", "string-transcript",
+             "int-token", "nan-score", "missing-features", "list-record"],
     )
     def test_mistyped_lines_refused_naming_line_and_key(self, tmp_path, record, named):
         # Each would otherwise load as another utterance; no feature file exists, so the
@@ -435,6 +437,16 @@ class TestManifests:
             load_manifest(path)
         assert err.value.line_number == 2
         assert str(path) in str(err.value)
+
+    def test_ids_of_every_allowed_character_round_trip(self, tmp_path):
+        # The one id rule holds at construction, load and save alike, so a manifest that
+        # loads can be saved again.
+        ids = ["ABCXYZ", "abcxyz", "0189", "spk-1_utt.2", ".", "_", "-"]
+        dataset = Dataset(Utterance(id=i, features=np.ones((1, 2))) for i in ids)
+        save_manifest(dataset, tmp_path / "a.jsonl")
+        loaded = load_manifest(tmp_path / "a.jsonl")
+        save_manifest(loaded, tmp_path / "b.jsonl")
+        assert load_manifest(tmp_path / "b.jsonl").ids() == tuple(ids)
 
     def test_manifest_is_jsonl_with_relative_features(self, tmp_path, small_dataset):
         path = tmp_path / "data.jsonl"
@@ -734,6 +746,18 @@ class TestJsonFiles:
         )
         write_jsonl(path, [])
         assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("writer", [write_jsonl, atomic_write_json],
+                             ids=["write_jsonl", "atomic_write_json"])
+    def test_writers_refuse_a_number_json_cannot_hold(self, tmp_path, writer, value):
+        # Python's JSON writer would put out NaN or Infinity, which no JSON reader accepts.
+        path = tmp_path / "out.json"
+        record = {"id": "u", "scores": [0.5, value]}
+        with pytest.raises(CorpusError, match=f"{path}: cannot write as JSON"):
+            writer(path, [record] if writer is write_jsonl else record)
+        assert list(tmp_path.iterdir()) == []
 
     def test_read_jsonl_skips_blank_lines_and_numbers_the_rest(self, tmp_path):
         path = tmp_path / "records.jsonl"

@@ -43,7 +43,7 @@ def _used_names(tree: ast.Module) -> set[str]:
     """Every name loaded anywhere, including inside string annotations and ``__all__``."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             # Quoted annotations such as "Dataset" or "list[Utterance]".
@@ -129,7 +129,8 @@ def test_layering_violation_is_detected():
     assert _layering_violations("cli", tree) == []
 
 
-ORACLES = Path(__file__).resolve().parent / "oracles.py"
+TESTS_DIR = Path(__file__).resolve().parent
+ORACLES = TESTS_DIR / "oracles.py"
 
 
 def _package_imports(tree: ast.Module) -> list[str]:
@@ -274,54 +275,102 @@ def test_public_names_resolve():
     assert len(set(nst.__all__)) == len(nst.__all__)
 
 
+def _targets(node: ast.stmt) -> list[str]:
+    """The plain names an assignment statement binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _defined_names(node: ast.stmt) -> list[str]:
     """Names a top-level statement defines that must be used: a function or class, or a
     private constant (``_NAME = ...``). Dunder names such as ``__all__`` are exempt."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [node.name]
-    targets = node.targets if isinstance(node, ast.Assign) else (
-        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [name for name in _targets(node) if name.startswith("_") and not _is_dunder(name)]
+
+
+def _uses(nodes: list[ast.AST], own: set[str]) -> tuple[set[str], set[str]]:
+    """The names and the attribute names ``nodes`` use, leaving out ``own``."""
+    names, attrs = set(), set()
+    for node in nodes:
+        names |= _used_names(node)
+        attrs |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    return names - own, attrs - own
+
+
+def _parts(tree: ast.Module):
+    """(definitions, used names, used attributes) of each top-level statement but
+    ``__all__``, with a class split into each method and the rest of the class.
+
+    A definition is (qualified name, the name a use carries, line). A method is
+    ``Class.method``; dunder methods are exempt. A part's uses of what it defines,
+    and a method's uses of its own class, are left out: self-use is not use.
+    """
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            methods = [m for m in node.body
+                       if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            rest = [*node.decorator_list, *node.bases, *node.keywords,
+                    *(s for s in node.body if s not in methods)]
+            yield [(node.name, node.name, node.lineno)], *_uses(rest, {node.name})
+            for m in methods:
+                qualified = f"{node.name}.{m.name}"
+                defined = [] if _is_dunder(m.name) else [(qualified, m.name, m.lineno)]
+                yield defined, *_uses([m], {node.name, m.name})
+        elif "__all__" not in _targets(node):
+            defined = _defined_names(node)
+            yield [(name, name, node.lineno) for name in defined], *_uses([node], set(defined))
+
+
+def _unreferenced_definitions(
+    package: dict[str, ast.Module], users: list[ast.Module]
+) -> list[str]:
+    """``<module>.<name> (line)`` of every top-level function, class, private constant or
+    non-dunder method of ``package`` that nothing else uses. A use is a reference from
+    another part of the package or from ``users``; a method is used only through an
+    attribute (``x.method``). ``__all__`` and imports are not uses."""
+    names, attrs, definitions = set(), set(), []
+    for module, tree in [*sorted(package.items()), *((None, tree) for tree in users)]:
+        for defined, used_names, used_attrs in _parts(tree):
+            names |= used_names
+            attrs |= used_attrs
+            if module is not None:
+                definitions += [(module, *d) for d in defined]
     return [
-        t.id for t in targets
-        if isinstance(t, ast.Name) and t.id.startswith("_") and not t.id.startswith("__")
+        f"{module}.{qualified} (line {line})"
+        for module, qualified, name, line in definitions
+        if name not in (attrs if "." in qualified else names | attrs)
     ]
 
 
-def _unreferenced_definitions(trees: dict[str, ast.Module], exported: set[str]) -> list[str]:
-    """``<module>.<name> (line)`` of every top-level function, class or private constant
-    that no other top-level statement of any module uses. A public name that ``exported``
-    names is used by the package's users."""
-    referenced = set()
-    for tree in trees.values():
-        for node in tree.body:
-            names = _used_names(node) | {
-                n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
-            }
-            referenced |= names - set(_defined_names(node))
-    return [
-        f"{module}.{name} (line {node.lineno})"
-        for module, tree in sorted(trees.items())
-        for node in tree.body
-        for name in _defined_names(node)
-        if name not in referenced and (name.startswith("_") or name not in exported)
-    ]
+# Code outside the package whose uses count: the benchmark and the acceptance suite.
+# Unit tests do not count; a definition only they reach is not part of the system.
+USERS = [*sorted((TESTS_DIR.parent / "bench").rglob("*.py")), TESTS_DIR / "test_acceptance.py"]
 
 
-def test_every_public_definition_is_used_or_exported():
+def test_every_definition_is_used_by_the_system():
     # A definition nothing calls is a second way to do a thing, kept only by its tests;
     # a private one nothing calls is a leftover.
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in MODULES
-    }
-    unused = _unreferenced_definitions(trees, set(nst.__all__))
-    assert not unused, f"definitions neither used in nst nor exported: {', '.join(unused)}"
+    def parse(path: Path) -> ast.Module:
+        return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    unused = _unreferenced_definitions(
+        {path.stem: parse(path) for path in MODULES}, [parse(path) for path in USERS]
+    )
+    assert not unused, (
+        f"definitions nothing in nst, bench/ or the acceptance suite uses: {', '.join(unused)}"
+    )
 
 
 def test_unused_definition_is_detected():
-    trees = {
+    package = {
         "a": ast.parse(
-            "__all__ = []\n"
+            "__all__ = ['only_exported']\n"
             "_LIMIT = 3\n"
             "_UNUSED: int = 4\n"
             "def used():\n"
@@ -330,21 +379,44 @@ def test_unused_definition_is_detected():
             "    return _kernel()\n"
             "def unused(n):\n"
             "    return unused(n - 1)\n"
-            "class Exported:\n"
+            "def only_exported():\n"
             "    pass\n"
             "def _kernel():\n"
-            "    return 1\n"
-            "def _private():\n"
-            "    return _private()\n"
+            "    return Box().called(1)\n"
+            "class Box:\n"
+            "    limit = _LIMIT\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "    def called(self, n):\n"
+            "        return self.helper_method(n)\n"
+            "    def helper_method(self, n):\n"
+            "        return n\n"
+            "    def recursive(self, n):\n"
+            "        return self.recursive(n - 1)\n"
+            "    @classmethod\n"
+            "    def make(cls):\n"
+            "        return cls()\n"
+            "    def by_user(self):\n"
+            "        return Box.make()\n"
             "class _Hidden:\n"
-            "    pass\n"
+            "    def copy(self):\n"
+            "        return _Hidden()\n"
+            "def length(items):\n"
+            "    return len(items)\n"
         ),
+        "__init__": ast.parse(
+            "from .a import only_exported, used\n__all__ = ['only_exported', 'used']\n"),
         "b": ast.parse("from .a import used\nx = used()\n"),
     }
-    assert _unreferenced_definitions(trees, {"Exported", "_private"}) == [
-        "a._UNUSED (line 3)", "a.unused (line 8)", "a._private (line 14)", "a._Hidden (line 16)",
+    user = ast.parse("from nst.a import Box, length\nBox().by_user()\nn = length([])\n")
+    assert _unreferenced_definitions(package, [user]) == [
+        "a._UNUSED (line 3)", "a.unused (line 8)", "a.only_exported (line 10)",
+        "a.Box.recursive (line 22)", "a._Hidden (line 29)", "a._Hidden.copy (line 30)",
     ]
-    assert _unreferenced_definitions(trees, set()) == [
-        "a._UNUSED (line 3)", "a.unused (line 8)", "a.Exported (line 10)",
-        "a._private (line 14)", "a._Hidden (line 16)",
+    # Without the user, ``by_user`` and ``length`` are unused. ``make`` still counts as
+    # used, by ``by_user``: the rule is not transitive.
+    assert _unreferenced_definitions(package, []) == [
+        "a._UNUSED (line 3)", "a.unused (line 8)", "a.only_exported (line 10)",
+        "a.Box.recursive (line 22)", "a.Box.by_user (line 27)", "a._Hidden (line 29)",
+        "a._Hidden.copy (line 30)", "a.length (line 32)",
     ]

@@ -421,6 +421,25 @@ class TestStageErrors:
         assert isinstance(err.value.cause, RecognizerError)
         assert (workdir / "state.json").read_bytes() == snapshot
 
+    def test_an_interrupt_inside_a_stage_passes_through_unwrapped(
+        self, task, tmp_path, monkeypatch
+    ):
+        # Wrapped in StageError, Ctrl-C during ``nst run`` printed an empty error and exited 2.
+        config = make_config(task, [gen_config(0)])
+        workdir = tmp_path / "work"
+        state = init_state(workdir, config, seed=2)
+        snapshot = (workdir / "state.json").read_bytes()
+        interrupt = KeyboardInterrupt()
+
+        def interrupted(*args, **kwargs):
+            raise interrupt
+
+        monkeypatch.setattr(pipeline, "grid_search_table", interrupted)
+        with pytest.raises(KeyboardInterrupt) as err:
+            run_generation(state, config.generations[0])
+        assert err.value is interrupt and err.value.__cause__ is None
+        assert (workdir / "state.json").read_bytes() == snapshot
+
 
 class InjectedFault(Exception):
     pass

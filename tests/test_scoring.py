@@ -28,6 +28,7 @@ from nst.scoring import (
     write_hypotheses,
 )
 
+from conftest import reference_best_of
 from oracles import exhaustive_edit_distance
 
 WORDS = ["wa", "wb", "wc"]
@@ -228,18 +229,16 @@ def valid_nbest():
 class TestNBest:
     @settings(max_examples=300, deadline=None)
     @given(nbest_cases())
-    def test_best_is_best_hypothesis_of_each_row(self, case):
+    def test_best_is_the_reference_best_of_each_row(self, case):
         hyp_lists, nbest, params = case
         assert list(nbest) == hyp_lists
         ranks, fused = nbest.best(params)
         assert nbest.token_ids(ranks) == [
             tuple(hyps[r].transcript) for hyps, r in zip(hyp_lists, ranks)
         ]
-        for hyps, rank, score in zip(nbest, ranks.tolist(), fused.tolist()):
-            expected = best_hypothesis(hyps, params)
-            assert score.hex() == expected.fused.hex()
-            first = next(r for r, h in enumerate(hyps) if h.with_fused(expected.fused) == expected)
-            assert rank == first
+        for hyps, rank, score in zip(hyp_lists, ranks.tolist(), fused.tolist()):
+            expected_rank, expected_score = reference_best_of(hyps, params)
+            assert (rank, score.hex()) == (expected_rank, expected_score.hex())
 
     def test_reads_like_a_list_of_hypothesis_lists(self):
         hyp_lists = [[hyp((0, 1), -1.0, -2.0, 2.0), hyp((1,), -1.5, -0.5, 1.0)],
@@ -261,12 +260,14 @@ class TestNBest:
             nbest.best(FusionParams())
 
     def test_an_overflowing_best_score_is_refused_as_by_best_hypothesis(self):
-        hyps = [hyp((0,), 1e308, 1e308)]
-        params = FusionParams(lm_weight=1.0)
-        with pytest.raises(ScoringError, match="fused score must be finite"):
-            best_hypothesis(hyps, params)
-        with pytest.raises(ScoringError, match="fused score must be finite"):
-            NBest.from_lists([hyps]).best(params)
+        # One overflow to +inf and one to -inf: both routines refuse each the same way.
+        for score, lm_weight in ((1e308, 1.0), (-1e308, 2.0)):
+            hyps = [hyp((0,), score, score)]
+            params = FusionParams(lm_weight=lm_weight)
+            with pytest.raises(ScoringError, match="fused score must be finite"):
+                best_hypothesis(hyps, params)
+            with pytest.raises(ScoringError, match="fused score must be finite"):
+                NBest.from_lists([hyps]).best(params)
 
     def test_nan_in_padding_is_accepted(self):
         nbest = valid_nbest()
@@ -465,7 +466,8 @@ class TestGridAlignmentCount:
         refs = [u.transcript for u in dev]
         decode = recognizer.vocab.decode
         # By hand: every grid point's best pairs, through corpus_wer.
-        best = [[best_hypothesis(hyps, p).transcript for hyps in hyp_lists] for p in grid]
+        best = [[hyps[reference_best_of(hyps, p)[0]].transcript for hyps in hyp_lists]
+                for p in grid]
         manual = [corpus_wer(zip(refs, map(decode, row))).wer for row in best]
         distinct = {(i, t) for row in best for i, t in enumerate(row)}
         assert len(grid) < len(distinct) < len(grid) * len(dev)
