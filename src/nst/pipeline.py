@@ -315,6 +315,15 @@ class PipelineState:
     filter_model: FilterModel | None = None
     metrics: list[GenerationMetrics] = field(default_factory=list)
 
+    def __post_init__(self):
+        """Refuse metrics not numbered 0..generation-1, or a used state without its teacher."""
+        numbers = [m.generation for m in self.metrics]
+        if numbers != list(range(self.generation)):
+            raise PipelineError(f"generation {self.generation} disagrees with metrics {numbers}")
+        for name in ("model_file", "fusion", "filter_model"):
+            if self.generation > 0 and getattr(self, name) is None:
+                raise PipelineError(f"state after {self.generation} generations lacks its {name}")
+
     def to_dict(self) -> dict:
         """Every field but ``workdir``, as JSON-ready values."""
         record = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workdir"}
@@ -510,14 +519,12 @@ def run_generation(
 
     semi = Dataset([])
     balance_infeasible = False
-    if g == 0 or state.model_file is None:
+    if g == 0:
         training_set = supervised
     else:
         with _Stage(g, "load_teacher"):
             teacher = recognizer(vocab, state.frames_per_token, state.decode_lm_weight)
             teacher.load(workdir / state.model_file)
-            if state.fusion is None or state.filter_model is None:
-                raise PipelineError("state lacks tuned fusion or filter model")
             unlabeled = load_manifest(state.unlabeled)
         with _Stage(g, "transcribe_unlabeled"):
             pseudo = _pseudo_label(unlabeled, teacher, state.fusion, state.beam)

@@ -150,31 +150,31 @@ class TestSubmodularSample:
         assert result.infeasible == expected_flag
 
     def test_first_batch_is_the_top_by_reference_gain(self):
+        # The sentences are heavy in the target's rarest token, so no batch
+        # brings the sampled distribution closer to the target than the empty
+        # start. Once the first batch meets the floor the loop stops after one
+        # round, and the samples are exactly that batch.
         rng = np.random.default_rng(9)
         sentences = [
-            [int(t) for t in rng.integers(0, 3, rng.integers(1, 5))] for _ in range(12)
+            [int(t) for t in rng.choice(3, rng.integers(1, 5), p=[0.1, 0.2, 0.7])]
+            for _ in range(12)
         ]
         pool = pool_of(sentences)
         target = dist(0.6, 0.3, 0.1)
-        config = SamplerConfig(batch_fraction=0.25, min_token_total=10 ** 9)
+        epsilon = SamplerConfig().smoothing_epsilon
         gains = [
-            reference_gain([0.0] * 3, list(s.transcript), [0.6, 0.3, 0.1],
-                           config.smoothing_epsilon)
+            reference_gain([0.0] * 3, list(s.transcript), [0.6, 0.3, 0.1], epsilon)
             for s in pool
         ]
-        batch = config.batch_size(len(pool))
-        expected_first = sorted(
-            range(len(pool)), key=lambda i: (-gains[i], i)
-        )[:batch]
-        # A huge token floor forces the loop onward, so the first batch is
-        # exactly the top-B by the per-token gain.
+        batch = SamplerConfig(batch_fraction=0.25).batch_size(len(pool))
+        expected_first = sorted(range(len(pool)), key=lambda i: (-gains[i], i))[:batch]
+        floor = sum(len(sentences[i]) for i in expected_first)
+        config = SamplerConfig(batch_fraction=0.25, min_token_total=floor)
         result = submodular_sample(pool, target, config)
-        assert result.infeasible
-        for i in expected_first:
-            assert any(
-                s.utterance_id == pool[i].utterance_id and s.multiplicity >= 1
-                for s in result.samples
-            )
+        assert not result.infeasible
+        assert [(s.utterance_id, s.multiplicity) for s in result.samples] == [
+            (pool[i].utterance_id, 1) for i in sorted(expected_first)
+        ]
 
     def test_multiplicities_respect_cap(self):
         rng = np.random.default_rng(23)

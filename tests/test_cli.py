@@ -317,6 +317,45 @@ def test_run_refuses_a_misspelt_config_key(task_dir, tmp_path, capsys):
     assert not workdir.exists()
 
 
+def test_cli_reproduces_the_loops_filter_and_curves(task_dir, tmp_path):
+    # The loop takes each dev utterance's best hypothesis from NBest.best; the
+    # CLI takes it from fused JSON Lines records. Both must give the same filter
+    # model and curves, byte for byte, when fed the loop's tuned fusion.
+    config = {
+        "datasets": {
+            "supervised": "task/supervised.jsonl",
+            "unlabeled": "task/unlabeled.jsonl",
+            "dev": "task/dev.jsonl",
+            "vocab": "task/vocab.txt",
+        },
+        "frames_per_token": 2,
+        "beam": 3,
+        "generations": [
+            {"generation": 0,
+             "fusion_grid": [{"lm_weight": 0.3, "coverage_weight": 0.1}, {"lm_weight": 0.7}]},
+            {"generation": 1, "filter_cutoff": 0.0,
+             "fusion_grid": [{"lm_weight": 0.45, "nonblank_reward": 0.3, "mode": "transducer"}]},
+        ],
+    }
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config))
+    workdir = tmp_path / "work"
+    assert main(["run", "--config", str(config_path), "--workdir", str(workdir),
+                 "--seed", "7"]) == 0
+    for g in range(2):
+        params = json.loads((workdir / f"fusion_gen{g}.json").read_text())["params"]
+        weights = ",".join(
+            repr(params[name]) for name in ("lm_weight", "coverage_weight", "nonblank_reward"))
+        fused, model, curves = (tmp_path / f"{name}{g}" for name in ("fused", "filter", "curves"))
+        assert main(["score", "--params", weights, "--mode", params["mode"],
+                     "--hyps", str(workdir / f"dev_hyps_gen{g}.jsonl"), "--out", str(fused)]) == 0
+        assert main(["fit-filter", "--hyps", str(fused), "--out", str(model)]) == 0
+        assert main(["curves", "--refs", str(task_dir / "dev.jsonl"), "--hyps", str(fused),
+                     "--filter-model", str(model), "--out", str(curves)]) == 0
+        assert model.read_bytes() == (workdir / f"filter_gen{g}.json").read_bytes()
+        assert curves.read_bytes() == (workdir / f"curves_gen{g}.tsv").read_bytes()
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [

@@ -9,6 +9,7 @@ import pytest
 from nst import pipeline, scoring
 from nst.augment import AugmentPolicy
 from nst.corpus import load_manifest, load_vocab, save_manifest, save_vocab
+from nst.filtering import FilterModel
 from nst.augment import AugmentError
 from nst.balancing import BalancingError
 from nst.mixing import MixingError, MixPlan
@@ -793,17 +794,27 @@ class TestConfigParsing:
             lambda r: r.update(model_file=7),
             lambda r: r["metrics"][0].update(dev_wer="0.3"),
             lambda r: r["metrics"][0].pop("semi_examples"),
+            lambda r: r.update(model_file=None),
+            lambda r: r.update(fusion=None),
+            lambda r: r.update(filter_model=None),
+            lambda r: r.update(generation=2),
+            lambda r: r["metrics"][0].update(generation=1),
         ],
         ids=["missing-beam", "missing-metrics", "string-beam", "float-generation",
-             "int-model-file", "string-dev-wer", "metrics-missing-key"],
+             "int-model-file", "string-dev-wer", "metrics-missing-key", "null-model-file",
+             "null-fusion", "null-filter-model", "generation-2-one-metric",
+             "misnumbered-metric"],
     )
     def test_malformed_state_refused(self, tmp_path, edit):
         state = PipelineState(
             workdir=tmp_path, seed=3, frames_per_token=2, beam=3, decode_lm_weight=0.5,
             supervised="s.jsonl", unlabeled="u.jsonl", dev="d.jsonl", vocab="v.txt",
-            generation=1, model_file="model_gen0.json",
+            generation=1, model_file="model_gen0.json", fusion=FusionParams(lm_weight=0.5),
+            filter_model=FilterModel(mu=-1.0, beta=0.5, sigma=0.25),
             metrics=[GenerationMetrics(0, 0.25, 0, 0)],
         )
+        with pytest.raises(PipelineError, match="lacks its model_file"):
+            replace(state, model_file=None)
         path = save_state(state)
         assert load_state(tmp_path) == state
         record = json.loads(path.read_text())
