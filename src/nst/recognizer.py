@@ -13,10 +13,12 @@ state, which is exact for bigram-factored scores. Ties go to the lower token
 id, then to the better incoming rank.
 
 The search is batched: utterances are sorted by block count, longest
-first, and decoded a chunk of bounded size at a time, whatever their block
-counts; each chunk's acoustic scores are computed only when it is decoded.
-Per block and column it merges the states' already sorted paths instead of
-sorting all candidates (see ``_merge_top``), so its hypothesis lists are
+first, and decoded a chunk at a time, whatever their block counts. A chunk
+holds as many utterances as a byte budget allows at the block count of its
+first, longest utterance, so chunks of short utterances hold more. Each
+chunk's acoustic scores are computed in one pass, when it is decoded. Per
+block and column the search merges the states' already sorted paths instead
+of sorting all candidates (see ``_merge_top``), so its hypothesis lists are
 bit-identical to searching one utterance at a time.
 
 The design gives self-training real signal at desk scale: more training
@@ -309,8 +311,8 @@ def _block_count(model: ToyModel, features: np.ndarray) -> int:
     return n_frames // fpt
 
 
-def _am_matrix(model: ToyModel, features: np.ndarray) -> np.ndarray:
-    """(n_blocks, V) acoustic scores.
+def _am_scores(model: ToyModel, utterances: Sequence[Utterance]) -> np.ndarray:
+    """(blocks, V) acoustic scores of the utterances' blocks laid end to end.
 
     A token's raw block score is the negative mean squared distance to its
     centroid; each block is then normalized by its logsumexp, making the
@@ -320,21 +322,53 @@ def _am_matrix(model: ToyModel, features: np.ndarray) -> np.ndarray:
     scores are comparable across utterances, which is what cutoff filtering
     relies on (the raw distances are dominated by the per-utterance noise
     energy, which carries no information about correctness).
+
+    One centroid at a time, so no temporary is larger than the (blocks,
+    frames_per_token, V) frames. The squared distances are summed over the
+    contiguous feature axis into a (blocks, frames_per_token, V) array whose
+    frame axis is then averaged, the same float order whatever utterances
+    share the call. A non-finite score raises ``RecognizerError`` naming
+    the first utterance that has one.
     """
-    _block_count(model, features)
     v = len(model.tokens)
-    blocks = features.astype(np.float64).reshape(-1, model.frames_per_token, v)
-    diffs = blocks[:, :, None, :] - model.centroids[None, None, :, :]
-    raw = -np.mean(np.sum(diffs * diffs, axis=3), axis=1)
-    peak = raw.max(axis=1, keepdims=True)
-    log_norm = peak + np.log(np.exp(raw - peak).sum(axis=1, keepdims=True))
-    return raw - log_norm
+    frames = np.concatenate([u.features for u in utterances], dtype=np.float64)
+    blocks = frames.reshape(-1, model.frames_per_token, v)
+    diff = np.empty_like(blocks)
+    distances = np.empty_like(blocks)
+    # Non-finite features are refused below, by the scores they give.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t, centroid in enumerate(model.centroids):
+            np.subtract(blocks, centroid, out=diff)
+            np.multiply(diff, diff, out=diff)
+            distances[:, :, t] = np.sum(diff, axis=2)
+        raw = -np.mean(distances, axis=1)
+        peak = raw.max(axis=1, keepdims=True)
+        log_norm = peak + np.log(np.exp(raw - peak).sum(axis=1, keepdims=True))
+        scores = raw - log_norm
+    finite = np.isfinite(scores).all(axis=1)
+    if not finite.all():
+        ends = np.cumsum([len(u.features) // model.frames_per_token for u in utterances])
+        bad = utterances[int(np.searchsorted(ends, finite.argmin(), side="right"))]
+        raise RecognizerError(f"utterance {bad.id}: its features give non-finite acoustic scores")
+    return scores
 
 
-# Lattice candidates (utterance x column x state x rank) one decode chunk may
-# span per block: a chunk holds _CHUNK_CANDIDATES // (V * beam * V) utterances,
-# which bounds its working memory whatever the vocabulary and the beam.
-_CHUNK_CANDIDATES = 1 << 16
+# Bytes of working memory one decode chunk may hold: the utterances of a chunk
+# times _utterance_bytes at the chunk's longest block count stay within it,
+# though a chunk always takes at least one utterance.
+_CHUNK_BYTES = 1 << 21
+
+
+def _utterance_bytes(blocks: int, v: int, beam: int, frames_per_token: int) -> int:
+    """Bytes the decoder holds for one utterance of a chunk whose longest has ``blocks`` blocks."""
+    return 8 * (
+        blocks * v  # padded acoustic scores
+        + 3 * blocks * frames_per_token * v  # scoring: float64 frames, one difference, distances
+        + 3 * v * beam  # keys, am_tot, lm_tot
+        + 6 * v * beam  # one step's picks, their indices and the new scores
+        + 3 * v * v  # run heads, _merge_top's copy of them and its taken counts
+        + beam * blocks  # the chunk's token ids, and their sorted copy (int32)
+    ) + 4 * (blocks - 1) * v * beam  # backptr (int32)
 
 
 def _merge_top(
@@ -474,10 +508,12 @@ def toy_transcribe(
     """Per-utterance top-``beam`` hypotheses, sorted by am + lm_weight * lm.
 
     Every utterance's shape is checked first, in input order. Utterances
-    are then decoded longest first, a chunk of any block counts at a time;
-    each chunk's acoustic scores are computed only when it is decoded, and
-    its rows are scattered back to input order. Every hypothesis of an
-    utterance spans its block count, which is also its coverage.
+    are then decoded longest first, a chunk of any block counts at a time,
+    each chunk as large as ``_CHUNK_BYTES`` allows at its first utterance's
+    block count. A chunk's acoustic scores are computed in one pass when it
+    is decoded, refusing non-finite ones, and its rows are scattered back to
+    input order. Every hypothesis of an utterance spans its block count,
+    which is also its coverage.
 
     The decoder's working memory is bounded per chunk, but the result is
     not: its int32 token ids are padded to the longest utterance, so they
@@ -488,18 +524,22 @@ def toy_transcribe(
     counts = [_block_count(model, u.features) for u in utterances]
     by_length = sorted(range(len(utterances)), key=lambda j: -counts[j])
     v = len(model.tokens)
-    chunk = max(1, _CHUNK_CANDIDATES // (v * beam * v))
     tokens = np.zeros((len(utterances), beam, max(counts, default=0)), dtype=np.int32)
     am_scores, lm_scores = np.zeros((2, len(utterances), beam))
     found = np.zeros(len(utterances), dtype=np.int64)
-    for lo in range(0, len(by_length), chunk):
-        indices = by_length[lo : lo + chunk]
+    lo = 0
+    while lo < len(by_length):
+        longest = counts[by_length[lo]]
+        per_utterance = _utterance_bytes(longest, v, beam, model.frames_per_token)
+        indices = by_length[lo : lo + max(1, _CHUNK_BYTES // per_utterance)]
+        lo += len(indices)
         n_blocks = np.array([counts[j] for j in indices])
-        am = np.zeros((len(indices), n_blocks[0], v))
-        for row, j in enumerate(indices):
-            am[row, : n_blocks[row]] = _am_matrix(model, utterances[j].features)
+        am = np.zeros((len(indices), longest, v))
+        am[n_blocks[:, None] > np.arange(longest)] = _am_scores(
+            model, [utterances[j] for j in indices]
+        )
         (
-            tokens[indices, :, : n_blocks[0]], am_scores[indices], lm_scores[indices],
+            tokens[indices, :, :longest], am_scores[indices], lm_scores[indices],
             found[indices],
         ) = _decode_chunk(am, n_blocks, model.bigram_log, beam, lm_weight)
     lengths = np.repeat(np.array(counts, dtype=np.int64)[:, None], beam, axis=1)

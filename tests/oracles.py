@@ -10,6 +10,29 @@ import math
 import numpy as np
 
 
+def reference_am(features, centroids, frames_per_token: int) -> np.ndarray:
+    """(n_blocks, V) acoustic scores, one (block, token) cell at a time.
+
+    A token's raw score is minus the squared distance of the block's frames
+    to the token's centroid, averaged over the frames; each block's raw
+    scores are then shifted by their log-sum-exp.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    centroids = np.asarray(centroids, dtype=np.float64)
+    rows = []
+    for start in range(0, features.shape[0], frames_per_token):
+        raw = []
+        for centroid in centroids:
+            total = 0.0
+            for frame in features[start : start + frames_per_token]:
+                total += sum((float(x) - float(c)) ** 2 for x, c in zip(frame, centroid))
+            raw.append(-total / frames_per_token)
+        peak = max(raw)
+        norm = peak + math.log(sum(math.exp(r - peak) for r in raw))
+        rows.append([r - norm for r in raw])
+    return np.array(rows)
+
+
 def reference_decode(am, bigram_log, beam: int, lm_weight: float) -> list[tuple]:
     """Exact top-``beam`` lattice search, one utterance at a time, unpruned.
 

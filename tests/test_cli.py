@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from nst import cli
 from nst.augment import AugmentError
 from nst.cli import main
-from nst.corpus import load_manifest, load_vocab, save_manifest
+from nst.corpus import Dataset, load_manifest, load_vocab, save_manifest
 from nst.filtering import FilteringError
 from nst.mixing import MixPlan
 from nst.pipeline import (
@@ -315,6 +316,36 @@ def test_run_refuses_a_misspelt_config_key(task_dir, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "lm_wieght" in err
     assert not workdir.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_run_refuses_non_finite_features_naming_the_utterance(task_dir, tmp_path, capsys, value):
+    # Such an utterance once decoded to no hypotheses, and the run stopped at
+    # "empty hypothesis list" without naming it.
+    unlabeled = list(load_manifest(task_dir / "unlabeled.jsonl"))
+    features = unlabeled[7].features.copy()
+    features[2, 0] = value
+    unlabeled[7] = replace(unlabeled[7], features=features)
+    save_manifest(Dataset(unlabeled), tmp_path / "bad_unlabeled.jsonl")
+    config = {
+        "datasets": {
+            "supervised": "task/supervised.jsonl",
+            "unlabeled": "bad_unlabeled.jsonl",
+            "dev": "task/dev.jsonl",
+            "vocab": "task/vocab.txt",
+        },
+        "frames_per_token": 2,
+        "beam": 3,
+        "generations": [{"generation": 0}, {"generation": 1}],
+    }
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(config_path), "--workdir", str(tmp_path / "work"),
+                 "--seed", "7"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: generation 1, stage 'transcribe_unlabeled': ")
+    assert f"utterance {unlabeled[7].id}: " in err and "non-finite" in err
 
 
 def test_cli_reproduces_the_loops_filter_and_curves(task_dir, tmp_path):

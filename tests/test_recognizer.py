@@ -1,6 +1,5 @@
 import itertools
 import json
-import math
 import tracemalloc
 from collections import Counter
 
@@ -29,7 +28,7 @@ from nst.scoring import FusionParams, best_hypothesis, fuse_components
 from nst.seeding import derive_rng
 
 from conftest import reference_best_of
-from oracles import reference_decode
+from oracles import reference_am, reference_decode
 
 
 def uniform_source(length=3, vocab=4):
@@ -316,7 +315,7 @@ def reference_lists(model, utterances, beam, lm_weight):
         [
             (tokens, am.hex(), lm.hex(), coverage.hex())
             for tokens, am, lm, coverage in reference_decode(
-                recognizer._am_matrix(model, u.features), model.bigram_log, beam, lm_weight
+                recognizer._am_scores(model, [u]), model.bigram_log, beam, lm_weight
             )
         ]
         for u in utterances
@@ -328,7 +327,8 @@ def decode_cases(draw):
     """A model and utterances on a few coarse levels, so exact score ties are common.
 
     Utterances mix block counts, some repeat an earlier feature matrix, the
-    beam may exceed the vocabulary, and ``chunk`` utterances make one chunk.
+    beam may exceed the vocabulary, and ``chunk`` utterances of the longest
+    block count make one chunk.
     """
     v = draw(st.integers(2, 4))
     fpt = draw(st.integers(1, 2))
@@ -369,9 +369,12 @@ class TestBatchedDecode:
     @given(decode_cases())
     def test_bit_identical_to_the_reference_search(self, case):
         model, utterances, beam, lm_weight, chunk = case
-        v = len(model.tokens)
+        v, fpt = len(model.tokens), model.frames_per_token
+        longest = max(len(u.features) // fpt for u in utterances)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(recognizer, "_CHUNK_CANDIDATES", chunk * v * beam * v)
+            patch.setattr(
+                recognizer, "_CHUNK_BYTES", chunk * recognizer._utterance_bytes(longest, v, beam, fpt)
+            )
             got = toy_transcribe(model, utterances, beam, lm_weight)
         assert exact(got) == reference_lists(model, utterances, beam, lm_weight)
 
@@ -381,8 +384,14 @@ class TestBatchedDecode:
         data = list(synth_generate(world, 240, source, derive_rng("chunks", 0)))
         group_sizes = Counter(u.features.shape[0] for u in data).values()
         for beam in (3, 8):
-            assert min(group_sizes) > recognizer._CHUNK_CANDIDATES // (20 * beam * 20)
-            got = toy_transcribe(model, data, beam, 0.75)
+            calls = []
+            with pytest.MonkeyPatch.context() as patch:
+                # Room for 30 utterances of 5 blocks; chunks of shorter ones hold more.
+                patch.setattr(recognizer, "_CHUNK_BYTES", 30 * recognizer._utterance_bytes(5, 20, beam, 3))
+                spy_on_decode_chunk(patch, calls)
+                got = toy_transcribe(model, data, beam, 0.75)
+                assert calls == chunks_within_the_budget(data, 3, beam, 20)
+            assert min(group_sizes) > max(rows for rows, _ in calls)
             assert exact(got) == reference_lists(model, data, beam, 0.75)
 
     def test_working_memory_stays_near_the_unbatched_search(self, criterion_model):
@@ -416,10 +425,14 @@ class TestBatchedDecode:
         utterances = [long[0], short, *long[1:]]
         calls = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(recognizer, "_CHUNK_CANDIDATES", len(utterances) * 20 * beam * 20)
+            longest = max(len(u.features) for u in utterances) // 3
+            patch.setattr(
+                recognizer, "_CHUNK_BYTES",
+                len(utterances) * recognizer._utterance_bytes(longest, 20, beam, 3),
+            )
             spy_on_decode_chunk(patch, calls)
             got = toy_transcribe(model, utterances, beam, lm_weight)
-        assert calls == [len(utterances)]
+        assert calls == [(len(utterances), longest)]
         assert [h.coverage for h in got[1]] == [1.0] * min(beam, 20)
         assert exact(got) == reference_lists(model, utterances, beam, lm_weight)
 
@@ -446,23 +459,96 @@ class TestBatchedDecode:
         source = MarkovSentenceSource.structured(20, seed=2, length_range=(20, 40))
         utterances = list(synth_generate(world, 80, source, derive_rng("guard", 0)))
         assert len({u.features.shape[0] for u in utterances}) >= 15
-        chunk = recognizer._CHUNK_CANDIDATES // (20 * 16 * 20)
+        budget = 8 * recognizer._utterance_bytes(40, 20, 16, 3)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(recognizer, "_CHUNK_BYTES", budget)
+            spy_on_decode_chunk(patch, calls)
+            toy_transcribe(model, utterances, 16, 0.75)
+            assert calls == chunks_within_the_budget(utterances, 3, 16, 20)
+        assert len(calls) > 2
+        for rows, longest in calls:
+            assert rows == 1 or rows * recognizer._utterance_bytes(longest, 20, 16, 3) <= budget
+
+    def test_working_memory_for_long_utterances_stays_within_the_budget(self, criterion_model):
+        # At 100+ blocks and beam 16, backptr is most of a chunk's memory.
+        world, model = criterion_model
+        source = MarkovSentenceSource.structured(20, seed=3, length_range=(100, 130))
+        utterances = list(synth_generate(world, 40, source, derive_rng("long-memory", 0)))
         calls = []
         with pytest.MonkeyPatch.context() as patch:
             spy_on_decode_chunk(patch, calls)
-            toy_transcribe(model, utterances, 16, 0.75)
-        assert len(calls) == math.ceil(80 / chunk) == 8
+            tracemalloc.start()
+            try:
+                nbest = toy_transcribe(model, utterances, 16, 0.75)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(calls) > 1
+        held = (nbest.tokens, nbest.lengths, nbest.counts, nbest.am, nbest.lm, nbest.coverage)
+        assert peak <= recognizer._CHUNK_BYTES + sum(a.nbytes for a in held) + 2**18
+
+
+def chunks_within_the_budget(utterances, frames_per_token, beam, v):
+    """(utterances, longest block count) of each chunk ``_CHUNK_BYTES`` allows.
+
+    Utterances go longest first, and each chunk is as large as the budget
+    allows at the block count of its first utterance.
+    """
+    counts = sorted((len(u.features) // frames_per_token for u in utterances), reverse=True)
+    chunks = []
+    while counts:
+        per_utterance = recognizer._utterance_bytes(counts[0], v, beam, frames_per_token)
+        rows = min(len(counts), max(1, recognizer._CHUNK_BYTES // per_utterance))
+        chunks.append((rows, counts[0]))
+        counts = counts[rows:]
+    return chunks
 
 
 def spy_on_decode_chunk(patch, calls):
-    """Record the utterance count of each ``_decode_chunk`` call in ``calls``."""
+    """Record the (utterances, longest block count) of each ``_decode_chunk`` call in ``calls``."""
     decode = recognizer._decode_chunk
 
     def spy(am, *args):
-        calls.append(len(am))
+        calls.append(am.shape[:2])
         return decode(am, *args)
 
     patch.setattr(recognizer, "_decode_chunk", spy)
+
+
+@pytest.mark.parametrize("fpt", range(1, 11))
+def test_scoring_a_chunk_is_scoring_each_utterance_alone(fpt):
+    # Past 8 frames per token a reduction over the frame axis could change its float order.
+    rng = np.random.default_rng(fpt)
+    for v in range(2, 25):
+        model = ToyModel(
+            tokens=tuple(f"t{i}" for i in range(v)),
+            frames_per_token=fpt,
+            centroids=rng.standard_normal((v, v)),
+            bigram_log=np.zeros((v + 1, v)),
+        )
+        utterances = [
+            Utterance(id=f"u{i}", features=rng.standard_normal((n_blocks * fpt, v)))
+            for i, n_blocks in enumerate(rng.integers(1, 6, size=4))
+        ]
+        chunk = recognizer._am_scores(model, utterances)
+        alone = [recognizer._am_scores(model, [u]) for u in utterances]
+        assert np.array_equal(chunk, np.concatenate(alone))
+        if v in (2, 9, 24):
+            for u, scores in zip(utterances, alone):
+                expected = reference_am(u.features, model.centroids, fpt)
+                np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_features_are_refused_naming_the_utterance(trained, value):
+    world, model = trained
+    data = list(synth_generate(world, 6, uniform_source(3, vocab=3), derive_rng("finite", 0)))
+    features = data[4].features.copy()
+    features[3, 1] = value
+    data[4] = Utterance(id="bad-one", features=features)
+    with pytest.raises(RecognizerError, match="utterance bad-one: .*non-finite"):
+        toy_transcribe(model, data, beam=2)
 
 
 @st.composite
