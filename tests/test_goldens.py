@@ -1,0 +1,68 @@
+"""Byte-identity of the system's outputs: each benchmark workload, run at its tiny size,
+must give the digest recorded in ``goldens_tiny.json``.
+
+The digest is ``bench/workloads.py``'s, so this check and the benchmark's gate share
+one definition of "the same output". Re-record after a deliberate change with
+
+    PYTHONPATH=src python tests/test_goldens.py
+
+and add a CHANGES.md line naming each artifact that moved and why.
+"""
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+TESTS_DIR = Path(__file__).resolve().parent
+sys.path.insert(0, str(TESTS_DIR.parent / "bench"))
+import workloads  # noqa: E402
+
+GOLDENS = TESTS_DIR / "goldens_tiny.json"
+SEEDS = (20240817, 7)
+CASES = [(name, seed) for name in workloads.WORKLOADS for seed in SEEDS]
+
+
+def environment() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "platform": f"{platform.system()}-{platform.machine()}"}
+
+
+def tiny_digest(name: str, seed: int, root: Path) -> dict:
+    workload = workloads.get(name, "tiny")
+    inputs = workload.setup(root / "inputs", seed)
+    result = workload.run(inputs, root / "work")
+    return workload.digest(inputs, root / "work", result)
+
+
+@pytest.mark.parametrize("name, seed", CASES, ids=[f"{n}-{s}" for n, s in CASES])
+def test_tiny_outputs_match_the_recorded_goldens(tmp_path, name, seed):
+    golden = json.loads(GOLDENS.read_text())[f"{name}/tiny/{seed}"]
+    digest = tiny_digest(name, seed, tmp_path)
+    expected = golden["digest"]
+    moved = sorted(k for k in set(expected) | set(digest) if expected.get(k) != digest.get(k))
+    recorded = {k: golden[k] for k in environment()}
+    assert not moved, (
+        f"{name} at seed {seed}: these artifacts differ from the golden: {', '.join(moved)}. "
+        f"The golden was recorded with {recorded}; this run has {environment()}. "
+        "Another numpy build can sum in another SIMD order and move the last bits, so a "
+        "mismatch across environments may not be a regression. Re-record only for a "
+        "deliberate change, with a CHANGES.md line naming each artifact and the reason."
+    )
+
+
+def record(root: Path) -> None:
+    goldens = {}
+    for name, seed in CASES:
+        digest = tiny_digest(name, seed, root / f"{name}-{seed}")
+        goldens[f"{name}/tiny/{seed}"] = {"digest": digest, **environment()}
+    GOLDENS.write_text(json.dumps(goldens, sort_keys=True, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        record(Path(scratch))
