@@ -43,7 +43,9 @@ from .pipeline import (
     GenerationConfig,
     PipelineConfig,
     PipelineState,
+    RunInputs,
     emit_reports,
+    load_inputs,
     run_generation,
     run_pipeline,
 )
@@ -61,6 +63,7 @@ __all__ = [
     "NstError",
     "PipelineConfig",
     "PipelineState",
+    "RunInputs",
     "SamplerConfig",
     "ScoredHypothesis",
     "TokenDistribution",
@@ -78,6 +81,7 @@ __all__ = [
     "fit_filter",
     "grid_search_fusion",
     "kl_divergence",
+    "load_inputs",
     "load_manifest",
     "load_vocab",
     "mix_batchwise",

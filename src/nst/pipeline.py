@@ -1,10 +1,10 @@
 """Generation loop orchestration, persisted state, and analysis reports.
 
-Each generation runs these stages in order (the ``_Stage`` names):
+``load`` runs once per run; each generation runs the stages after it (the ``_Stage`` names):
 
-    load                  vocab, supervised and dev manifests
-    load_teacher          the previous model, tuned fusion and filter model,
-                          and the unlabeled manifest
+    load                  once per run: the vocab and the supervised, dev and
+                          unlabeled manifests, each checked as it is read
+    load_teacher          the previous generation's model
     transcribe_unlabeled  the teacher's fused top hypotheses as pseudo-labels
     filter                keep pseudo-labels above the generation's cutoff
     balance               resample toward the supervised token distribution
@@ -370,10 +370,7 @@ def _start_state(workdir: str | Path, config: PipelineConfig, seed: int) -> Pipe
         frames_per_token=config.frames_per_token,
         beam=config.beam,
         decode_lm_weight=config.decode_lm_weight,
-        supervised=str(Path(config.supervised).resolve()),
-        unlabeled=str(Path(config.unlabeled).resolve()),
-        dev=str(Path(config.dev).resolve()),
-        vocab=str(Path(config.vocab).resolve()),
+        **{name: str(Path(getattr(config, name)).resolve()) for name in _DATASET_SPEC},
     )
 
 
@@ -492,13 +489,30 @@ def fit_scored(scored: Mapping[str, ScoredTranscript]) -> FilterModel:
     return fit_filter([(len(s.tokens), s.fused) for s in scored.values() if s.tokens])
 
 
+@dataclass(frozen=True)
+class RunInputs:
+    """The vocab and the three datasets of a run, which no generation changes."""
+
+    vocab: TokenVocab
+    supervised: Dataset
+    dev: Dataset
+    unlabeled: Dataset
+
+
+def load_inputs(state: PipelineState) -> RunInputs:
+    """The vocab and the manifests at the state's resolved paths, each read and checked once."""
+    manifests = map(load_manifest, (state.supervised, state.dev, state.unlabeled))
+    return RunInputs(load_vocab(state.vocab), *manifests)
+
+
 def run_generation(
     state: PipelineState,
     config: GenerationConfig,
+    inputs: RunInputs,
     *,
     recognizer: Callable[[TokenVocab, int, float], Recognizer] = ToyRecognizer,
 ) -> PipelineState:
-    """Execute one generation cycle and persist the advanced state.
+    """Execute one generation cycle on ``load_inputs(state)`` and persist the advanced state.
 
     ``recognizer(vocab, frames_per_token, decode_lm_weight)`` builds the
     teacher and the student. Any stage failure raises StageError without
@@ -506,16 +520,10 @@ def run_generation(
     """
     g = state.generation
     if config.generation != g:
-        raise PipelineError(
-            f"state expects generation {g}, config is for {config.generation}"
-        )
+        raise PipelineError(f"state expects generation {g}, config is for {config.generation}")
     workdir = state.workdir
     workdir.mkdir(parents=True, exist_ok=True)
-
-    with _Stage(g, "load"):
-        vocab = load_vocab(state.vocab)
-        supervised = load_manifest(state.supervised)
-        dev = load_manifest(state.dev)
+    vocab, supervised, dev = inputs.vocab, inputs.supervised, inputs.dev
 
     semi = Dataset([])
     balance_infeasible = False
@@ -525,9 +533,8 @@ def run_generation(
         with _Stage(g, "load_teacher"):
             teacher = recognizer(vocab, state.frames_per_token, state.decode_lm_weight)
             teacher.load(workdir / state.model_file)
-            unlabeled = load_manifest(state.unlabeled)
         with _Stage(g, "transcribe_unlabeled"):
-            pseudo = _pseudo_label(unlabeled, teacher, state.fusion, state.beam)
+            pseudo = _pseudo_label(inputs.unlabeled, teacher, state.fusion, state.beam)
             save_manifest(pseudo, workdir / f"pseudo_gen{g}.jsonl")
         with _Stage(g, "filter"):
             if config.filtering:
@@ -552,9 +559,7 @@ def run_generation(
 
     with _Stage(g, "train"):
         student = recognizer(vocab, state.frames_per_token, state.decode_lm_weight)
-        student.train(
-            training_set, config.augment_policy, derive_seed(state.seed, g, "train")
-        )
+        student.train(training_set, config.augment_policy, derive_seed(state.seed, g, "train"))
         model_file = f"model_gen{g}.json"
         student.save(workdir / model_file)
 
@@ -637,8 +642,10 @@ def run_pipeline(
             f"state has {state.generation} completed generations but the config "
             f"lists only {len(config.generations)}"
         )
+    with _Stage(state.generation, "load"):
+        inputs = load_inputs(state)
     for gen_config in config.generations[state.generation :]:
-        state = run_generation(state, gen_config)
+        state = run_generation(state, gen_config, inputs)
     atomic_write_text(workdir / "metrics.tsv", metrics_tsv(state.metrics))
     return state
 

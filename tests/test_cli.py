@@ -318,19 +318,12 @@ def test_run_refuses_a_misspelt_config_key(task_dir, tmp_path, capsys):
     assert not workdir.exists()
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-def test_run_refuses_non_finite_features_naming_the_utterance(task_dir, tmp_path, capsys, value):
-    # Such an utterance once decoded to no hypotheses, and the run stopped at
-    # "empty hypothesis list" without naming it.
-    unlabeled = list(load_manifest(task_dir / "unlabeled.jsonl"))
-    features = unlabeled[7].features.copy()
-    features[2, 0] = value
-    unlabeled[7] = replace(unlabeled[7], features=features)
-    save_manifest(Dataset(unlabeled), tmp_path / "bad_unlabeled.jsonl")
-    config = {
+def run_config(supervised="task/supervised.jsonl", unlabeled="task/unlabeled.jsonl"):
+    """A two-generation ``nst run`` config over the ``task_dir`` task."""
+    return {
         "datasets": {
-            "supervised": "task/supervised.jsonl",
-            "unlabeled": "bad_unlabeled.jsonl",
+            "supervised": supervised,
+            "unlabeled": unlabeled,
             "dev": "task/dev.jsonl",
             "vocab": "task/vocab.txt",
         },
@@ -338,14 +331,42 @@ def test_run_refuses_non_finite_features_naming_the_utterance(task_dir, tmp_path
         "beam": 3,
         "generations": [{"generation": 0}, {"generation": 1}],
     }
+
+
+@pytest.mark.parametrize("manifest", ["supervised", "unlabeled"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_run_refuses_non_finite_features_at_load(task_dir, tmp_path, capsys, manifest, value):
+    # A NaN in a supervised utterance once stopped generation 0 at "centroids must
+    # be finite", and one in an unlabeled utterance stopped generation 1's decode.
+    utterances = list(load_manifest(task_dir / f"{manifest}.jsonl"))
+    features = utterances[7].features.copy()
+    features[2, 0] = value
+    utterances[7] = replace(utterances[7], features=features)
+    bad = tmp_path / f"bad_{manifest}.jsonl"
+    save_manifest(Dataset(utterances), bad)
     config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps(config))
-    code = main(["run", "--config", str(config_path), "--workdir", str(tmp_path / "work"),
-                 "--seed", "7"])
+    config_path.write_text(json.dumps(run_config(**{manifest: bad.name})))
+    workdir = tmp_path / "work"
+    code = main(["run", "--config", str(config_path), "--workdir", str(workdir), "--seed", "7"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: generation 1, stage 'transcribe_unlabeled': ")
-    assert f"utterance {unlabeled[7].id}: " in err and "non-finite" in err
+    assert err.startswith(
+        f"error: generation 0, stage 'load': {bad}: line 8: utterance {utterances[7].id}: "
+    )
+    assert "non-finite" in err
+    assert not (workdir / "model_gen0.json").exists()
+
+
+def test_run_with_a_missing_unlabeled_manifest_fails_before_training(task_dir, tmp_path, capsys):
+    # It once failed at generation 1's load_teacher, after generation 0 wrote its files.
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(run_config(unlabeled="task/missing.jsonl")))
+    workdir = tmp_path / "work"
+    code = main(["run", "--config", str(config_path), "--workdir", str(workdir), "--seed", "7"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: generation 0, stage 'load': ") and "missing.jsonl" in err
+    assert sorted(p.name for p in workdir.iterdir()) == ["state.json"]
 
 
 def test_cli_reproduces_the_loops_filter_and_curves(task_dir, tmp_path):

@@ -393,6 +393,21 @@ class TestManifests:
         with pytest.raises(FeatureFileError, match=re.escape(f"data.nstp:{offset}")):
             load_manifest(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_features_fail_at_load(self, tmp_path, small_dataset, value):
+        # Such a record once loaded, and training or decoding on it failed later.
+        utterances = list(small_dataset)
+        features = utterances[2].features.copy()
+        features[1, 2] = value
+        utterances[2] = replace(utterances[2], features=features)
+        path = tmp_path / "data.jsonl"
+        save_manifest(Dataset(utterances), path)
+        with pytest.raises(ManifestError, match="utterance u-2: .*non-finite") as err:
+            load_manifest(path)
+        assert err.value.line_number == 3
+        assert str(err.value).startswith(f"{path}: line 3: ")
+
     def test_schema_violations(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text(json.dumps({"features": "x.nstf"}) + "\n")

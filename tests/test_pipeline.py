@@ -1,6 +1,7 @@
 import copy
 import functools
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from nst.pipeline import (
     StageError,
     emit_reports,
     init_state,
+    load_inputs,
     load_state,
     parse_cutoff,
     run_generation,
@@ -101,7 +103,7 @@ class TestGenerationZero:
         config = make_config(task, [gen_config(0)])
         workdir = tmp_path / "work"
         state = init_state(workdir, config, seed=9)
-        state = run_generation(state, config.generations[0])
+        state = run_generation(state, config.generations[0], load_inputs(state))
         assert state.generation == 1
         assert len(state.metrics) == 1
         row = state.metrics[0]
@@ -119,7 +121,7 @@ class TestGenerationZero:
         config = make_config(task, [gen_config(0), gen_config(1)])
         state = init_state(tmp_path / "work", config, seed=9)
         with pytest.raises(PipelineError):
-            run_generation(state, config.generations[1])
+            run_generation(state, config.generations[1], load_inputs(state))
 
 
 class TestFullLoop:
@@ -220,21 +222,54 @@ class TestFullLoop:
         assert run_pipeline(workdir, relative, seed=11).generation == 1
 
 
+class TestInputsReadOnce:
+    def test_a_run_reads_each_input_once_and_a_resume_once_more(
+        self, task, tmp_path, monkeypatch
+    ):
+        # Each generation used to read the vocab, supervised and dev sets again,
+        # and the unlabeled set again after generation 0.
+        reads = Counter()
+
+        def counting(read):
+            def counted(path):
+                reads[Path(path).name] += 1
+                return read(path)
+
+            return counted
+
+        monkeypatch.setattr(pipeline, "load_manifest", counting(pipeline.load_manifest))
+        monkeypatch.setattr(pipeline, "load_vocab", counting(pipeline.load_vocab))
+        config = make_config(
+            task, [gen_config(0), gen_config(1, cutoff=0.0), gen_config(2, cutoff=NEG_INF)]
+        )
+        once = {"vocab.txt": 1, "sup.jsonl": 1, "dev.jsonl": 1, "unlab.jsonl": 1}
+        assert run_pipeline(tmp_path / "whole", config, seed=6).generation == 3
+        assert reads == once
+
+        resumed = tmp_path / "resumed"
+        run_pipeline(resumed, replace(config, generations=config.generations[:1]), seed=6)
+        reads.clear()
+        assert run_pipeline(resumed, config, seed=6).generation == 3
+        assert reads == once
+
+
 class TestDeterminism:
     def test_rerun_from_persisted_state_is_byte_identical(self, task, tmp_path):
         config = make_config(task, [gen_config(0), gen_config(1, cutoff=0.0, balance=True)])
         workdir = tmp_path / "work"
         state0 = init_state(workdir, config, seed=13)
-        state1 = run_generation(state0, config.generations[0])
+        inputs = load_inputs(state0)
+        state1 = run_generation(state0, config.generations[0], inputs)
         checkpoint = (workdir / "state.json").read_bytes()
 
-        run_generation(state1, config.generations[1])
+        run_generation(state1, config.generations[1], inputs)
         first_state = (workdir / "state.json").read_bytes()
         first_model = (workdir / "model_gen1.json").read_bytes()
         first_manifest = (workdir / "pseudo_gen1.jsonl").read_bytes()
 
         (workdir / "state.json").write_bytes(checkpoint)
-        run_generation(load_state(workdir), config.generations[1])
+        resumed = load_state(workdir)
+        run_generation(resumed, config.generations[1], load_inputs(resumed))
         assert (workdir / "state.json").read_bytes() == first_state
         assert (workdir / "model_gen1.json").read_bytes() == first_model
         assert (workdir / "pseudo_gen1.jsonl").read_bytes() == first_manifest
@@ -256,10 +291,11 @@ class TestDecodeCount:
             task, [gen_config(0), gen_config(1, cutoff=0.0), gen_config(2, cutoff=NEG_INF)]
         )
         state = init_state(tmp_path / "work", config, seed=6)
+        inputs = load_inputs(state)
         per_generation = []
         for gen in config.generations:
             calls.clear()
-            state = run_generation(state, gen)
+            state = run_generation(state, gen, inputs)
             per_generation.append(list(calls))
         assert per_generation == [[30], [80, 30], [80, 30]]
 
@@ -276,9 +312,10 @@ class TestDecodeCount:
         monkeypatch.setattr(scoring.ScoredHypothesis, "__post_init__", counting)
         config = make_config(task, [gen_config(0), gen_config(1, cutoff=0.0, balance=True)])
         state = init_state(tmp_path / "work", config, seed=6)
-        state = run_generation(state, config.generations[0])
+        inputs = load_inputs(state)
+        state = run_generation(state, config.generations[0], inputs)
         built.clear()
-        state = run_generation(state, config.generations[1])
+        state = run_generation(state, config.generations[1], inputs)
         assert built == []
         student = ToyRecognizer(load_vocab(state.vocab), 2)
         student.load(state.workdir / state.model_file)
@@ -315,11 +352,12 @@ class TestDecodeCount:
         monkeypatch.setattr(pipeline, "grid_search_table", recording_grid)
         config = make_config(task, [gen_config(0), gen_config(1, cutoff=0.0)])
         state = init_state(tmp_path / "work", config, seed=6)
-        dev_size = len(load_manifest(task / "dev.jsonl"))
+        inputs = load_inputs(state)
+        dev_size = len(inputs.dev)
         for gen in config.generations:
             aligned.clear()
             distinct_pairs.clear()
-            state = run_generation(state, gen)
+            state = run_generation(state, gen, inputs)
             (distinct,) = distinct_pairs
             assert 0 < len(aligned) <= distinct + dev_size < len(GRID) * dev_size + dev_size
 
@@ -372,11 +410,12 @@ class TestStageErrors:
         config = make_config(task, [gen_config(0), gen_config(1)])
         workdir = tmp_path / "work"
         state = init_state(workdir, config, seed=2)
-        state = run_generation(state, config.generations[0])
+        inputs = load_inputs(state)
+        state = run_generation(state, config.generations[0], inputs)
         snapshot = (workdir / "state.json").read_bytes()
-        (task / "unlab.jsonl").unlink()
+        (workdir / "model_gen0.json").unlink()
         with pytest.raises(StageError) as err:
-            run_generation(state, config.generations[1])
+            run_generation(state, config.generations[1], inputs)
         assert err.value.generation == 1
         assert err.value.stage == "load_teacher"
         assert (workdir / "state.json").read_bytes() == snapshot
@@ -388,13 +427,14 @@ class TestStageErrors:
 
         config = make_config(task, [gen_config(0), gen_config(1)])
         state = init_state(tmp_path / "work", config, seed=2)
+        inputs = load_inputs(state)
         with pytest.raises(StageError) as err:
-            run_generation(state, config.generations[0], recognizer=DroppingRecognizer)
+            run_generation(state, config.generations[0], inputs, recognizer=DroppingRecognizer)
         assert (err.value.generation, err.value.stage) == (0, "tune_fusion")
         assert isinstance(err.value.cause, ValueError) and "shorter" in str(err.value.cause)
-        state = run_generation(state, config.generations[0])
+        state = run_generation(state, config.generations[0], inputs)
         with pytest.raises(StageError) as err:
-            run_generation(state, config.generations[1], recognizer=DroppingRecognizer)
+            run_generation(state, config.generations[1], inputs, recognizer=DroppingRecognizer)
         assert (err.value.generation, err.value.stage) == (1, "transcribe_unlabeled")
         assert isinstance(err.value.cause, ValueError) and "shorter" in str(err.value.cause)
 
@@ -437,7 +477,7 @@ class TestStageErrors:
 
         monkeypatch.setattr(pipeline, "grid_search_table", interrupted)
         with pytest.raises(KeyboardInterrupt) as err:
-            run_generation(state, config.generations[0])
+            run_generation(state, config.generations[0], load_inputs(state))
         assert err.value is interrupt and err.value.__cause__ is None
         assert (workdir / "state.json").read_bytes() == snapshot
 
@@ -490,14 +530,15 @@ class CuedRecognizer:
 INJECTION_SEED = 17
 RECOGNIZER_METHODS = ("train", "transcribe", "save", "load")
 # (generation, stage, the recognizer method or pipeline name that raises, on
-# which of its calls in the run). Every stage of both generations is covered.
+# which of its calls in the run). Every stage of both generations is covered, and
+# the inputs' load both on a fresh start and on the resume before generation 1.
 INJECTIONS = [
     (0, "load", "load_vocab", 1),
     (0, "train", "train", 1),
     (0, "tune_fusion", "transcribe", 1),
     (0, "fit_filter", "fit_filter", 1),
     (0, "score_curves", "score_curves", 1),
-    (1, "load", "load_manifest", 3),
+    (1, "load", "load_manifest", 4),
     (1, "load_teacher", "load", 1),
     (1, "transcribe_unlabeled", "transcribe", 2),
     (1, "filter", "apply_filter", 1),
@@ -561,14 +602,18 @@ class TestFailureInjection:
         cue = Cue(nth)
         if target in RECOGNIZER_METHODS:
             factory = functools.partial(CuedRecognizer, target, cue)
+            monkeypatch.setattr(
+                pipeline, "run_generation", functools.partial(run_generation, recognizer=factory)
+            )
         else:
-            factory = ToyRecognizer
             monkeypatch.setattr(pipeline, target, cue.guard(getattr(pipeline, target)))
-        state = init_state(workdir, config, seed=INJECTION_SEED)
+        init_state(workdir, config, seed=INJECTION_SEED)
+        # Each generation runs as a resume of its own, which reads the inputs again.
         with pytest.raises(StageError) as err:
-            for gen in config.generations:
+            for g in range(1, len(config.generations) + 1):
                 snapshot = (workdir / "state.json").read_bytes()
-                state = run_generation(state, gen, recognizer=factory)
+                run_pipeline(workdir, replace(config, generations=config.generations[:g]),
+                             seed=INJECTION_SEED)
         assert (err.value.generation, err.value.stage) == (generation, stage)
         assert isinstance(err.value.cause, InjectedFault)
         assert (workdir / "state.json").read_bytes() == snapshot
