@@ -602,11 +602,12 @@ def save_manifest(dataset: Dataset, path: str | Path) -> None:
 def load_manifest(path: str | Path) -> Dataset:
     """Load a JSONL manifest, reading feature records relative to it.
 
-    Utterance order follows manifest order. A malformed line raises ManifestError with its
-    1-based line number before its record is read; a record holding NaN or an infinity
-    raises one naming the utterance. A dangling feature reference raises
-    MissingFeatureFileError naming the resolved file, and a bad offset FeatureFileError
-    naming the reference. Each file is opened once per load.
+    Utterance order follows manifest order. A malformed line raises
+    ManifestError with its 1-based line number before its record is read, and
+    a record holding NaN or an infinity raises one naming the utterance; a
+    dangling feature reference raises MissingFeatureFileError naming the
+    resolved file, and a bad offset FeatureFileError naming the reference.
+    Each file is opened once per load.
     """
     manifest_path = Path(path)
     manifest_dir = os.path.abspath(manifest_path.parent)

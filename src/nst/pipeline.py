@@ -1,6 +1,7 @@
 """Generation loop orchestration, persisted state, and analysis reports.
 
-``load`` runs once per run; each generation runs the stages after it (the ``_Stage`` names):
+``load`` runs once per run; then each generation runs the stages after it
+in order (the ``_Stage`` names):
 
     load                  once per run: the vocab and the supervised, dev and
                           unlabeled manifests, each checked as it is read
@@ -370,7 +371,10 @@ def _start_state(workdir: str | Path, config: PipelineConfig, seed: int) -> Pipe
         frames_per_token=config.frames_per_token,
         beam=config.beam,
         decode_lm_weight=config.decode_lm_weight,
-        **{name: str(Path(getattr(config, name)).resolve()) for name in _DATASET_SPEC},
+        supervised=str(Path(config.supervised).resolve()),
+        unlabeled=str(Path(config.unlabeled).resolve()),
+        dev=str(Path(config.dev).resolve()),
+        vocab=str(Path(config.vocab).resolve()),
     )
 
 
@@ -520,7 +524,9 @@ def run_generation(
     """
     g = state.generation
     if config.generation != g:
-        raise PipelineError(f"state expects generation {g}, config is for {config.generation}")
+        raise PipelineError(
+            f"state expects generation {g}, config is for {config.generation}"
+        )
     workdir = state.workdir
     workdir.mkdir(parents=True, exist_ok=True)
     vocab, supervised, dev = inputs.vocab, inputs.supervised, inputs.dev
@@ -559,7 +565,9 @@ def run_generation(
 
     with _Stage(g, "train"):
         student = recognizer(vocab, state.frames_per_token, state.decode_lm_weight)
-        student.train(training_set, config.augment_policy, derive_seed(state.seed, g, "train"))
+        student.train(
+            training_set, config.augment_policy, derive_seed(state.seed, g, "train")
+        )
         model_file = f"model_gen{g}.json"
         student.save(workdir / model_file)
 

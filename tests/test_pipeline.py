@@ -610,9 +610,9 @@ class TestFailureInjection:
         init_state(workdir, config, seed=INJECTION_SEED)
         # Each generation runs as a resume of its own, which reads the inputs again.
         with pytest.raises(StageError) as err:
-            for g in range(1, len(config.generations) + 1):
+            for n in range(1, len(config.generations) + 1):
                 snapshot = (workdir / "state.json").read_bytes()
-                run_pipeline(workdir, replace(config, generations=config.generations[:g]),
+                run_pipeline(workdir, replace(config, generations=config.generations[:n]),
                              seed=INJECTION_SEED)
         assert (err.value.generation, err.value.stage) == (generation, stage)
         assert isinstance(err.value.cause, InjectedFault)
