@@ -1,13 +1,15 @@
 """Byte-identity of the system's outputs: each benchmark workload, run at its tiny size,
-must give the digest recorded in ``goldens_tiny.json``.
+must give the digest recorded in ``goldens_tiny.json``, and a small ``nst synth`` must
+write files whose SHA-256 digests are recorded there too.
 
-The digest is ``bench/workloads.py``'s, so this check and the benchmark's gate share
-one definition of "the same output". Re-record after a deliberate change with
+The workload digest is ``bench/workloads.py``'s, so this check and the benchmark's gate
+share one definition of "the same output". Re-record after a deliberate change with
 
     PYTHONPATH=src python tests/test_goldens.py
 
 and add a CHANGES.md line naming each artifact that moved and why.
 """
+import hashlib
 import json
 import platform
 import sys
@@ -20,9 +22,14 @@ TESTS_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(TESTS_DIR.parent / "bench"))
 import workloads  # noqa: E402
 
+from nst.cli import main  # noqa: E402
+
 GOLDENS = TESTS_DIR / "goldens_tiny.json"
 SEEDS = (20240817, 7)
 CASES = [(name, seed) for name in workloads.WORKLOADS for seed in SEEDS]
+# Left at their defaults: vocab size, noise, frame rate and sentence lengths.
+SYNTH_ARGS = ("--supervised", "20", "--dev", "20", "--unlabeled", "40", "--seed", "7")
+SYNTH_KEY = "synth/" + " ".join(SYNTH_ARGS)
 
 
 def environment() -> dict:
@@ -37,15 +44,20 @@ def tiny_digest(name: str, seed: int, root: Path) -> dict:
     return workload.digest(inputs, root / "work", result)
 
 
-@pytest.mark.parametrize("name, seed", CASES, ids=[f"{n}-{s}" for n, s in CASES])
-def test_tiny_outputs_match_the_recorded_goldens(tmp_path, name, seed):
-    golden = json.loads(GOLDENS.read_text())[f"{name}/tiny/{seed}"]
-    digest = tiny_digest(name, seed, tmp_path)
-    expected = golden["digest"]
-    moved = sorted(k for k in set(expected) | set(digest) if expected.get(k) != digest.get(k))
+def synth_digest(root: Path) -> dict:
+    """SHA-256 of every file a small ``nst synth`` writes, by file name."""
+    assert main(["synth", "--out", str(root), *SYNTH_ARGS]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.iterdir())}
+
+
+def moved_keys(expected: dict, digest: dict) -> list[str]:
+    return sorted(k for k in set(expected) | set(digest) if expected.get(k) != digest.get(k))
+
+
+def mismatch_message(golden: dict, what: str, moved: list[str]) -> str:
     recorded = {k: golden[k] for k in environment()}
-    assert not moved, (
-        f"{name} at seed {seed}: these artifacts differ from the golden: {', '.join(moved)}. "
+    return (
+        f"{what}: these artifacts differ from the golden: {', '.join(moved)}. "
         f"The golden was recorded with {recorded}; this run has {environment()}. "
         "Another numpy build can sum in another SIMD order and move the last bits, so a "
         "mismatch across environments may not be a regression. Re-record only for a "
@@ -53,11 +65,25 @@ def test_tiny_outputs_match_the_recorded_goldens(tmp_path, name, seed):
     )
 
 
+@pytest.mark.parametrize("name, seed", CASES, ids=[f"{n}-{s}" for n, s in CASES])
+def test_tiny_outputs_match_the_recorded_goldens(tmp_path, name, seed):
+    golden = json.loads(GOLDENS.read_text())[f"{name}/tiny/{seed}"]
+    moved = moved_keys(golden["digest"], tiny_digest(name, seed, tmp_path))
+    assert not moved, mismatch_message(golden, f"{name} at seed {seed}", moved)
+
+
+def test_synth_files_match_the_recorded_goldens(tmp_path):
+    golden = json.loads(GOLDENS.read_text())[SYNTH_KEY]
+    moved = moved_keys(golden["digest"], synth_digest(tmp_path / "task"))
+    assert not moved, mismatch_message(golden, f"nst {' '.join(SYNTH_ARGS)}", moved)
+
+
 def record(root: Path) -> None:
     goldens = {}
     for name, seed in CASES:
         digest = tiny_digest(name, seed, root / f"{name}-{seed}")
         goldens[f"{name}/tiny/{seed}"] = {"digest": digest, **environment()}
+    goldens[SYNTH_KEY] = {"digest": synth_digest(root / "synth"), **environment()}
     GOLDENS.write_text(json.dumps(goldens, sort_keys=True, indent=1) + "\n")
 
 
