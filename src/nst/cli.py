@@ -65,7 +65,6 @@ def cmd_synth(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_vocab(world.vocab(), out / "vocab.txt")
     rng = derive_rng(args.seed, "synth")
     sup = synth_generate(world, args.supervised, source, rng, id_prefix="sup")
     dev = synth_generate(world, args.dev, source, rng, id_prefix="dev")
@@ -73,6 +72,8 @@ def cmd_synth(args) -> int:
     save_manifest(sup, out / "supervised.jsonl")
     save_manifest(dev, out / "dev.jsonl")
     save_manifest(unlab.strip_labels(), out / "unlabeled.jsonl")
+    # Last, so that a rerun refused by save_manifest leaves the vocab as it was.
+    save_vocab(world.vocab(), out / "vocab.txt")
     print(f"wrote {len(sup)}/{len(dev)}/{len(unlab)} sup/dev/unlabeled utterances to {out}")
     return 0
 

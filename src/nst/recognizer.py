@@ -28,6 +28,7 @@ student trained on decent pseudo-labels beats its teacher.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
@@ -91,8 +92,8 @@ class ToyWorld:
     def __post_init__(self):
         if self.vocab_size < 2:
             raise RecognizerError("vocab_size must be >= 2")
-        if self.noise < 0:
-            raise RecognizerError("noise must be >= 0")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise RecognizerError("noise must be finite and >= 0")
         if self.frames_per_token < 1:
             raise RecognizerError("frames_per_token must be >= 1")
 
@@ -102,7 +103,12 @@ class ToyWorld:
 
 
 class MarkovSentenceSource:
-    """Sentence sampler with bigram structure and uniform random lengths."""
+    """Sentence sampler with bigram structure and uniform random lengths.
+
+    Tokens are drawn by inverse CDF, one ``rng.random()`` double each, over
+    tables built once from ``initial`` and the rows of ``transition``: the
+    draw ``Generator.choice(V, p=row)`` makes, so the stream is the same.
+    """
 
     def __init__(
         self,
@@ -110,28 +116,39 @@ class MarkovSentenceSource:
         transition: np.ndarray,
         length_range: tuple[int, int] = (4, 10),
     ):
-        initial = np.asarray(initial, dtype=np.float64)
-        transition = np.asarray(transition, dtype=np.float64)
+        initial = np.array(initial, dtype=np.float64)
+        transition = np.array(transition, dtype=np.float64)
         v = initial.size
         if transition.shape != (v, v):
             raise RecognizerError("transition matrix shape must match initial probs")
+        for name, probs in (("initial", initial), ("transition", transition)):
+            if not np.all(np.isfinite(probs)):
+                raise RecognizerError(f"{name} probs must be finite")
         if np.any(initial < 0) or abs(initial.sum() - 1.0) > 1e-9:
             raise RecognizerError("initial probs must be a distribution")
         if np.any(transition < 0) or np.any(np.abs(transition.sum(axis=1) - 1.0) > 1e-9):
             raise RecognizerError("transition rows must be distributions")
         if not 1 <= length_range[0] <= length_range[1]:
             raise RecognizerError("length range must satisfy 1 <= lo <= hi")
+        # The tables are derived from these, so they may not change.
+        initial.flags.writeable = False
+        transition.flags.writeable = False
         self.initial = initial
         self.transition = transition
         self.length_range = (int(length_range[0]), int(length_range[1]))
+        # Row t is the successor CDF of token t; row V, the start context's.
+        self._cdfs = [_cdf(row) for row in transition] + [_cdf(initial)]
 
     def __call__(self, rng: np.random.Generator) -> list[int]:
         lo, hi = self.length_range
         length = int(rng.integers(lo, hi + 1))
-        v = self.initial.size
-        tokens = [int(rng.choice(v, p=self.initial))]
-        for _ in range(length - 1):
-            tokens.append(int(rng.choice(v, p=self.transition[tokens[-1]])))
+        cdfs = self._cdfs
+        cdf = cdfs[-1]
+        tokens = []
+        for u in rng.random(length).tolist():
+            token = bisect_right(cdf, u)
+            tokens.append(token)
+            cdf = cdfs[token]
         return tokens
 
     @classmethod
@@ -161,6 +178,13 @@ class MarkovSentenceSource:
             transition[t, successors] += weights
         transition /= transition.sum(axis=1, keepdims=True)
         return cls(initial, transition, length_range)
+
+
+def _cdf(probs: np.ndarray) -> list[float]:
+    """``probs``' normalized cumulative sums, computed as ``Generator.choice`` does."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def synth_generate(

@@ -97,6 +97,24 @@ def reference_decode(am, bigram_log, beam: int, lm_weight: float) -> list[tuple]
     return hyps
 
 
+def reference_sentence(initial, transition, length_range, rng) -> list[int]:
+    """One sentence drawn token by token with ``Generator.choice``.
+
+    The length is drawn uniformly from ``length_range`` (inclusive), the first
+    token from ``initial`` and each later one from the ``transition`` row of
+    the token before it.
+    """
+    initial = np.asarray(initial, dtype=np.float64)
+    transition = np.asarray(transition, dtype=np.float64)
+    lo, hi = length_range
+    length = int(rng.integers(lo, hi + 1))
+    v = initial.size
+    tokens = [int(rng.choice(v, p=initial))]
+    for _ in range(length - 1):
+        tokens.append(int(rng.choice(v, p=transition[tokens[-1]])))
+    return tokens
+
+
 def exhaustive_edit_distance(reference, hypothesis) -> int:
     """Minimal edit distance by exhaustive recursion over all alignments.
 

@@ -73,6 +73,23 @@ def test_synth_rerun_with_another_seed_refused(task_dir, tmp_path, capsys):
     # The same seed writes the same bytes, which may stay in place.
     assert main(synth_argv(task_dir, seed=5)) == 0
     assert dev.read_bytes() == manifest_bytes
+    # A rerun with another vocabulary is refused before the vocab is replaced.
+    vocab_bytes = (task_dir / "vocab.txt").read_bytes()
+    argv = synth_argv(task_dir, seed=5)
+    argv[argv.index("--vocab-size") + 1] = "12"
+    assert main(argv) == 2
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert (task_dir / "vocab.txt").read_bytes() == vocab_bytes
+    assert dev.read_bytes() == manifest_bytes
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_synth_refuses_non_finite_noise(tmp_path, capsys, noise):
+    argv = synth_argv(tmp_path / "task", seed=5)
+    argv[argv.index("--noise") + 1] = noise
+    assert main(argv) == 2
+    assert "noise must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "task").exists()
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from nst.scoring import FusionParams, best_hypothesis, fuse_components
 from nst.seeding import derive_rng
 
 from conftest import reference_best_of
-from oracles import reference_am, reference_decode
+from oracles import reference_am, reference_decode, reference_sentence
 
 
 def uniform_source(length=3, vocab=4):
@@ -50,10 +50,29 @@ class TestToyWorld:
         with pytest.raises(RecognizerError):
             ToyWorld(vocab_size=4, noise=-0.1)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_rejects_non_finite_noise(self, noise):
+        with pytest.raises(RecognizerError, match="noise must be finite"):
+            ToyWorld(vocab_size=4, noise=noise)
+
     def test_vocab_matches_size(self, world):
         vocab = world.vocab()
         assert vocab.size == 4
         assert len(set(vocab.tokens)) == 4
+
+
+@st.composite
+def sentence_cases(draw):
+    """A random source (V from 2 to 40, some zero entries), a length range within 1..40 and a seed."""
+    v = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    weights = rng.random((v + 1, v)) * (rng.random((v + 1, v)) >= zero_frac)
+    weights[np.arange(v + 1), rng.integers(0, v, v + 1)] += 0.01  # no all-zero row
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    lo = draw(st.integers(1, 40))
+    hi = draw(st.integers(lo, 40))
+    return probs[v], probs[:v], (lo, hi), draw(st.integers(0, 2**32 - 1))
 
 
 class TestSentenceSource:
@@ -68,6 +87,56 @@ class TestSentenceSource:
     def test_rejects_bad_rows(self):
         with pytest.raises(RecognizerError):
             MarkovSentenceSource(np.array([0.5, 0.5]), np.array([[1.0, 0.1], [0.5, 0.5]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(RecognizerError, match="initial probs must be finite"):
+                MarkovSentenceSource(np.array([bad, 0.5]), np.array([[0.5, 0.5], [0.5, 0.5]]))
+            with pytest.raises(RecognizerError, match="transition probs must be finite"):
+                MarkovSentenceSource(np.array([0.5, 0.5]), np.array([[0.5, 0.5], [bad, 0.5]]))
+
+    def test_probabilities_are_read_only(self):
+        initial = np.array([0.5, 0.5])
+        source = MarkovSentenceSource(initial, np.array([[0.5, 0.5], [0.5, 0.5]]))
+        with pytest.raises(ValueError):
+            source.initial[0] = 1.0
+        with pytest.raises(ValueError):
+            source.transition[0, 0] = 1.0
+        assert initial.flags.writeable  # the caller's array stays its own
+
+    def test_a_draw_on_a_cdf_step_takes_the_next_token(self):
+        # searchsorted(side="right"), which Generator.choice uses: u == cdf[i]
+        # gives token i + 1, and u == 0.0 never picks a zero-probability token.
+        # The CDF ends at exactly 1.0, so the largest draw below 1 picks the
+        # last token even where the probabilities sum to slightly less.
+        class Draws:
+            def __init__(self, *us):
+                self.us = us
+
+            def integers(self, lo, hi):
+                return len(self.us)
+
+            def random(self, n):
+                return np.array(self.us[:n])
+
+        source = MarkovSentenceSource(
+            np.array([0.0, 1.0, 0.0]),
+            np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0]]),
+            (1, 3),
+        )
+        assert source(Draws(0.0, 0.5, 0.5)) == [1, 2, 1]
+        tenths = np.full(10, 0.1)
+        assert tenths.cumsum()[-1] < 1.0
+        source = MarkovSentenceSource(tenths, np.tile(tenths, (10, 1)), (1, 2))
+        assert source(Draws(np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0))) == [9, 9]
+
+    @settings(max_examples=300, deadline=None)
+    @given(sentence_cases())
+    def test_same_stream_as_the_reference_sampler(self, case):
+        initial, transition, length_range, seed = case
+        source = MarkovSentenceSource(initial, transition, length_range)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert source(ours) == reference_sentence(initial, transition, length_range, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestSynthGenerate:
