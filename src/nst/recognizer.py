@@ -119,8 +119,8 @@ class MarkovSentenceSource:
         initial = np.array(initial, dtype=np.float64)
         transition = np.array(transition, dtype=np.float64)
         v = initial.size
-        if transition.shape != (v, v):
-            raise RecognizerError("transition matrix shape must match initial probs")
+        if initial.ndim != 1 or transition.shape != (v, v):
+            raise RecognizerError("initial probs must be a vector and transition a V x V matrix")
         for name, probs in (("initial", initial), ("transition", transition)):
             if not np.all(np.isfinite(probs)):
                 raise RecognizerError(f"{name} probs must be finite")

@@ -87,6 +87,8 @@ class TestSentenceSource:
     def test_rejects_bad_rows(self):
         with pytest.raises(RecognizerError):
             MarkovSentenceSource(np.array([0.5, 0.5]), np.array([[1.0, 0.1], [0.5, 0.5]]))
+        with pytest.raises(RecognizerError, match="must be a vector"):
+            MarkovSentenceSource(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5], [0.5, 0.5]]))
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(RecognizerError, match="initial probs must be finite"):
                 MarkovSentenceSource(np.array([bad, 0.5]), np.array([[0.5, 0.5], [0.5, 0.5]]))
