@@ -9,12 +9,12 @@ residuals, and rank every generated transcript by
     (score - mu * length - beta) / (sigma * sqrt(length)).
 
 Relaxing the cutoff on this statistic over training generations grows the
-kept set while holding its quality roughly constant.
+kept set while holding its quality roughly constant. The filter and its curves
+share one keep rule: strictly above the cutoff, and -inf keeps everything.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -113,23 +113,23 @@ def filter_score(model: FilterModel, fused: float, length: int) -> float:
     return (fused - model.mu * length - model.beta) / (model.sigma * math.sqrt(length))
 
 
-def apply_filter(dataset: Dataset, model: FilterModel, cutoff: float) -> Dataset:
-    """Keep utterances whose filter score is strictly above ``cutoff``.
+def _keeps(score: float, cutoff: float) -> bool:
+    """The keep rule: strictly above ``cutoff``; a cutoff of -inf keeps everything."""
+    return cutoff == NEG_INF or score > cutoff
 
-    A cutoff of -inf disables filtering entirely, so blank transcripts (which
-    score -inf) survive only that setting. Order is preserved.
-    """
+
+def apply_filter(dataset: Dataset, model: FilterModel, cutoff: float) -> Dataset:
+    """The utterances, in order, whose filter score the keep rule keeps at ``cutoff``."""
     kept = []
     for u in dataset:
         if u.transcript is None:
             raise MissingTranscriptError(u.id)
         if u.score is None:
             raise MissingScoreError(u.id)
-        if cutoff == NEG_INF:
+        if _keeps(filter_score(model, u.score, len(u.transcript)), cutoff):
             kept.append(u)
-        elif filter_score(model, u.score, len(u.transcript)) > cutoff:
-            kept.append(u)
-    return Dataset(kept)
+    # Dropping nothing returns the input rather than rechecking every id in a copy.
+    return dataset if len(kept) == len(dataset) else Dataset(kept)
 
 
 @dataclass(frozen=True)
@@ -173,15 +173,14 @@ def score_curves(
 ) -> list[CurvePoint]:
     """Survival curves of the filter score over a scored dev set.
 
-    For each threshold: the fraction of utterances above it, the fraction of
-    generated tokens above it, and the aggregate WER of the transcripts above
-    it (None when nothing survives).
+    For each threshold: the fraction of utterances the keep rule keeps, the
+    fraction of generated tokens they hold, and the aggregate WER of their
+    transcripts (None when nothing is kept).
 
-    The transcripts above a threshold are a prefix of the dev set sorted by
-    descending score, so each (reference, hypothesis) pair is aligned once,
-    when the lowest threshold that keeps it is reached, and every row is a
-    ratio of running integer totals: summed errors over summed reference
-    length, exactly what ``corpus_wer`` gives for the kept set.
+    The rule is monotone in the score, so each threshold keeps a prefix of the
+    dev set sorted by descending score. Each pair of the longest kept prefix is
+    aligned once, and every row reads off running integer sums: summed edits
+    over summed reference length, exactly what ``corpus_wer`` gives the kept set.
     """
     if thresholds is None:
         thresholds = default_thresholds()
@@ -198,28 +197,26 @@ def score_curves(
     if not entries:
         raise FilteringError("dev set is empty")
     entries.sort(key=lambda e: e[0], reverse=True)
-    ascending = [score for score, _, _ in reversed(entries)]
     total_utts = len(entries)
     total_tokens = sum(len(tokens) for _, _, tokens in entries)
-    # A threshold keeps the scores strictly above it; -inf keeps everything.
-    kept = [
-        (float(t), total_utts if t == NEG_INF else total_utts - bisect_right(ascending, t))
-        for t in thresholds
-    ]
-    totals = {0: (0, 0, 0)}  # kept count -> (hypothesis tokens, errors, reference length)
-    admitted = 0
-    for count in sorted({count for _, count in kept} - {0}):
-        block = entries[admitted:count]
-        tokens = sum(len(hyp) for _, _, hyp in block)
-        ref_length = sum(len(ref) for _, ref, _ in block)
-        # Against empty references every hypothesis token is an insertion.
-        errors = corpus_wer((r, h) for _, r, h in block).errors if ref_length else tokens
-        before = totals[admitted]
-        totals[count] = (before[0] + tokens, before[1] + errors, before[2] + ref_length)
-        admitted = count
+    thresholds = [float(t) for t in thresholds]
+    counts, count = [], 0
+    for t in thresholds:
+        # Move the kept prefix's end from the last threshold's to the first entry t drops.
+        while count < total_utts and _keeps(entries[count][0], t):
+            count += 1
+        while count and not _keeps(entries[count - 1][0], t):
+            count -= 1
+        counts.append(count)
+    sums = [(0, 0, 0)]  # kept prefix length -> (hypothesis tokens, edits, reference length)
+    for _, ref, hyp in entries[: max(counts, default=0)]:
+        # Against an empty reference every hypothesis token is an insertion.
+        edits = corpus_wer([(ref, hyp)]).errors if ref else len(hyp)
+        tokens, errors, ref_length = sums[-1]
+        sums.append((tokens + len(hyp), errors + edits, ref_length + len(ref)))
     points = []
-    for threshold, count in kept:
-        tokens, errors, ref_length = totals[count]
+    for threshold, count in zip(thresholds, counts):
+        tokens, errors, ref_length = sums[count]
         if count and not ref_length:
             raise EmptyReferenceError("total reference length is 0")
         token_fraction = tokens / total_tokens if total_tokens > 0 else 0.0

@@ -167,6 +167,8 @@ class MarkovSentenceSource:
         geometric initial distribution skews the token marginals so that
         balancing has work to do.
         """
+        if vocab_size < branching:
+            raise RecognizerError(f"vocab size {vocab_size} is below the branching {branching}")
         rng = np.random.default_rng(seed)
         initial = skew ** np.arange(vocab_size, dtype=np.float64)
         initial /= initial.sum()

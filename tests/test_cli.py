@@ -92,6 +92,15 @@ def test_synth_refuses_non_finite_noise(tmp_path, capsys, noise):
     assert not (tmp_path / "task").exists()
 
 
+def test_synth_refuses_a_vocab_smaller_than_the_branching(tmp_path, capsys):
+    # Each token routes its mass to 3 distinct preferred successors.
+    argv = synth_argv(tmp_path / "task", seed=5)
+    argv[argv.index("--vocab-size") + 1] = "2"
+    assert main(argv) == 2
+    assert "vocab size 2 is below the branching 3" in capsys.readouterr().err
+    assert not (tmp_path / "task").exists()
+
+
 @pytest.fixture
 def model_path(task_dir, tmp_path):
     model = tmp_path / "model.json"

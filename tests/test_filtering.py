@@ -171,8 +171,9 @@ class TestApplyFilter:
         assert kept.ids() == dataset.ids()
 
     def test_direct_comparison(self):
-        # Scores with length 1 and sigma 1 equal the fused values.
-        dataset = scored_dataset([("a", 1, -1.2), ("b", 1, 0.3), ("c", 1, 1.7)])
+        # Scores with length 1 and sigma 1 equal the fused values, so "on" scores
+        # exactly the cutoff and is dropped.
+        dataset = scored_dataset([("a", 1, -1.2), ("on", 1, 0.0), ("b", 1, 0.3), ("c", 1, 1.7)])
         kept = apply_filter(dataset, self.identity_model, 0.0)
         assert kept.ids() == ("b", "c")
 

@@ -50,6 +50,15 @@ def synth_digest(root: Path) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.iterdir())}
 
 
+def cpu_dispatch() -> str:
+    """The CPU-dispatch targets numpy was built with that this CPU supports, where numpy says."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return "not reported by this numpy"
+    return ", ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
+
+
 def moved_keys(expected: dict, digest: dict) -> list[str]:
     return sorted(k for k in set(expected) | set(digest) if expected.get(k) != digest.get(k))
 
@@ -59,8 +68,11 @@ def mismatch_message(golden: dict, what: str, moved: list[str]) -> str:
     return (
         f"{what}: these artifacts differ from the golden: {', '.join(moved)}. "
         f"The golden was recorded with {recorded}; this run has {environment()}. "
-        "Another numpy build can sum in another SIMD order and move the last bits, so a "
-        "mismatch across environments may not be a regression. Re-record only for a "
+        f"numpy's active CPU-dispatch targets here: {cpu_dispatch()}. numpy picks its "
+        "float64 exp and log kernels by these targets, and the AVX-512 (X86_V4) kernels "
+        "round some last bits unlike the baseline ones; another numpy build can also sum in "
+        "another SIMD order. So a mismatch on another CPU or build may not be a "
+        "regression. Re-record only for a "
         "deliberate change, with a CHANGES.md line naming each artifact and the reason."
     )
 
@@ -76,6 +88,12 @@ def test_synth_files_match_the_recorded_goldens(tmp_path):
     golden = json.loads(GOLDENS.read_text())[SYNTH_KEY]
     moved = moved_keys(golden["digest"], synth_digest(tmp_path / "task"))
     assert not moved, mismatch_message(golden, f"nst {' '.join(SYNTH_ARGS)}", moved)
+
+
+def test_a_mismatch_names_the_cpu_dispatch_targets():
+    golden = json.loads(GOLDENS.read_text())[SYNTH_KEY]
+    message = mismatch_message(golden, "a case", ["vocab.txt"])
+    assert f"targets here: {cpu_dispatch()}." in message
 
 
 def record(root: Path) -> None:

@@ -218,17 +218,36 @@ class TestToyTrain:
         assert np.allclose(m1.bigram_log, m2.bigram_log, atol=1e-12)
         assert np.allclose(m1.centroids, m2.centroids, atol=1e-12)
 
-    def test_even_frame_split_for_mismatched_lengths(self, world):
-        # 4 frames against 2 tokens: each token owns 2 frames.
+    @pytest.mark.parametrize(
+        "frame_values, n_tokens, centroid_values",
+        [
+            # 4 frames against 2 tokens: each token owns 2 frames.
+            ((1.0, 1.0, 3.0, 3.0), 2, (1.0, 3.0)),
+            # 5 frames against 3 tokens: bounds (j * 5) // 3 = 0, 1, 3, 5 give blocks
+            # of 1, 2 and 2 frames, where ceiling division would give 2, 2 and 1.
+            ((1.0, 2.0, 3.0, 4.0, 5.0), 3, (1.0, 2.5, 4.5)),
+            # 2 frames against 3 tokens: bounds 0, 0, 1, 2 leave the first token none.
+            ((1.0, 3.0), 3, (0.0, 1.0, 3.0)),
+        ],
+    )
+    def test_frame_split_for_mismatched_lengths(
+        self, world, frame_values, n_tokens, centroid_values
+    ):
         vocab = world.vocab()
-        a, b = vocab.token_of(0), vocab.token_of(1)
-        features = np.vstack(
-            [np.full((2, 4), 1.0), np.full((2, 4), 3.0)]
-        )
-        data = Dataset([Utterance(id="u", features=features, transcript=(a, b))])
-        model = toy_train(data, vocab, 2, identity_policy(), 0)
-        assert np.allclose(model.centroids[0], np.full(4, 1.0))
-        assert np.allclose(model.centroids[1], np.full(4, 3.0))
+        v = vocab.size
+        transcript = tuple(vocab.token_of(t) for t in range(n_tokens))
+        features = np.repeat(np.array(frame_values)[:, None], v, axis=1)
+        data = Dataset([Utterance(id="u", features=features, transcript=transcript)])
+        model = toy_train(data, vocab, 1, identity_policy(), 0)
+        expected = np.zeros((v, v))
+        expected[:n_tokens] = np.array(centroid_values)[:, None]
+        assert np.array_equal(model.centroids, expected)
+        # Each token counts once in the bigram table, with frames or without:
+        # start -> 0 -> 1 -> ..., add-one smoothed over V successors.
+        counts = np.zeros((v + 1, v))
+        counts[[v, *range(n_tokens - 1)], range(n_tokens)] = 1
+        smoothed = (counts + 1) / (counts.sum(axis=1, keepdims=True) + v)
+        assert np.allclose(np.exp(model.bigram_log), smoothed, rtol=1e-12)
 
     def test_more_data_reduces_centroid_error(self):
         world = ToyWorld(vocab_size=4, noise=0.5, frames_per_token=2)
