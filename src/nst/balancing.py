@@ -57,8 +57,10 @@ class SamplerConfig:
             raise BalancingError("batch_fraction must be in (0, 1]")
         if self.min_token_total < 0:
             raise BalancingError("min_token_total must be >= 0")
-        if not self.smoothing_epsilon > 0:
-            raise BalancingError("smoothing_epsilon must be > 0")
+        if not (math.isfinite(self.smoothing_epsilon) and self.smoothing_epsilon > 0):
+            raise BalancingError(
+                f"smoothing_epsilon must be finite and > 0, got {self.smoothing_epsilon!r}"
+            )
 
     def batch_size(self, pool_size: int) -> int:
         return int(math.ceil(self.batch_fraction * pool_size))

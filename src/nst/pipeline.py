@@ -5,7 +5,8 @@ in order (the ``_Stage`` names):
 
     load                  once per run: the vocab and the supervised, dev and
                           unlabeled manifests, each checked as it is read
-    load_teacher          the previous generation's model
+    load_teacher          the previous generation's model, fusion weights and
+                          filter model, read from its files
     transcribe_unlabeled  the teacher's fused top hypotheses as pseudo-labels
     filter                keep pseudo-labels above the generation's cutoff
     balance               resample toward the supervised token distribution
@@ -27,8 +28,11 @@ The loop sees a recognizer only through the ``Recognizer`` protocol: the
 builds the teacher and the student, which train, save, load and decode.
 
 State is a single JSON document written atomically, so an interrupted run
-leaves either the previous or the next state file, never a torn one. All
-randomness derives from (master seed, generation, stage name).
+leaves either the previous or the next state file, never a torn one. It holds
+the run's settings and each completed generation's metrics; a generation's
+teacher is read from the previous generation's files, on a fresh run and on
+a resume alike. All randomness derives from (master seed, generation, stage
+name).
 """
 from __future__ import annotations
 
@@ -83,8 +87,8 @@ _RUN_SPEC = {"datasets": dict, "frames_per_token": int, "beam": int, "decode_lm_
              "generations": list}
 _METRICS_SPEC = {"generation": int, "dev_wer": float, "semi_utterances": int, "semi_examples": int}
 _STATE_SPEC = {"seed": int, "frames_per_token": int, "beam": int, "decode_lm_weight": float,
-               **_DATASET_SPEC, "generation": int, "model_file": (str, None),
-               "fusion": (dict, None), "filter_model": (dict, None), "metrics": list}
+               **_DATASET_SPEC, "metrics": list}
+_FUSION_RECORD_SPEC = {"params": dict, "dev_wer": float}
 # The state fields a run fixes when it starts; a resume must agree on each.
 _RUN_FIELDS = ("seed", "frames_per_token", "beam", "decode_lm_weight", *_DATASET_SPEC)
 
@@ -299,7 +303,7 @@ class GenerationMetrics:
 
 @dataclass
 class PipelineState:
-    """Persisted loop state; ``generation`` counts completed generations."""
+    """Persisted loop state: the run's identity and each completed generation's metrics."""
 
     workdir: Path
     seed: int
@@ -310,29 +314,22 @@ class PipelineState:
     unlabeled: str
     dev: str
     vocab: str
-    generation: int = 0
-    model_file: str | None = None
-    fusion: FusionParams | None = None
-    filter_model: FilterModel | None = None
     metrics: list[GenerationMetrics] = field(default_factory=list)
 
     def __post_init__(self):
-        """Refuse metrics not numbered 0..generation-1, or a used state without its teacher."""
         numbers = [m.generation for m in self.metrics]
-        if numbers != list(range(self.generation)):
-            raise PipelineError(f"generation {self.generation} disagrees with metrics {numbers}")
-        for name in ("model_file", "fusion", "filter_model"):
-            if self.generation > 0 and getattr(self, name) is None:
-                raise PipelineError(f"state after {self.generation} generations lacks its {name}")
+        if numbers != list(range(len(numbers))):
+            raise PipelineError(f"metrics must be numbered 0, 1, 2, ... in order, got {numbers}")
+
+    @property
+    def generation(self) -> int:
+        """The number of completed generations, which is the next one to run."""
+        return len(self.metrics)
 
     def to_dict(self) -> dict:
         """Every field but ``workdir``, as JSON-ready values."""
         record = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workdir"}
-        record.update(
-            fusion=self.fusion.to_dict() if self.fusion else None,
-            filter_model=self.filter_model.to_dict() if self.filter_model else None,
-            metrics=[m.to_dict() for m in self.metrics],
-        )
+        record["metrics"] = [m.to_dict() for m in self.metrics]
         return record
 
     @classmethod
@@ -340,10 +337,6 @@ class PipelineState:
         """The state a ``to_dict`` record describes; every key is required."""
         values = read_record(record, _STATE_SPEC, PipelineError, "pipeline state",
                              required=_STATE_SPEC)
-        if values["fusion"] is not None:
-            values["fusion"] = FusionParams.from_dict(values["fusion"])
-        if values["filter_model"] is not None:
-            values["filter_model"] = FilterModel.from_dict(values["filter_model"])
         values["metrics"] = [GenerationMetrics.from_dict(m) for m in values["metrics"]]
         return cls(workdir=workdir, **values)
 
@@ -538,13 +531,19 @@ def run_generation(
     else:
         with _Stage(g, "load_teacher"):
             teacher = recognizer(vocab, state.frames_per_token, state.decode_lm_weight)
-            teacher.load(workdir / state.model_file)
+            teacher.load(workdir / f"model_gen{g - 1}.json")
+            tuned = read_record(read_json(workdir / f"fusion_gen{g - 1}.json", PipelineError),
+                                _FUSION_RECORD_SPEC, PipelineError, "fusion record",
+                                required=_FUSION_RECORD_SPEC)
+            teacher_fusion = FusionParams.from_dict(tuned["params"])
+            teacher_filter = FilterModel.from_dict(
+                read_json(workdir / f"filter_gen{g - 1}.json", PipelineError))
         with _Stage(g, "transcribe_unlabeled"):
-            pseudo = _pseudo_label(inputs.unlabeled, teacher, state.fusion, state.beam)
+            pseudo = _pseudo_label(inputs.unlabeled, teacher, teacher_fusion, state.beam)
             save_manifest(pseudo, workdir / f"pseudo_gen{g}.jsonl")
         with _Stage(g, "filter"):
             if config.filtering:
-                filtered = apply_filter(pseudo, state.filter_model, config.filter_cutoff)
+                filtered = apply_filter(pseudo, teacher_filter, config.filter_cutoff)
                 save_manifest(filtered, workdir / f"filtered_gen{g}.jsonl")
             else:
                 filtered = pseudo
@@ -568,8 +567,7 @@ def run_generation(
         student.train(
             training_set, config.augment_policy, derive_seed(state.seed, g, "train")
         )
-        model_file = f"model_gen{g}.json"
-        student.save(workdir / model_file)
+        student.save(workdir / f"model_gen{g}.json")
 
     with _Stage(g, "tune_fusion"):
         dev_nbest = student.transcribe(list(dev), state.beam)
@@ -609,12 +607,7 @@ def run_generation(
     atomic_write_json(workdir / f"info_gen{g}.json", info)
 
     new_state = replace(
-        state,
-        generation=g + 1,
-        model_file=model_file,
-        fusion=fusion,
-        filter_model=filter_model,
-        metrics=state.metrics + [GenerationMetrics(g, dev_wer, len(semi), semi_examples)],
+        state, metrics=state.metrics + [GenerationMetrics(g, dev_wer, len(semi), semi_examples)]
     )
     save_state(new_state)
     return new_state

@@ -102,6 +102,10 @@ class ToyWorld:
         return TokenVocab([f"t{i:0{width}d}" for i in range(self.vocab_size)])
 
 
+# The preferred successors' shares of a structured source's routed mass, best first.
+_SUCCESSOR_SHARES = (0.5, 0.3, 0.2)
+
+
 class MarkovSentenceSource:
     """Sentence sampler with bigram structure and uniform random lengths.
 
@@ -162,18 +166,22 @@ class MarkovSentenceSource:
     ) -> "MarkovSentenceSource":
         """Random source with concentrated successors and a skewed start.
 
-        Each token routes 90% of its mass to ``branching`` preferred
+        Each token routes 90% of its mass to ``branching`` (1 to 3) preferred
         successors, which gives a language model something to learn; the
         geometric initial distribution skews the token marginals so that
         balancing has work to do.
         """
+        if not 1 <= branching <= len(_SUCCESSOR_SHARES):
+            raise RecognizerError(
+                f"branching must be 1 to {len(_SUCCESSOR_SHARES)}, got {branching!r}"
+            )
         if vocab_size < branching:
             raise RecognizerError(f"vocab size {vocab_size} is below the branching {branching}")
         rng = np.random.default_rng(seed)
         initial = skew ** np.arange(vocab_size, dtype=np.float64)
         initial /= initial.sum()
         transition = np.full((vocab_size, vocab_size), 0.1 / vocab_size)
-        weights = np.array([0.5, 0.3, 0.2][:branching], dtype=np.float64)
+        weights = np.array(_SUCCESSOR_SHARES[:branching], dtype=np.float64)
         weights = 0.9 * weights / weights.sum()
         for t in range(vocab_size):
             successors = rng.choice(vocab_size, size=branching, replace=False)
@@ -232,6 +240,8 @@ class ToyModel:
     bigram_log: np.ndarray
 
     def __post_init__(self):
+        if self.frames_per_token < 1:
+            raise RecognizerError(f"frames_per_token must be >= 1, got {self.frames_per_token}")
         v = len(self.tokens)
         self.centroids = np.asarray(self.centroids, dtype=np.float64)
         self.bigram_log = np.asarray(self.bigram_log, dtype=np.float64)
@@ -277,7 +287,8 @@ def toy_train(
     utterance id, so parallel order cannot matter). Frames are split evenly
     across the transcript tokens; for synthesized supervised data this
     coincides with the true block alignment. Multiplicities enter as integer
-    weights on both the frame sums and the bigram counts.
+    weights on both the frame sums and the bigram counts. Features must be
+    as wide as the vocab, as the decoder requires (``_check_width``).
     """
     if len(dataset) == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
@@ -289,6 +300,7 @@ def toy_train(
     for u in dataset:
         if u.transcript is None:
             raise MissingTranscriptError(u.id)
+        _check_width(u, v)
         token_ids = [vocab.id_of(t) for t in u.transcript]
         weight = u.multiplicity
         features = apply_policy(
@@ -321,18 +333,24 @@ def toy_train(
     )
 
 
-def _block_count(model: ToyModel, features: np.ndarray) -> int:
-    """Number of frame blocks in ``features``; refuses a shape the model cannot decode."""
-    v = len(model.tokens)
-    if features.shape[1] != v:
+def _check_width(utterance: Utterance, v: int) -> None:
+    """Refuse features that are not ``v`` wide: a frame holds one value per token."""
+    width = utterance.features.shape[1]
+    if width != v:
         raise FrameAlignmentError(
-            f"feature width {features.shape[1]} does not match vocab size {v}"
+            f"utterance {utterance.id!r}: feature width {width} does not match vocab size {v}"
         )
+
+
+def _block_count(model: ToyModel, utterance: Utterance) -> int:
+    """Number of frame blocks in ``utterance``; refuses a shape the model cannot decode."""
+    _check_width(utterance, len(model.tokens))
     fpt = model.frames_per_token
-    n_frames = features.shape[0]
+    n_frames = utterance.features.shape[0]
     if n_frames % fpt != 0 or n_frames == 0:
         raise FrameAlignmentError(
-            f"{n_frames} frames is not a whole number of {fpt}-frame blocks"
+            f"utterance {utterance.id!r}: {n_frames} frames is not a whole number of "
+            f"{fpt}-frame blocks"
         )
     return n_frames // fpt
 
@@ -547,7 +565,9 @@ def toy_transcribe(
     """
     if beam < 1:
         raise RecognizerError("beam must be >= 1")
-    counts = [_block_count(model, u.features) for u in utterances]
+    if not np.isfinite(lm_weight):
+        raise RecognizerError(f"lm_weight must be finite, got {lm_weight!r}")
+    counts = [_block_count(model, u) for u in utterances]
     by_length = sorted(range(len(utterances)), key=lambda j: -counts[j])
     v = len(model.tokens)
     tokens = np.zeros((len(utterances), beam, max(counts, default=0)), dtype=np.int32)

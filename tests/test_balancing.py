@@ -99,6 +99,10 @@ class TestSamplerConfig:
             SamplerConfig(batch_fraction=0.0)
         with pytest.raises(BalancingError):
             SamplerConfig(smoothing_epsilon=0.0)
+        # An infinite epsilon smoothed every distribution to NaN.
+        for epsilon in (float("inf"), float("nan")):
+            with pytest.raises(BalancingError, match="smoothing_epsilon must be finite"):
+                SamplerConfig(smoothing_epsilon=epsilon)
 
 
 class TestSubmodularSample:

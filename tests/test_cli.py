@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -320,6 +321,90 @@ def test_non_finite_model_file_exits_2(task_dir, model_path, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "must be finite" in err
     assert not out.exists()
+
+
+def _narrowed(task, tmp_path, width):
+    """The supervised manifest with each utterance's features cut to ``width`` columns."""
+    path = tmp_path / f"width{width}.jsonl"
+    sup = load_manifest(task / "supervised.jsonl")
+    save_manifest(Dataset(replace(u, features=u.features[:, :width]) for u in sup), path)
+    return str(path)
+
+
+def _toy_model_with(model, tmp_path, **values):
+    path = tmp_path / "edited_model.json"
+    path.write_text(json.dumps({**json.loads(model.read_text()), **values}))
+    return str(path)
+
+
+def _config_with_balance(task, tmp_path, **balance):
+    path = tmp_path / "cfg.json"
+    datasets = {"supervised": "supervised.jsonl", "unlabeled": "unlabeled.jsonl",
+                "dev": "dev.jsonl", "vocab": "vocab.txt"}
+    path.write_text(json.dumps({
+        "datasets": {key: str(task / name) for key, name in datasets.items()},
+        "frames_per_token": 2,
+        "generations": [{"generation": 0}, {"generation": 1, "balance": balance}],
+    }))
+    return str(path)
+
+
+# Each bad value: the command line before ``--out`` (from the task, a trained toy model
+# and a scratch directory), and the words its one error line must hold.
+BAD_VALUES = {
+    "toy-train-width-1": (
+        lambda task, model, tmp: ["toy-train", "--manifest", _narrowed(task, tmp, 1),
+                                  "--vocab", str(task / "vocab.txt"), "--frames-per-token", "2"],
+        "'sup-00000': feature width 1 does not match vocab size 8"),
+    "toy-train-width-5": (
+        lambda task, model, tmp: ["toy-train", "--manifest", _narrowed(task, tmp, 5),
+                                  "--vocab", str(task / "vocab.txt"), "--frames-per-token", "2"],
+        "'sup-00000': feature width 5 does not match vocab size 8"),
+    "toy-train-zero-frames-per-token": (
+        lambda task, model, tmp: ["toy-train", "--manifest", str(task / "supervised.jsonl"),
+                                  "--vocab", str(task / "vocab.txt"), "--frames-per-token", "0"],
+        "frames_per_token must be >= 1, got 0"),
+    "toy-transcribe-zero-frames-per-token-model": (
+        lambda task, model, tmp: ["toy-transcribe",
+                                  "--model", _toy_model_with(model, tmp, frames_per_token=0),
+                                  "--manifest", str(task / "dev.jsonl")],
+        "edited_model.json: frames_per_token must be >= 1, got 0"),
+    "toy-transcribe-nan-lm-weight": (
+        lambda task, model, tmp: ["toy-transcribe", "--model", str(model), "--lm-weight", "nan",
+                                  "--manifest", str(task / "dev.jsonl")],
+        "lm_weight must be finite, got nan"),
+    "toy-transcribe-inf-lm-weight": (
+        lambda task, model, tmp: ["toy-transcribe", "--model", str(model), "--lm-weight", "inf",
+                                  "--manifest", str(task / "dev.jsonl")],
+        "lm_weight must be finite, got inf"),
+    "balance-inf-epsilon": (
+        lambda task, model, tmp: ["balance", "--manifest", str(task / "dev.jsonl"),
+                                  "--target", str(task / "supervised.jsonl"),
+                                  "--vocab", str(task / "vocab.txt"), "--epsilon", "inf"],
+        "smoothing_epsilon must be finite and > 0, got inf"),
+    "run-config-infinite-epsilon": (
+        lambda task, model, tmp: ["run", "--workdir", str(tmp / "work"), "--config",
+                                  _config_with_balance(task, tmp, smoothing_epsilon=math.inf)],
+        "smoothing_epsilon must be finite and > 0, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_a_bad_value_exits_2_and_writes_nothing(task_dir, model_path, tmp_path, capsys, case):
+    command, named = BAD_VALUES[case]
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    argv = command(task_dir, model_path, scratch)
+    out = scratch / "out"
+    if argv[0] != "run":
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert named in err
+    assert not out.exists() and not (scratch / "work").exists()
 
 
 def test_run_refuses_a_misspelt_config_key(task_dir, tmp_path, capsys):

@@ -10,7 +10,6 @@ import pytest
 from nst import pipeline, scoring
 from nst.augment import AugmentPolicy
 from nst.corpus import load_manifest, load_vocab, save_manifest, save_vocab
-from nst.filtering import FilterModel
 from nst.augment import AugmentError
 from nst.balancing import BalancingError
 from nst.mixing import MixingError, MixPlan
@@ -114,8 +113,7 @@ class TestGenerationZero:
         assert (workdir / "model_gen0.json").exists()
         assert (workdir / "filter_gen0.json").exists()
         assert (workdir / "curves_gen0.tsv").exists()
-        assert state.fusion is not None
-        assert state.filter_model is not None
+        assert (workdir / "fusion_gen0.json").exists()
 
     def test_generation_mismatch_rejected(self, task, tmp_path):
         config = make_config(task, [gen_config(0), gen_config(1)])
@@ -318,7 +316,7 @@ class TestDecodeCount:
         state = run_generation(state, config.generations[1], inputs)
         assert built == []
         student = ToyRecognizer(load_vocab(state.vocab), 2)
-        student.load(state.workdir / state.model_file)
+        student.load(state.workdir / "model_gen1.json")
         nbest = student.transcribe(list(load_manifest(task / "dev.jsonl")), 3)
         assert built == []
         assert len(nbest[0]) == len(built) == 3
@@ -450,7 +448,7 @@ class TestStageErrors:
         # check it would decode under the run's token names.
         workdir = tmp_path / "work"
         state = run_pipeline(workdir, make_config(task, [gen_config(0)]), seed=2)
-        model_path = workdir / state.model_file
+        model_path = workdir / "model_gen0.json"
         record = json.loads(model_path.read_text())
         record[key] = value
         model_path.write_text(json.dumps(record, sort_keys=True))
@@ -461,6 +459,58 @@ class TestStageErrors:
         assert (err.value.generation, err.value.stage) == (1, "load_teacher")
         assert isinstance(err.value.cause, RecognizerError)
         assert (workdir / "state.json").read_bytes() == snapshot
+
+    @pytest.mark.parametrize(
+        "stem, damage",
+        [
+            ("fusion", lambda path: path.unlink()),
+            ("fusion", lambda path: path.write_text("{")),
+            ("fusion", lambda path: path.write_text('{"params": {"lm_weight": 0.5}}')),
+            ("fusion", lambda path: path.write_text('{"params": 0.5, "dev_wer": 0.2}')),
+            ("fusion", lambda path: path.write_text('{"params": {"lm_wieght": 1}, "dev_wer": 0}')),
+            ("filter", lambda path: path.unlink()),
+            ("filter", lambda path: path.write_text("[]")),
+            ("filter", lambda path: path.write_text('{"mu": -1.0, "beta": 0.5}')),
+            ("filter", lambda path: path.write_text('{"mu": -1.0, "beta": 0.5, "sigma": "0.2"}')),
+        ],
+        ids=["fusion-deleted", "fusion-invalid-json", "fusion-missing-dev-wer",
+             "fusion-params-not-a-record", "fusion-misspelt-param", "filter-deleted",
+             "filter-not-a-record", "filter-missing-sigma", "filter-string-sigma"],
+    )
+    def test_resume_without_the_teachers_fusion_or_filter_refused(
+        self, task, tmp_path, stem, damage
+    ):
+        # Generation 2's teacher is read from generation 1's files alone.
+        workdir = tmp_path / "work"
+        run_pipeline(workdir, make_config(task, [gen_config(0), gen_config(1, cutoff=0.0)]),
+                     seed=2)
+        damage(workdir / f"{stem}_gen1.json")
+        snapshot = (workdir / "state.json").read_bytes()
+        config = make_config(task, [gen_config(0), gen_config(1, cutoff=0.0), gen_config(2)])
+        with pytest.raises(StageError) as err:
+            run_pipeline(workdir, config, seed=2)
+        assert (err.value.generation, err.value.stage) == (2, "load_teacher")
+        assert (workdir / "state.json").read_bytes() == snapshot
+        assert not (workdir / "pseudo_gen2.jsonl").exists()
+
+    def test_a_state_that_copies_the_teacher_refused(self, task, tmp_path):
+        # The older state layout also held the generation count, the model file
+        # name, the fusion weights and the filter model, each copied from elsewhere.
+        workdir = tmp_path / "work"
+        run_pipeline(workdir, make_config(task, [gen_config(0)]), seed=2)
+        path = workdir / "state.json"
+        record = json.loads(path.read_text())
+        record.update(
+            generation=1, model_file="model_gen0.json",
+            fusion=json.loads((workdir / "fusion_gen0.json").read_text())["params"],
+            filter_model=json.loads((workdir / "filter_gen0.json").read_text()),
+        )
+        path.write_text(json.dumps(record))
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(workdir, make_config(task, [gen_config(0), gen_config(1)]), seed=2)
+        assert str(err.value) == (
+            "unknown pipeline state: filter_model, fusion, generation, model_file"
+        )
 
     def test_an_interrupt_inside_a_stage_passes_through_unwrapped(
         self, task, tmp_path, monkeypatch
@@ -751,6 +801,7 @@ class TestConfigParsing:
             ("balance", "batch_fraction", 7.0, BalancingError),
             ("balance", "min_tokens", -5, PipelineError),
             ("balance", "smoothing_epsilon", 0.0, BalancingError),
+            ("balance", "smoothing_epsilon", float("inf"), BalancingError),
         ],
         ids=["beam-float", "beam-string", "frames_per_token-float", "generation-float",
              "filter_cutoff-bool", "ratio-float-term", "ratio-not-a-list", "min_tokens-float",
@@ -759,7 +810,7 @@ class TestConfigParsing:
              "decode_lm_weight-nan", "decode_lm_weight-inf", "filter_cutoff-nan-string",
              "filter_cutoff-nan", "filter_cutoff-word", "ratio-three-terms",
              "multiplicity_cap-zero", "batch_fraction-zero", "batch_fraction-above-one",
-             "min_tokens-negative", "smoothing_epsilon-zero"],
+             "min_tokens-negative", "smoothing_epsilon-zero", "smoothing_epsilon-inf"],
     )
     def test_malformed_config_refused(self, where, key, value, error):
         PipelineConfig.from_dict(VALID_CONFIG)
@@ -854,12 +905,10 @@ class TestConfigParsing:
         state = PipelineState(
             workdir=tmp_path, seed=3, frames_per_token=2, beam=3, decode_lm_weight=0.5,
             supervised="s.jsonl", unlabeled="u.jsonl", dev="d.jsonl", vocab="v.txt",
-            generation=1, model_file="model_gen0.json", fusion=FusionParams(lm_weight=0.5),
-            filter_model=FilterModel(mu=-1.0, beta=0.5, sigma=0.25),
             metrics=[GenerationMetrics(0, 0.25, 0, 0)],
         )
-        with pytest.raises(PipelineError, match="lacks its model_file"):
-            replace(state, model_file=None)
+        with pytest.raises(PipelineError, match="numbered 0, 1, 2"):
+            replace(state, metrics=[GenerationMetrics(1, 0.25, 0, 0)])
         path = save_state(state)
         assert load_state(tmp_path) == state
         record = json.loads(path.read_text())
@@ -873,8 +922,9 @@ class TestConfigParsing:
         workdir = tmp_path / "work"
         state = run_pipeline(workdir, config, seed=21)
         loaded = load_state(workdir)
-        assert loaded.generation == state.generation
-        assert loaded.metrics == state.metrics
-        assert loaded.fusion == state.fusion
-        assert loaded.filter_model == state.filter_model
-        assert loaded.model_file == state.model_file
+        assert loaded == state
+        assert loaded.generation == len(loaded.metrics) == 1
+        assert sorted(json.loads((workdir / "state.json").read_text())) == sorted(
+            ["seed", "frames_per_token", "beam", "decode_lm_weight", "supervised",
+             "unlabeled", "dev", "vocab", "metrics"]
+        )

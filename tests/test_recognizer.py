@@ -84,6 +84,12 @@ class TestSentenceSource:
             assert 2 <= len(sentence) <= 5
             assert all(0 <= t < 8 for t in sentence)
 
+    @pytest.mark.parametrize("branching", [0, -1, 4])
+    def test_structured_refuses_a_branching_outside_its_successor_shares(self, branching):
+        # Four once met numpy's broadcast error, and zero gave a uniform source.
+        with pytest.raises(RecognizerError, match=f"branching must be 1 to 3, got {branching}"):
+            MarkovSentenceSource.structured(8, seed=3, branching=branching)
+
     def test_rejects_bad_rows(self):
         with pytest.raises(RecognizerError):
             MarkovSentenceSource(np.array([0.5, 0.5]), np.array([[1.0, 0.1], [0.5, 0.5]]))
@@ -268,6 +274,23 @@ class TestToyTrain:
         with pytest.raises(EmptyDatasetError):
             toy_train(Dataset([]), world.vocab(), 2, identity_policy(), 0)
 
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_features_of_another_width_than_the_vocab_refused(self, world, width):
+        # Width 1 once trained a model its own decoder refused; other widths met
+        # numpy's broadcast error.
+        vocab = world.vocab()
+        bad = Utterance(id="bad", features=np.ones((4, width)), transcript=vocab.decode([0, 1]))
+        with pytest.raises(
+            FrameAlignmentError,
+            match=f"utterance 'bad': feature width {width} does not match vocab size 4",
+        ):
+            toy_train(Dataset([bad]), vocab, 2, identity_policy(), 0)
+
+    def test_zero_frames_per_token_refused(self, world):
+        data = synth_generate(world, 4, uniform_source(4), derive_rng("fpt", 0))
+        with pytest.raises(RecognizerError, match="frames_per_token must be >= 1, got 0"):
+            toy_train(data, world.vocab(), 0, identity_policy(), 0)
+
 
 def enumerate_top_k(model, features, lm_weight, k):
     """Independent oracle: score every token sequence exhaustively."""
@@ -387,8 +410,16 @@ class TestToyTranscribe:
     def test_wrong_width_rejected(self, trained):
         world, model = trained
         bad = Utterance(id="bad", features=np.zeros((4, 5)))
-        with pytest.raises(FrameAlignmentError):
+        with pytest.raises(FrameAlignmentError, match="utterance 'bad': feature width 5"):
             toy_transcribe(model, [bad], beam=1)
+
+    @pytest.mark.parametrize("lm_weight", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_lm_weight_rejected(self, trained, lm_weight):
+        # NaN once decoded every utterance to no hypothesis at all.
+        world, model = trained
+        data = synth_generate(world, 2, uniform_source(vocab=3), derive_rng("lm", 0))
+        with pytest.raises(RecognizerError, match="lm_weight must be finite"):
+            toy_transcribe(model, list(data), beam=2, lm_weight=lm_weight)
 
 
 def exact(hyp_lists):
@@ -766,6 +797,16 @@ class TestToyRecognizer:
             ToyRecognizer.from_file(path)
         with pytest.raises(RecognizerError, match=f"{name} must be finite"):
             ToyModel.from_dict(record)
+
+    @pytest.mark.parametrize("frames_per_token", [0, -2])
+    def test_model_file_without_a_frame_rate_refused(self, tmp_path, trained, frames_per_token):
+        # A model holding 0 once loaded and then divided by zero in the decoder.
+        world, model = trained
+        record = {**model.to_dict(), "frames_per_token": frames_per_token}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(RecognizerError, match=f"{path}: frames_per_token must be >= 1"):
+            ToyRecognizer.from_file(path)
 
     def test_from_file_takes_vocab_and_frame_rate_from_the_model(self, tmp_path, trained):
         world, model = trained
