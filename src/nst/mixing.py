@@ -8,6 +8,7 @@ utterance contributes m pool entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -97,26 +98,11 @@ def materialize(dataset: Dataset, origin: str) -> list[tuple[Utterance, str]]:
     return pool
 
 
-class _EpochSampler:
-    """Uniform sampling without replacement within an epoch, reshuffling on exhaustion."""
-
-    def __init__(self, pool: list, rng: np.random.Generator):
-        if not pool:
-            raise MixingError("cannot sample from an empty pool")
-        self._pool = pool
-        self._rng = rng
-        self._order: np.ndarray = np.empty(0, dtype=np.int64)
-        self._cursor = 0
-
-    def take(self, count: int) -> list:
-        taken = []
-        while len(taken) < count:
-            if self._cursor >= len(self._order):
-                self._order = self._rng.permutation(len(self._pool))
-                self._cursor = 0
-            taken.append(self._pool[int(self._order[self._cursor])])
-            self._cursor += 1
-        return taken
+def _epochs(pool: list, rng: np.random.Generator) -> Iterator:
+    """Endless uniform sampling without replacement within an epoch, reshuffling on exhaustion."""
+    while True:
+        for i in rng.permutation(len(pool)):
+            yield pool[i]
 
 
 def mix_batchwise(
@@ -131,10 +117,10 @@ def mix_batchwise(
     if len(sup) == 0 or len(semi) == 0:
         raise MixingError("batchwise mixing needs nonempty supervised and semi sets")
     n_sup, n_semi = plan.batch_composition()
-    sup_sampler = _EpochSampler(materialize(sup, SUPERVISED), rng)
-    semi_sampler = _EpochSampler(materialize(semi, SEMI), rng)
+    sup_stream = _epochs(materialize(sup, SUPERVISED), rng)
+    semi_stream = _epochs(materialize(semi, SEMI), rng)
     while True:
-        yield sup_sampler.take(n_sup) + semi_sampler.take(n_semi)
+        yield [*islice(sup_stream, n_sup), *islice(semi_stream, n_semi)]
 
 
 def mix_uniform(

@@ -27,19 +27,18 @@ The loop sees a recognizer only through the ``Recognizer`` protocol: the
 ``recognizer`` factory of ``run_generation`` (``ToyRecognizer`` by default)
 builds the teacher and the student, which train, save, load and decode.
 
-State is a single JSON document written atomically, so an interrupted run
-leaves either the previous or the next state file, never a torn one. It holds
-the run's settings and each completed generation's metrics; a generation's
-teacher is read from the previous generation's files, on a fresh run and on
-a resume alike. All randomness derives from (master seed, generation, stage
-name).
+``state.json``, the run's identity, is written once, when the run starts.
+Each generation's numbers live only in its own atomically written files, and
+``info_gen{g}.json``, written last, marks generation g complete. A resume
+and a generation's teacher read those files alike. All randomness derives
+from (master seed, generation, stage name).
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import islice
+from dataclasses import asdict, dataclass, field, replace
+from itertools import count, islice
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -85,12 +84,12 @@ _GENERATION_SPEC = {"generation": int, "augment": dict, "fusion_grid": list, "mi
 _DATASET_SPEC = {"supervised": str, "unlabeled": str, "dev": str, "vocab": str}
 _RUN_SPEC = {"datasets": dict, "frames_per_token": int, "beam": int, "decode_lm_weight": float,
              "generations": list}
-_METRICS_SPEC = {"generation": int, "dev_wer": float, "semi_utterances": int, "semi_examples": int}
+# The run's identity: the state fields a run fixes when it starts; a resume must agree on each.
 _STATE_SPEC = {"seed": int, "frames_per_token": int, "beam": int, "decode_lm_weight": float,
-               **_DATASET_SPEC, "metrics": list}
+               **_DATASET_SPEC}
 _FUSION_RECORD_SPEC = {"params": dict, "dev_wer": float}
-# The state fields a run fixes when it starts; a resume must agree on each.
-_RUN_FIELDS = ("seed", "frames_per_token", "beam", "decode_lm_weight", *_DATASET_SPEC)
+_INFO_SPEC = {"semi_utterances": int, "semi_examples": int, "balance_infeasible": bool,
+              "training_utterances": int, "training_examples": int}
 
 
 class PipelineError(NstError):
@@ -98,7 +97,7 @@ class PipelineError(NstError):
 
 
 class StageError(PipelineError):
-    """A generation stage failed; the state file is left untouched."""
+    """A generation stage failed; its generation record is not written."""
 
     def __init__(self, generation: int, stage: str, cause: Exception):
         super().__init__(f"generation {generation}, stage {stage!r}: {cause}")
@@ -295,15 +294,10 @@ class GenerationMetrics:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, record: Mapping) -> "GenerationMetrics":
-        return cls(**read_record(record, _METRICS_SPEC, PipelineError, "generation metrics",
-                                 required=_METRICS_SPEC))
-
 
 @dataclass
 class PipelineState:
-    """Persisted loop state: the run's identity and each completed generation's metrics."""
+    """The run's identity, from ``state.json``, and each completed generation's metrics."""
 
     workdir: Path
     seed: int
@@ -316,44 +310,45 @@ class PipelineState:
     vocab: str
     metrics: list[GenerationMetrics] = field(default_factory=list)
 
-    def __post_init__(self):
-        numbers = [m.generation for m in self.metrics]
-        if numbers != list(range(len(numbers))):
-            raise PipelineError(f"metrics must be numbered 0, 1, 2, ... in order, got {numbers}")
-
     @property
     def generation(self) -> int:
         """The number of completed generations, which is the next one to run."""
         return len(self.metrics)
 
     def to_dict(self) -> dict:
-        """Every field but ``workdir``, as JSON-ready values."""
-        record = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workdir"}
-        record["metrics"] = [m.to_dict() for m in self.metrics]
-        return record
-
-    @classmethod
-    def from_dict(cls, workdir: Path, record: Mapping) -> "PipelineState":
-        """The state a ``to_dict`` record describes; every key is required."""
-        values = read_record(record, _STATE_SPEC, PipelineError, "pipeline state",
-                             required=_STATE_SPEC)
-        values["metrics"] = [GenerationMetrics.from_dict(m) for m in values["metrics"]]
-        return cls(workdir=workdir, **values)
+        """The run's identity, as ``state.json`` holds it."""
+        return {name: getattr(self, name) for name in _STATE_SPEC}
 
 
-def save_state(state: PipelineState) -> Path:
-    state.workdir.mkdir(parents=True, exist_ok=True)
-    path = state.workdir / STATE_FILENAME
-    atomic_write_json(path, state.to_dict())
-    return path
+def _read_file_record(path: Path, spec: Mapping, what: str) -> dict:
+    """The record in the JSON file ``path``, every key of ``spec`` required; errors name it."""
+    if not path.exists():
+        raise PipelineError(f"no {what} at {path}")
+    record = read_json(path, PipelineError)
+    try:
+        return read_record(record, spec, PipelineError, what, required=spec)
+    except PipelineError as exc:
+        raise PipelineError(f"{path}: {exc}") from None
 
 
 def load_state(workdir: str | Path) -> PipelineState:
+    """``state.json``, with metrics for g = 0, 1, ... while ``info_gen{g}.json`` exists.
+
+    Generation g's dev WER is read from ``fusion_gen{g}.json``, its semi-set
+    counts from ``info_gen{g}.json``.
+    """
     workdir = Path(workdir)
-    path = workdir / STATE_FILENAME
-    if not path.exists():
-        raise PipelineError(f"no pipeline state at {path}")
-    return PipelineState.from_dict(workdir, read_json(path, PipelineError))
+    identity = _read_file_record(workdir / STATE_FILENAME, _STATE_SPEC, "pipeline state")
+    state = PipelineState(workdir=workdir, **identity)
+    for g in count():
+        info_path = workdir / f"info_gen{g}.json"
+        if not info_path.exists():
+            return state
+        info = _read_file_record(info_path, _INFO_SPEC, "generation record")
+        tuned = _read_file_record(workdir / f"fusion_gen{g}.json", _FUSION_RECORD_SPEC,
+                                  "fusion record")
+        state.metrics.append(GenerationMetrics(
+            g, tuned["dev_wer"], info["semi_utterances"], info["semi_examples"]))
 
 
 def _start_state(workdir: str | Path, config: PipelineConfig, seed: int) -> PipelineState:
@@ -372,8 +367,13 @@ def _start_state(workdir: str | Path, config: PipelineConfig, seed: int) -> Pipe
 
 
 def init_state(workdir: str | Path, config: PipelineConfig, seed: int) -> PipelineState:
+    """Write ``state.json``; a workdir holding another run's generation records is refused."""
     state = _start_state(workdir, config, seed)
-    save_state(state)
+    records = sorted(state.workdir.glob("info_gen*.json"))
+    if records:
+        raise PipelineError(f"cannot start a run in {state.workdir}: it holds {records[0].name}")
+    state.workdir.mkdir(parents=True, exist_ok=True)
+    atomic_write_json(state.workdir / STATE_FILENAME, state.to_dict())
     return state
 
 
@@ -509,11 +509,11 @@ def run_generation(
     *,
     recognizer: Callable[[TokenVocab, int, float], Recognizer] = ToyRecognizer,
 ) -> PipelineState:
-    """Execute one generation cycle on ``load_inputs(state)`` and persist the advanced state.
+    """Execute one generation cycle on ``load_inputs(state)`` and return the advanced state.
 
     ``recognizer(vocab, frames_per_token, decode_lm_weight)`` builds the
-    teacher and the student. Any stage failure raises StageError without
-    touching the state file.
+    teacher and the student. A stage failure raises StageError before
+    ``info_gen{g}.json`` records the generation as complete.
     """
     g = state.generation
     if config.generation != g:
@@ -532,9 +532,8 @@ def run_generation(
         with _Stage(g, "load_teacher"):
             teacher = recognizer(vocab, state.frames_per_token, state.decode_lm_weight)
             teacher.load(workdir / f"model_gen{g - 1}.json")
-            tuned = read_record(read_json(workdir / f"fusion_gen{g - 1}.json", PipelineError),
-                                _FUSION_RECORD_SPEC, PipelineError, "fusion record",
-                                required=_FUSION_RECORD_SPEC)
+            tuned = _read_file_record(workdir / f"fusion_gen{g - 1}.json", _FUSION_RECORD_SPEC,
+                                      "fusion record")
             teacher_fusion = FusionParams.from_dict(tuned["params"])
             teacher_filter = FilterModel.from_dict(
                 read_json(workdir / f"filter_gen{g - 1}.json", PipelineError))
@@ -597,20 +596,16 @@ def run_generation(
 
     semi_examples = sum(u.multiplicity for u in semi)
     info = {
-        "generation": g,
         "semi_utterances": len(semi),
         "semi_examples": semi_examples,
         "balance_infeasible": balance_infeasible,
         "training_utterances": len(training_set),
         "training_examples": sum(u.multiplicity for u in training_set),
     }
-    atomic_write_json(workdir / f"info_gen{g}.json", info)
-
-    new_state = replace(
+    atomic_write_json(workdir / f"info_gen{g}.json", info)  # last: generation g is complete
+    return replace(
         state, metrics=state.metrics + [GenerationMetrics(g, dev_wer, len(semi), semi_examples)]
     )
-    save_state(new_state)
-    return new_state
 
 
 def metrics_tsv(metrics: Sequence[GenerationMetrics]) -> str:
@@ -633,7 +628,7 @@ def run_pipeline(
     if (workdir / STATE_FILENAME).exists():
         state = load_state(workdir)
         start = _start_state(workdir, config, seed)
-        changed = [name for name in _RUN_FIELDS if getattr(state, name) != getattr(start, name)]
+        changed = [name for name in _STATE_SPEC if getattr(state, name) != getattr(start, name)]
         if changed:
             raise PipelineError(f"cannot resume: the state has another {', '.join(changed)}")
     else:

@@ -94,8 +94,7 @@ class ToyWorld:
             raise RecognizerError("vocab_size must be >= 2")
         if not (np.isfinite(self.noise) and self.noise >= 0):
             raise RecognizerError("noise must be finite and >= 0")
-        if self.frames_per_token < 1:
-            raise RecognizerError("frames_per_token must be >= 1")
+        _check_frame_rate(self.frames_per_token)
 
     def vocab(self) -> TokenVocab:
         width = len(str(self.vocab_size - 1))
@@ -226,6 +225,11 @@ def synth_generate(
     return Dataset(utterances)
 
 
+def _check_frame_rate(frames_per_token: int) -> None:
+    if frames_per_token < 1:
+        raise RecognizerError(f"frames_per_token must be >= 1, got {frames_per_token}")
+
+
 # The keys of a toy model file, with their JSON types.
 _MODEL_SPEC = {"tokens": list, "frames_per_token": int, "centroids": list, "bigram_log": list}
 
@@ -240,8 +244,7 @@ class ToyModel:
     bigram_log: np.ndarray
 
     def __post_init__(self):
-        if self.frames_per_token < 1:
-            raise RecognizerError(f"frames_per_token must be >= 1, got {self.frames_per_token}")
+        _check_frame_rate(self.frames_per_token)
         v = len(self.tokens)
         self.centroids = np.asarray(self.centroids, dtype=np.float64)
         self.bigram_log = np.asarray(self.bigram_log, dtype=np.float64)
@@ -292,6 +295,7 @@ def toy_train(
     """
     if len(dataset) == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
+    _check_frame_rate(frames_per_token)
     v = vocab.size
     frame_sums = np.zeros((v, v), dtype=np.float64)
     frame_counts = np.zeros(v, dtype=np.float64)

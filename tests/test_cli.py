@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nst import cli
+from nst import cli, recognizer
 from nst.augment import AugmentError
 from nst.cli import main
 from nst.corpus import Dataset, load_manifest, load_vocab, save_manifest
@@ -407,6 +407,22 @@ def test_a_bad_value_exits_2_and_writes_nothing(task_dir, model_path, tmp_path, 
     assert not out.exists() and not (scratch / "work").exists()
 
 
+def test_toy_train_refuses_a_zero_frame_rate_before_training(
+    task_dir, tmp_path, capsys, monkeypatch
+):
+    # The refusal once came from the trained ToyModel, after every utterance was augmented.
+    calls = []
+    augment = recognizer.apply_policy
+    monkeypatch.setattr(recognizer, "apply_policy",
+                        lambda *args: calls.append(1) or augment(*args))
+    out = tmp_path / "model.json"
+    argv = ["toy-train", "--manifest", str(task_dir / "supervised.jsonl"),
+            "--vocab", str(task_dir / "vocab.txt"), "--frames-per-token", "0", "--out", str(out)]
+    assert main(argv) == 2
+    assert "frames_per_token must be >= 1, got 0" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_run_refuses_a_misspelt_config_key(task_dir, tmp_path, capsys):
     config = {
         "datasets": {
@@ -478,6 +494,48 @@ def test_run_with_a_missing_unlabeled_manifest_fails_before_training(task_dir, t
     err = capsys.readouterr().err
     assert err.startswith("error: generation 0, stage 'load': ") and "missing.jsonl" in err
     assert sorted(p.name for p in workdir.iterdir()) == ["state.json"]
+
+
+def _add_record(path, **entries):
+    path.write_text(json.dumps({**json.loads(path.read_text()), **entries}))
+
+
+# Each way a workdir's records can disagree: the file damaged, how, and the words
+# its error line must hold next to the workdir's path.
+DAMAGED_WORKDIRS = {
+    "state-with-metrics": (
+        "state.json", lambda path: _add_record(path, metrics=[]),
+        "state.json: unknown pipeline state: metrics"),
+    "state-deleted": ("state.json", lambda path: path.unlink(), "it holds info_gen0.json"),
+    "fusion-deleted": ("fusion_gen0.json", lambda path: path.unlink(), "no fusion record at "),
+    "fusion-without-dev-wer": (
+        "fusion_gen0.json", lambda path: path.write_text('{"params": {}}'),
+        "fusion_gen0.json: missing from fusion record: dev_wer"),
+    "info-with-generation": (
+        "info_gen0.json", lambda path: _add_record(path, generation=0),
+        "info_gen0.json: unknown generation record: generation"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_WORKDIRS))
+def test_run_refuses_a_workdir_whose_records_disagree(task_dir, tmp_path, capsys, case):
+    # Generation 0 is complete; the resume into generation 1 must stop before writing.
+    name, damage, named = DAMAGED_WORKDIRS[case]
+    config = run_config()
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({**config, "generations": config["generations"][:1]}))
+    workdir = tmp_path / "work"
+    argv = ["run", "--config", str(config_path), "--workdir", str(workdir), "--seed", "7"]
+    assert main(argv) == 0
+    damage(workdir / name)
+    snapshot = sorted((p.name, p.read_bytes()) for p in workdir.iterdir())
+    config_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(workdir) in err and named in err
+    assert sorted((p.name, p.read_bytes()) for p in workdir.iterdir()) == snapshot
 
 
 def test_cli_reproduces_the_loops_filter_and_curves(task_dir, tmp_path):

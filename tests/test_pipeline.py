@@ -1,13 +1,14 @@
 import copy
 import functools
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from nst import pipeline, scoring
+from nst import corpus, pipeline, scoring
 from nst.augment import AugmentPolicy
 from nst.corpus import load_manifest, load_vocab, save_manifest, save_vocab
 from nst.augment import AugmentError
@@ -28,7 +29,6 @@ from nst.pipeline import (
     parse_cutoff,
     run_generation,
     run_pipeline,
-    save_state,
 )
 from nst.recognizer import (
     MarkovSentenceSource,
@@ -253,24 +253,15 @@ class TestInputsReadOnce:
 
 class TestDeterminism:
     def test_rerun_from_persisted_state_is_byte_identical(self, task, tmp_path):
+        # Deleting generation 1's record rewinds the run to the end of generation 0.
         config = make_config(task, [gen_config(0), gen_config(1, cutoff=0.0, balance=True)])
         workdir = tmp_path / "work"
-        state0 = init_state(workdir, config, seed=13)
-        inputs = load_inputs(state0)
-        state1 = run_generation(state0, config.generations[0], inputs)
-        checkpoint = (workdir / "state.json").read_bytes()
-
-        run_generation(state1, config.generations[1], inputs)
-        first_state = (workdir / "state.json").read_bytes()
-        first_model = (workdir / "model_gen1.json").read_bytes()
-        first_manifest = (workdir / "pseudo_gen1.jsonl").read_bytes()
-
-        (workdir / "state.json").write_bytes(checkpoint)
-        resumed = load_state(workdir)
-        run_generation(resumed, config.generations[1], load_inputs(resumed))
-        assert (workdir / "state.json").read_bytes() == first_state
-        assert (workdir / "model_gen1.json").read_bytes() == first_model
-        assert (workdir / "pseudo_gen1.jsonl").read_bytes() == first_manifest
+        first = run_pipeline(workdir, config, seed=13)
+        files = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        (workdir / "info_gen1.json").unlink()
+        assert load_state(workdir).metrics == first.metrics[:1]
+        assert run_pipeline(workdir, config, seed=13).metrics == first.metrics
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == files
 
 
 class TestDecodeCount:
@@ -461,41 +452,51 @@ class TestStageErrors:
         assert (workdir / "state.json").read_bytes() == snapshot
 
     @pytest.mark.parametrize(
-        "stem, damage",
+        "stem, damage, refused_by",
         [
-            ("fusion", lambda path: path.unlink()),
-            ("fusion", lambda path: path.write_text("{")),
-            ("fusion", lambda path: path.write_text('{"params": {"lm_weight": 0.5}}')),
-            ("fusion", lambda path: path.write_text('{"params": 0.5, "dev_wer": 0.2}')),
-            ("fusion", lambda path: path.write_text('{"params": {"lm_wieght": 1}, "dev_wer": 0}')),
-            ("filter", lambda path: path.unlink()),
-            ("filter", lambda path: path.write_text("[]")),
-            ("filter", lambda path: path.write_text('{"mu": -1.0, "beta": 0.5}')),
-            ("filter", lambda path: path.write_text('{"mu": -1.0, "beta": 0.5, "sigma": "0.2"}')),
+            ("fusion", lambda path: path.unlink(), "load_state"),
+            ("fusion", lambda path: path.write_text("{"), "load_state"),
+            ("fusion", lambda path: path.write_text('{"params": {"lm_weight": 0.5}}'),
+             "load_state"),
+            ("fusion", lambda path: path.write_text('{"params": 0.5, "dev_wer": 0.2}'),
+             "load_state"),
+            ("fusion", lambda path: path.write_text('{"params": {"lm_wieght": 1}, "dev_wer": 0}'),
+             "load_teacher"),
+            ("filter", lambda path: path.unlink(), "load_teacher"),
+            ("filter", lambda path: path.write_text("[]"), "load_teacher"),
+            ("filter", lambda path: path.write_text('{"mu": -1.0, "beta": 0.5}'), "load_teacher"),
+            ("filter", lambda path: path.write_text('{"mu": -1.0, "beta": 0.5, "sigma": "0.2"}'),
+             "load_teacher"),
         ],
         ids=["fusion-deleted", "fusion-invalid-json", "fusion-missing-dev-wer",
              "fusion-params-not-a-record", "fusion-misspelt-param", "filter-deleted",
              "filter-not-a-record", "filter-missing-sigma", "filter-string-sigma"],
     )
     def test_resume_without_the_teachers_fusion_or_filter_refused(
-        self, task, tmp_path, stem, damage
+        self, task, tmp_path, stem, damage, refused_by
     ):
-        # Generation 2's teacher is read from generation 1's files alone.
+        # Generation 2's teacher is read from generation 1's files alone. The
+        # resume's load_state reads each completed generation's fusion record
+        # for its dev WER, so it refuses one it cannot read before any stage runs.
         workdir = tmp_path / "work"
         run_pipeline(workdir, make_config(task, [gen_config(0), gen_config(1, cutoff=0.0)]),
                      seed=2)
-        damage(workdir / f"{stem}_gen1.json")
-        snapshot = (workdir / "state.json").read_bytes()
+        path = workdir / f"{stem}_gen1.json"
+        damage(path)
+        snapshot = sorted((p.name, p.read_bytes()) for p in workdir.iterdir())
         config = make_config(task, [gen_config(0), gen_config(1, cutoff=0.0), gen_config(2)])
-        with pytest.raises(StageError) as err:
+        with pytest.raises(PipelineError) as err:
             run_pipeline(workdir, config, seed=2)
-        assert (err.value.generation, err.value.stage) == (2, "load_teacher")
-        assert (workdir / "state.json").read_bytes() == snapshot
-        assert not (workdir / "pseudo_gen2.jsonl").exists()
+        if refused_by == "load_teacher":
+            assert (err.value.generation, err.value.stage) == (2, "load_teacher")
+        else:
+            assert not isinstance(err.value, StageError) and str(path) in str(err.value)
+        assert sorted((p.name, p.read_bytes()) for p in workdir.iterdir()) == snapshot
 
     def test_a_state_that_copies_the_teacher_refused(self, task, tmp_path):
-        # The older state layout also held the generation count, the model file
-        # name, the fusion weights and the filter model, each copied from elsewhere.
+        # The older state layouts also held each generation's metrics, and the
+        # oldest the generation count, the model file name, the fusion weights
+        # and the filter model, each copied from elsewhere.
         workdir = tmp_path / "work"
         run_pipeline(workdir, make_config(task, [gen_config(0)]), seed=2)
         path = workdir / "state.json"
@@ -504,13 +505,16 @@ class TestStageErrors:
             generation=1, model_file="model_gen0.json",
             fusion=json.loads((workdir / "fusion_gen0.json").read_text())["params"],
             filter_model=json.loads((workdir / "filter_gen0.json").read_text()),
+            metrics=[{"generation": 0, "dev_wer": 0.25, "semi_utterances": 0,
+                      "semi_examples": 0}],
         )
         path.write_text(json.dumps(record))
         with pytest.raises(PipelineError) as err:
             run_pipeline(workdir, make_config(task, [gen_config(0), gen_config(1)]), seed=2)
         assert str(err.value) == (
-            "unknown pipeline state: filter_model, fusion, generation, model_file"
+            f"{path}: unknown pipeline state: filter_model, fusion, generation, metrics, model_file"
         )
+        assert not (workdir / "model_gen1.json").exists()
 
     def test_an_interrupt_inside_a_stage_passes_through_unwrapped(
         self, task, tmp_path, monkeypatch
@@ -667,10 +671,52 @@ class TestFailureInjection:
         assert (err.value.generation, err.value.stage) == (generation, stage)
         assert isinstance(err.value.cause, InjectedFault)
         assert (workdir / "state.json").read_bytes() == snapshot
+        assert not (workdir / f"info_gen{generation}.json").exists()
 
         monkeypatch.undo()
         run_pipeline(workdir, config, seed=INJECTION_SEED)
         assert artifacts(workdir) == artifacts(reference)
+
+
+# Every file a two-generation run writes, with its generation number as {g}.
+WORKDIR_FILES = {
+    "state.json", "metrics.tsv", "model_gen{g}.json", "fusion_gen{g}.json",
+    "filter_gen{g}.json", "dev_hyps_gen{g}.jsonl", "curves_gen{g}.tsv", "info_gen{g}.json",
+    "pseudo_gen{g}.jsonl", "filtered_gen{g}.jsonl", "balanced_gen{g}.jsonl",
+}
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The workdir of one tiny two-generation run and the target of each of its writes."""
+    root = tmp_path_factory.mktemp("written")
+    make_task(root / "task", sup=20, dev=12, unlab=24, seed=INJECTION_SEED)
+    config = make_config(
+        root / "task", [gen_config(0), gen_config(1, cutoff=0.0, balance=True)]
+    )
+    targets = []
+    write = corpus._atomic_write
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_atomic_write",
+                      lambda path, chunks: targets.append(Path(path)) or write(path, chunks))
+        run_pipeline(root / "work", config, seed=INJECTION_SEED)
+    return root / "work", targets
+
+
+class TestWorkdirFiles:
+    def test_a_run_writes_each_file_once(self, written):
+        workdir, targets = written
+        assert [path.name for path, n in Counter(targets).items() if n > 1] == []
+        assert targets.count(workdir / "state.json") == 1
+        assert sorted(targets) == sorted(workdir.iterdir())
+
+    def test_the_readme_lists_every_file_a_run_writes(self, written):
+        _, targets = written
+        assert {re.sub(r"_gen\d+\.", "_gen{g}.", path.name) for path in targets} == WORKDIR_FILES
+        layout = README.read_text(encoding="utf-8").split("### Workdir layout\n", 1)[1]
+        section = layout.split("\n#", 1)[0]  # up to the next heading
+        assert set(re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)) == WORKDIR_FILES
 
 
 class TestReports:
@@ -710,6 +756,16 @@ VALID_CONFIG = {
 }
 
 MISSING = object()
+
+
+def rewritten(**changes):
+    """A damage that rewrites a JSON record file with ``changes``; a MISSING value deletes its key."""
+
+    def damage(path):
+        record = {**json.loads(path.read_text()), **changes}
+        path.write_text(json.dumps({k: v for k, v in record.items() if v is not MISSING}))
+
+    return damage
 
 
 def edited_config(where, key, value):
@@ -881,40 +937,54 @@ class TestConfigParsing:
             make_config(task, [gen_config(1)])
 
     @pytest.mark.parametrize(
-        "edit",
+        "name, damage",
         [
-            lambda r: r.pop("beam"),
-            lambda r: r.pop("metrics"),
-            lambda r: r.update(beam="3"),
-            lambda r: r.update(generation=1.5),
-            lambda r: r.update(model_file=7),
-            lambda r: r["metrics"][0].update(dev_wer="0.3"),
-            lambda r: r["metrics"][0].pop("semi_examples"),
-            lambda r: r.update(model_file=None),
-            lambda r: r.update(fusion=None),
-            lambda r: r.update(filter_model=None),
-            lambda r: r.update(generation=2),
-            lambda r: r["metrics"][0].update(generation=1),
+            ("state.json", rewritten(beam=MISSING)),
+            ("state.json", rewritten(metrics=[])),
+            ("state.json", rewritten(beam="3")),
+            ("state.json", rewritten(generation=1.5)),
+            ("state.json", rewritten(model_file=7)),
+            ("fusion_gen0.json", rewritten(dev_wer="0.3")),
+            ("info_gen0.json", rewritten(semi_examples=MISSING)),
+            ("state.json", rewritten(model_file=None)),
+            ("state.json", rewritten(fusion=None)),
+            ("state.json", rewritten(filter_model=None)),
+            ("state.json", rewritten(generation=2)),
+            ("info_gen0.json", rewritten(generation=1)),
+            ("fusion_gen0.json", rewritten(dev_wer=MISSING)),
+            ("info_gen0.json", rewritten(semi_utterances=1.5)),
+            ("info_gen0.json", rewritten(balance_infeasible=0)),
+            ("fusion_gen0.json", lambda path: path.unlink()),
+            ("info_gen0.json", lambda path: path.write_text("{")),
+            ("fusion_gen0.json", lambda path: path.write_text("[]")),
         ],
-        ids=["missing-beam", "missing-metrics", "string-beam", "float-generation",
-             "int-model-file", "string-dev-wer", "metrics-missing-key", "null-model-file",
+        ids=["missing-beam", "state-with-metrics", "string-beam", "float-generation",
+             "int-model-file", "string-dev-wer", "info-missing-key", "null-model-file",
              "null-fusion", "null-filter-model", "generation-2-one-metric",
-             "misnumbered-metric"],
+             "numbered-info", "fusion-missing-dev-wer", "float-semi-utterances",
+             "int-balance-infeasible", "fusion-deleted", "info-invalid-json",
+             "fusion-not-a-record"],
     )
-    def test_malformed_state_refused(self, tmp_path, edit):
-        state = PipelineState(
-            workdir=tmp_path, seed=3, frames_per_token=2, beam=3, decode_lm_weight=0.5,
-            supervised="s.jsonl", unlabeled="u.jsonl", dev="d.jsonl", vocab="v.txt",
-            metrics=[GenerationMetrics(0, 0.25, 0, 0)],
+    def test_malformed_state_refused(self, tmp_path, name, damage):
+        # One completed generation: the run's identity and that generation's two records.
+        identity = {"seed": 3, "frames_per_token": 2, "beam": 3, "decode_lm_weight": 0.5,
+                    "supervised": "s.jsonl", "unlabeled": "u.jsonl", "dev": "d.jsonl",
+                    "vocab": "v.txt"}
+        records = {
+            "state.json": identity,
+            "fusion_gen0.json": {"params": FusionParams().to_dict(), "dev_wer": 0.25},
+            "info_gen0.json": {"semi_utterances": 4, "semi_examples": 6,
+                               "balance_infeasible": False, "training_utterances": 10,
+                               "training_examples": 12},
+        }
+        for file_name, record in records.items():
+            (tmp_path / file_name).write_text(json.dumps(record))
+        assert load_state(tmp_path) == PipelineState(
+            workdir=tmp_path, **identity, metrics=[GenerationMetrics(0, 0.25, 4, 6)]
         )
-        with pytest.raises(PipelineError, match="numbered 0, 1, 2"):
-            replace(state, metrics=[GenerationMetrics(1, 0.25, 0, 0)])
-        path = save_state(state)
-        assert load_state(tmp_path) == state
-        record = json.loads(path.read_text())
-        edit(record)
-        path.write_text(json.dumps(record))
-        with pytest.raises(PipelineError):
+        path = tmp_path / name
+        damage(path)
+        with pytest.raises(PipelineError, match=re.escape(str(path))):
             load_state(tmp_path)
 
     def test_state_json_roundtrip(self, task, tmp_path):
@@ -926,5 +996,9 @@ class TestConfigParsing:
         assert loaded.generation == len(loaded.metrics) == 1
         assert sorted(json.loads((workdir / "state.json").read_text())) == sorted(
             ["seed", "frames_per_token", "beam", "decode_lm_weight", "supervised",
-             "unlabeled", "dev", "vocab", "metrics"]
+             "unlabeled", "dev", "vocab"]
+        )
+        assert sorted(json.loads((workdir / "info_gen0.json").read_text())) == sorted(
+            ["semi_utterances", "semi_examples", "balance_infeasible", "training_utterances",
+             "training_examples"]
         )
