@@ -50,10 +50,6 @@ from .scoring import (
 from .seeding import derive_rng
 
 
-def _load_policy(path: str) -> AugmentPolicy:
-    return AugmentPolicy.from_dict(read_json(path, AugmentError))
-
-
 def cmd_synth(args) -> int:
     world = ToyWorld(
         vocab_size=args.vocab_size,
@@ -81,7 +77,8 @@ def cmd_synth(args) -> int:
 def cmd_toy_train(args) -> int:
     dataset = load_manifest(args.manifest)
     recognizer = ToyRecognizer(load_vocab(args.vocab), args.frames_per_token)
-    policy = _load_policy(args.policy) if args.policy else identity_policy()
+    policy = (read_json(args.policy, AugmentPolicy.from_dict, AugmentError) if args.policy
+              else identity_policy())
     recognizer.train(dataset, policy, args.seed)
     recognizer.save(args.out)
     print(f"wrote model to {args.out}")
@@ -136,13 +133,9 @@ def cmd_fit_filter(args) -> int:
     return 0
 
 
-def _load_filter_model(path: str) -> FilterModel:
-    return FilterModel.from_dict(read_json(path, FilteringError))
-
-
 def cmd_filter(args) -> int:
     dataset = load_manifest(args.manifest)
-    model = _load_filter_model(args.filter_model)
+    model = read_json(args.filter_model, FilterModel.from_dict, FilteringError)
     filtered = apply_filter(dataset, model, parse_cutoff(args.cutoff))
     save_manifest(filtered, args.out)
     print(f"kept {len(filtered)} of {len(dataset)} utterances")
@@ -151,7 +144,7 @@ def cmd_filter(args) -> int:
 
 def cmd_curves(args) -> int:
     dev = load_manifest(args.refs)
-    model = _load_filter_model(args.filter_model)
+    model = read_json(args.filter_model, FilterModel.from_dict, FilteringError)
     scored = _best_scored(args.hyps)
     points = score_curves(dev, scored, model, default_thresholds(args.low, args.high, args.step))
     atomic_write_text(args.out, curves_to_tsv(points))
@@ -180,7 +173,7 @@ def cmd_balance(args) -> int:
 
 def cmd_augment(args) -> int:
     dataset = load_manifest(args.manifest)
-    policy = _load_policy(args.policy)
+    policy = read_json(args.policy, AugmentPolicy.from_dict, AugmentError)
     augmented = Dataset(
         replace(
             u, features=apply_policy(u.features, policy, derive_rng(args.seed, "augment", u.id))

@@ -494,12 +494,20 @@ def atomic_write_json(path: str | Path, record: object) -> None:
     atomic_write_text(path, _json_text(path, [record], sort_keys=True, indent=2))
 
 
-def read_json(path: str | Path, error: type[NstError]) -> object:
-    """The JSON document in ``path``; a file that does not parse raises ``error`` naming it."""
+def read_json(path: str | Path, build: Callable[[object], object], error: type[NstError]) -> object:
+    """``build`` of the JSON document in ``path``, which is how every record file is read.
+
+    A file that does not parse, or an NstError that ``build`` raises, is raised again as
+    ``error``, naming ``path`` once, first; the builder's error is its ``__cause__``.
+    """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise error(f"{path}: invalid JSON ({exc})") from None
+    try:
+        return build(document)
+    except NstError as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
 def write_jsonl(path: str | Path, records: Iterable[Mapping]) -> None:
@@ -641,9 +649,15 @@ def save_vocab(vocab: TokenVocab, path: str | Path) -> None:
 
 
 def load_vocab(path: str | Path) -> TokenVocab:
-    """One token per line; the line index is the token id, so no line may be blank."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for line_number, line in enumerate(lines, 1):
-        if not line.strip():
-            raise CorpusError(f"{path}: line {line_number}: blank line in vocabulary")
-    return TokenVocab(lines)
+    """One token per line; the line index is the token id, so no line may be blank.
+
+    Every refusal raises CorpusError naming ``path``.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for line_number, line in enumerate(lines, 1):
+            if not line.strip():
+                raise CorpusError(f"line {line_number}: blank line in vocabulary")
+        return TokenVocab(lines)
+    except (CorpusError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"{path}: {exc}") from exc

@@ -36,6 +36,7 @@ from (master seed, generation, stage name).
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from itertools import count, islice
@@ -281,7 +282,9 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_dict(read_json(path, PipelineError), base_dir=Path(path).parent)
+        """The config in the JSON file ``path``; every refusal is a PipelineError naming it."""
+        return read_json(path, lambda record: cls.from_dict(record, base_dir=Path(path).parent),
+                         PipelineError)
 
 
 @dataclass(frozen=True)
@@ -324,11 +327,9 @@ def _read_file_record(path: Path, spec: Mapping, what: str) -> dict:
     """The record in the JSON file ``path``, every key of ``spec`` required; errors name it."""
     if not path.exists():
         raise PipelineError(f"no {what} at {path}")
-    record = read_json(path, PipelineError)
-    try:
-        return read_record(record, spec, PipelineError, what, required=spec)
-    except PipelineError as exc:
-        raise PipelineError(f"{path}: {exc}") from None
+    return read_json(
+        path, lambda record: read_record(record, spec, PipelineError, what, required=spec),
+        PipelineError)
 
 
 def load_state(workdir: str | Path) -> PipelineState:
@@ -352,18 +353,16 @@ def load_state(workdir: str | Path) -> PipelineState:
 
 
 def _start_state(workdir: str | Path, config: PipelineConfig, seed: int) -> PipelineState:
-    """The state of a run of ``config`` that has completed no generation."""
-    return PipelineState(
-        workdir=Path(workdir),
-        seed=int(seed),
-        frames_per_token=config.frames_per_token,
-        beam=config.beam,
-        decode_lm_weight=config.decode_lm_weight,
-        supervised=str(Path(config.supervised).resolve()),
-        unlabeled=str(Path(config.unlabeled).resolve()),
-        dev=str(Path(config.dev).resolve()),
-        vocab=str(Path(config.vocab).resolve()),
-    )
+    """The state of a run of ``config`` that has completed no generation.
+
+    Each input path is stored relative to the workdir, both resolved, so a task moved together
+    with its workdir keeps its state.
+    """
+    workdir = Path(workdir)
+    paths = {name: os.path.relpath(Path(getattr(config, name)).resolve(), workdir.resolve())
+             for name in _DATASET_SPEC}
+    return PipelineState(workdir=workdir, seed=int(seed), frames_per_token=config.frames_per_token,
+                         beam=config.beam, decode_lm_weight=config.decode_lm_weight, **paths)
 
 
 def init_state(workdir: str | Path, config: PipelineConfig, seed: int) -> PipelineState:
@@ -497,9 +496,10 @@ class RunInputs:
 
 
 def load_inputs(state: PipelineState) -> RunInputs:
-    """The vocab and the manifests at the state's resolved paths, each read and checked once."""
-    manifests = map(load_manifest, (state.supervised, state.dev, state.unlabeled))
-    return RunInputs(load_vocab(state.vocab), *manifests)
+    """The vocab and the manifests at the state's paths, each read and checked once."""
+    vocab, *manifests = ((state.workdir / path).resolve()
+                         for path in (state.vocab, state.supervised, state.dev, state.unlabeled))
+    return RunInputs(load_vocab(vocab), *map(load_manifest, manifests))
 
 
 def run_generation(
@@ -535,8 +535,8 @@ def run_generation(
             tuned = _read_file_record(workdir / f"fusion_gen{g - 1}.json", _FUSION_RECORD_SPEC,
                                       "fusion record")
             teacher_fusion = FusionParams.from_dict(tuned["params"])
-            teacher_filter = FilterModel.from_dict(
-                read_json(workdir / f"filter_gen{g - 1}.json", PipelineError))
+            teacher_filter = read_json(workdir / f"filter_gen{g - 1}.json", FilterModel.from_dict,
+                                       PipelineError)
         with _Stage(g, "transcribe_unlabeled"):
             pseudo = _pseudo_label(inputs.unlabeled, teacher, teacher_fusion, state.beam)
             save_manifest(pseudo, workdir / f"pseudo_gen{g}.jsonl")
@@ -665,9 +665,16 @@ def emit_reports(state: PipelineState) -> dict[str, Path]:
     }
     for m in state.metrics:
         tables["wer_by_generation"].append(f"{m.generation}\t{m.dev_wer:.6g}")
-        curves = (state.workdir / f"curves_gen{m.generation}.tsv").read_text(encoding="utf-8")
-        for row in curves.splitlines()[1:]:  # below the header
-            threshold, utt_frac, tok_frac, wer_cell = row.split("\t")
+        path = state.workdir / f"curves_gen{m.generation}.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if lines[:1] != curves_to_tsv([]).splitlines():
+            raise PipelineError(f"{path}: line 1: not the header of a curves table")
+        for line_number, row in enumerate(lines[1:], 2):
+            cells = row.split("\t")
+            if len(cells) != 4:
+                raise PipelineError(f"{path}: line {line_number}: expected 4 tab-separated "
+                                    f"cells, got {len(cells)}")
+            threshold, utt_frac, tok_frac, wer_cell = cells
             tables["score_survival"].append(f"{m.generation}\t{threshold}\t{utt_frac}\t{tok_frac}")
             tables["wer_above_score"].append(f"{m.generation}\t{threshold}\t{wer_cell}")
         tables["wer_vs_semi_size"].append(

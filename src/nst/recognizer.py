@@ -43,6 +43,7 @@ from .corpus import (
     Utterance,
     atomic_write_text,
     read_json,
+    string_tokens,
 )
 from .errors import NstError, read_record
 from .scoring import NBest
@@ -245,9 +246,17 @@ class ToyModel:
 
     def __post_init__(self):
         _check_frame_rate(self.frames_per_token)
+        # Tokens a vocabulary would refuse are refused here, not at the first decode.
+        self.tokens = TokenVocab(string_tokens(self.tokens, RecognizerError, "toy model")).tokens
         v = len(self.tokens)
-        self.centroids = np.asarray(self.centroids, dtype=np.float64)
-        self.bigram_log = np.asarray(self.bigram_log, dtype=np.float64)
+        for name in ("centroids", "bigram_log"):
+            try:  # no dtype, which would read the string "1.5" as a number
+                table = np.asarray(getattr(self, name))
+            except ValueError:  # ragged rows
+                table = np.asarray(None)
+            if table.dtype.kind not in "iuf":
+                raise RecognizerError(f"{name} must be a matrix of numbers")
+            setattr(self, name, table.astype(np.float64, copy=False))
         if self.centroids.shape != (v, v):
             raise RecognizerError(f"centroids must be ({v}, {v})")
         if self.bigram_log.shape != (v + 1, v):
@@ -274,7 +283,7 @@ class ToyModel:
         """The model a ``to_dict`` record describes; every key is required."""
         values = read_record(record, _MODEL_SPEC, RecognizerError, "toy model",
                              required=_MODEL_SPEC)
-        return cls(**{**values, "tokens": tuple(values["tokens"])})
+        return cls(**values)
 
 
 def toy_train(
@@ -596,15 +605,6 @@ def toy_transcribe(
     return NBest(tokens, lengths, found, am_scores, lm_scores, lengths.astype(np.float64))
 
 
-def _read_model(path: str | Path) -> ToyModel:
-    try:
-        return ToyModel.from_dict(read_json(path, RecognizerError))
-    except (TypeError, ValueError, RecognizerError) as exc:
-        # The path once, first, as in every other file error; read_json's reason starts with it.
-        reason = str(exc).removeprefix(f"{path}: ")
-        raise RecognizerError(f"{path}: {reason}; not a toy model file") from None
-
-
 class ToyRecognizer:
     """The toy model behind the ``Recognizer`` protocol."""
 
@@ -623,7 +623,7 @@ class ToyRecognizer:
     @classmethod
     def from_file(cls, path: str | Path, decode_lm_weight: float = 0.0) -> "ToyRecognizer":
         """A recognizer with the vocabulary and frame rate of the model at ``path``."""
-        model = _read_model(path)
+        model = read_json(path, ToyModel.from_dict, RecognizerError)
         return cls(model.vocab, model.frames_per_token, decode_lm_weight, model=model)
 
     def train(self, dataset: Dataset, policy: AugmentPolicy, seed: int) -> None:
@@ -636,7 +636,7 @@ class ToyRecognizer:
         atomic_write_text(path, json.dumps(self._trained().to_dict(), sort_keys=True))
 
     def load(self, path: str | Path) -> None:
-        model = _read_model(path)
+        model = read_json(path, ToyModel.from_dict, RecognizerError)
         if model.tokens != self.vocab.tokens:
             raise RecognizerError(f"{path}: model tokens differ from the vocabulary")
         if model.frames_per_token != self.frames_per_token:

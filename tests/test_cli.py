@@ -1,15 +1,17 @@
 import json
 import math
+import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nst import cli, recognizer
-from nst.augment import AugmentError
+from nst.augment import AugmentError, AugmentPolicy
 from nst.cli import main
-from nst.corpus import Dataset, load_manifest, load_vocab, save_manifest
-from nst.filtering import FilteringError
+from nst.corpus import CorpusError, Dataset, load_manifest, load_vocab, read_json, save_manifest
+from nst.filtering import FilteringError, FilterModel
 from nst.mixing import MixPlan
 from nst.pipeline import (
     BalanceSettings,
@@ -17,7 +19,9 @@ from nst.pipeline import (
     PipelineError,
     balance_sample,
     draw_mix,
+    emit_reports,
     load_state,
+    run_pipeline,
 )
 from nst.recognizer import RecognizerError, ToyRecognizer
 from nst.scoring import read_hypotheses
@@ -752,41 +756,179 @@ def test_cli_reports_errors_cleanly(tmp_path, capsys):
     assert code == 2 or isinstance(code, int)
 
 
-# Each whole-JSON file: its API loader, the error that loader raises, and the CLI
-# command line that reads a file at ``path`` against the task at ``task``.
-JSON_FILES = {
-    "config": (PipelineConfig.from_file, PipelineError,
-               lambda task, path: ["run", "--config", str(path), "--workdir",
-                                   str(path.parent / "work")]),
-    "state": (lambda path: load_state(path.parent), PipelineError,
-              lambda task, path: ["report", "--workdir", str(path.parent)]),
-    "policy": (cli._load_policy, AugmentError,
-               lambda task, path: ["augment", "--manifest", str(task / "dev.jsonl"),
-                                   "--policy", str(path), "--out", str(path.parent / "out")]),
-    "filter-model": (cli._load_filter_model, FilteringError,
-                     lambda task, path: ["filter", "--manifest", str(task / "dev.jsonl"),
-                                         "--filter-model", str(path), "--cutoff", "0",
-                                         "--out", str(path.parent / "out")]),
-    "toy-model": (ToyRecognizer.from_file, RecognizerError,
-                  lambda task, path: ["toy-transcribe", "--model", str(path),
-                                      "--manifest", str(task / "dev.jsonl"),
-                                      "--out", str(path.parent / "out")]),
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A task, its two-generation config ``cfg.json`` and ``work`` with generation 0 complete."""
+    root = tmp_path_factory.mktemp("finished")
+    assert main(synth_argv(root / "task", seed=5)) == 0
+    config = run_config()
+    (root / "cfg.json").write_text(json.dumps({**config, "generations": config["generations"][:1]}))
+    argv = ["run", "--config", str(root / "cfg.json"), "--workdir", str(root / "work"),
+            "--seed", "7"]
+    assert main(argv) == 0
+    (root / "cfg.json").write_text(json.dumps(config))
+    return root
+
+
+@pytest.fixture
+def run_copy(finished_run, tmp_path):
+    """A copy of ``finished_run`` to damage; the workdir stores its input paths relative to it."""
+    root = tmp_path / "run"
+    shutil.copytree(finished_run, root)
+    return root
+
+
+def _files(root):
+    """(path relative to ``root``, bytes) of every file under ``root``."""
+    return sorted((str(p.relative_to(root)), p.read_bytes())
+                  for p in root.rglob("*") if p.is_file())
+
+
+def _edit_json(path, edit):
+    record = json.loads(path.read_text())
+    edit(record)
+    path.write_text(json.dumps(record))
+
+
+def _edit_line(path, number, text):
+    lines = path.read_text().splitlines()
+    lines[number - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _resume(path):
+    """Resume the run in ``path``'s workdir with its ``cfg.json``, at the seed it started with."""
+    root = path.parent.parent
+    return run_pipeline(root / "work", PipelineConfig.from_file(root / "cfg.json"), seed=7)
+
+
+# Each input file, as a path in a ``finished_run`` copy: its API loader, the error that
+# loader raises, the CLI command line that reads it from ``root``, a malformed record of it,
+# and the message, with ``{path}`` for the file, that both must refuse that record with.
+INPUT_FILES = {
+    "config": (
+        "cfg.json", PipelineConfig.from_file, PipelineError,
+        lambda root, path: ["run", "--config", str(path), "--workdir", str(root / "work")],
+        lambda path: _edit_json(path, lambda c: c["generations"][1].update(filter_cuttoff=0)),
+        "{path}: unknown generation settings: filter_cuttoff"),
+    "state": (
+        "work/state.json", lambda path: load_state(path.parent), PipelineError,
+        lambda root, path: ["report", "--workdir", str(path.parent)],
+        lambda path: _edit_json(path, lambda r: r.update(metrics=[])),
+        "{path}: unknown pipeline state: metrics"),
+    "info": (
+        "work/info_gen0.json", lambda path: load_state(path.parent), PipelineError,
+        lambda root, path: ["report", "--workdir", str(path.parent)],
+        lambda path: _edit_json(path, lambda r: r.update(semi_utterances=1.5)),
+        "{path}: generation record: semi_utterances must be an integer, got 1.5"),
+    "fusion": (
+        "work/fusion_gen0.json", lambda path: load_state(path.parent), PipelineError,
+        lambda root, path: ["report", "--workdir", str(path.parent)],
+        lambda path: _edit_json(path, lambda r: r.pop("dev_wer")),
+        "{path}: missing from fusion record: dev_wer"),
+    "teacher-filter": (
+        "work/filter_gen0.json", _resume, PipelineError,
+        lambda root, path: ["run", "--config", str(root / "cfg.json"),
+                            "--workdir", str(path.parent), "--seed", "7"],
+        lambda path: _edit_json(path, lambda r: r.pop("sigma")),
+        "generation 1, stage 'load_teacher': {path}: missing from filter model: sigma"),
+    "policy": (
+        "p.json", lambda path: read_json(path, AugmentPolicy.from_dict, AugmentError),
+        AugmentError,
+        lambda root, path: ["augment", "--manifest", str(root / "task" / "dev.jsonl"),
+                            "--policy", str(path), "--out", str(root / "out.jsonl")],
+        lambda path: path.write_text('{"freq_mask_parm": 1}'),
+        "{path}: unknown augment policy: freq_mask_parm"),
+    "filter-model": (
+        "f.json", lambda path: read_json(path, FilterModel.from_dict, FilteringError),
+        FilteringError,
+        lambda root, path: ["filter", "--manifest", str(root / "task" / "dev.jsonl"),
+                            "--filter-model", str(path), "--cutoff", "0",
+                            "--out", str(root / "out.jsonl")],
+        lambda path: path.write_text('{"mu": "x", "beta": 0.0, "sigma": 1.0}'),
+        "{path}: filter model: mu must be a number, got 'x'"),
+    "toy-model": (
+        "work/model_gen0.json", ToyRecognizer.from_file, RecognizerError,
+        lambda root, path: ["toy-transcribe", "--model", str(path),
+                            "--manifest", str(root / "task" / "dev.jsonl"),
+                            "--out", str(root / "out.jsonl")],
+        lambda path: _edit_json(path, lambda r: r["centroids"][0].pop()),
+        "{path}: centroids must be a matrix of numbers"),
+    "vocab": (
+        "task/vocab.txt", load_vocab, CorpusError,
+        lambda root, path: ["balance", "--manifest", str(root / "task" / "dev.jsonl"),
+                            "--target", str(root / "task" / "supervised.jsonl"),
+                            "--vocab", str(path), "--out", str(root / "out.jsonl")],
+        lambda path: path.write_text(path.read_text() + path.read_text().split()[0] + "\n"),
+        "{path}: duplicate tokens in vocabulary"),
+    "curves": (
+        "work/curves_gen0.tsv", lambda path: emit_reports(load_state(path.parent)),
+        PipelineError,
+        lambda root, path: ["report", "--workdir", str(path.parent)],
+        lambda path: _edit_line(path, 2, "0.5\t1"),
+        "{path}: line 2: expected 4 tab-separated cells, got 2"),
+    "curves-empty": (
+        "work/curves_gen0.tsv", lambda path: emit_reports(load_state(path.parent)),
+        PipelineError,
+        lambda root, path: ["report", "--workdir", str(path.parent)],
+        lambda path: path.write_text(""),
+        "{path}: line 1: not the header of a curves table"),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(JSON_FILES))
-def test_invalid_json_file_refused_naming_it(task_dir, tmp_path, capsys, kind):
-    # A truncated file once surfaced as a bare JSONDecodeError naming no file.
-    load, error, arguments = JSON_FILES[kind]
-    path = tmp_path / "state.json"
-    path.write_text('{"mu": 1.0,')
-    with pytest.raises(error, match=f"{path}: invalid JSON"):
-        load(path)
-    assert main(arguments(task_dir, path)) == 2
+def _refusals(root, kind, capsys):
+    """The API loader's and the CLI's refusal of the file of ``kind``; neither writes a file."""
+    name, load, error, arguments, _, _ = INPUT_FILES[kind]
+    before = _files(root)
+    with pytest.raises(error) as refused:
+        load(root / name)
+    capsys.readouterr()
+    assert main(arguments(root, root / name)) == 2
     err = capsys.readouterr().err
+    assert _files(root) == before
+    return str(refused.value), err
+
+
+@pytest.mark.parametrize("kind", sorted(k for k, row in INPUT_FILES.items()
+                                         if row[0].endswith(".json")))
+def test_invalid_json_file_refused_naming_it(run_copy, capsys, kind):
+    # A truncated file once surfaced as a bare JSONDecodeError naming no file.
+    path = run_copy / INPUT_FILES[kind][0]
+    path.write_text('{"mu": 1.0,')
+    refused, err = _refusals(run_copy, kind, capsys)
+    assert f"{path}: invalid JSON (" in refused
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(path) in err
-    assert not (tmp_path / "out").exists() and not (tmp_path / "work").exists()
+    assert f"{path}: invalid JSON (" in err
+
+
+@pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+def test_malformed_input_file_refused_naming_it(run_copy, capsys, kind):
+    # Once a refused config, policy, filter model or vocab named no file, a short curves
+    # row died on Python's unpacking error, and an empty curves file gave an empty report.
+    name, _, _, _, damage, message = INPUT_FILES[kind]
+    path = run_copy / name
+    damage(path)
+    expected = message.format(path=path)
+    assert _refusals(run_copy, kind, capsys) == (expected, f"error: {expected}\n")
+
+
+def test_a_moved_task_config_and_workdir_resume_to_the_bytes_of_an_uninterrupted_run(
+    finished_run, tmp_path
+):
+    # state.json once held absolute input paths, so the moved copy was refused with
+    # "cannot resume: the state has another supervised, unlabeled, dev, vocab".
+    moved = tmp_path / "moved" / "elsewhere"
+    shutil.copytree(finished_run, moved)
+    state = json.loads((moved / "work" / "state.json").read_text())
+    assert state["supervised"] == os.path.join("..", "task", "supervised.jsonl")
+    fresh = tmp_path / "fresh"
+    shutil.copytree(finished_run / "task", fresh / "task")
+    shutil.copy(finished_run / "cfg.json", fresh)
+    for root in (moved, fresh):
+        argv = ["run", "--config", str(root / "cfg.json"), "--workdir", str(root / "work"),
+                "--seed", "7"]
+        assert main(argv) == 0
+    assert _files(moved / "work") == _files(fresh / "work")
 
 
 def test_hypotheses_with_a_mistyped_line_exit_2(dev_hyps, tmp_path, capsys):

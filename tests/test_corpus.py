@@ -40,6 +40,7 @@ from nst.corpus import (
     write_jsonl,
 )
 from nst.corpus import UnknownTokenError
+from nst.errors import NstError, read_record
 
 from conftest import assert_datasets_equal
 
@@ -88,6 +89,23 @@ class TestVocab:
         path.write_text("a\n\nb\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="line 2"):
             load_vocab(path)
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [(b"a\nb\na\n", "duplicate tokens in vocabulary"),
+         (b"", "vocabulary must contain at least one token"),
+         (b"a\nb c\n", "tokens must be nonempty and whitespace-free: 'b c'"),
+         (b"a\n\nb\n", "line 2: blank line in vocabulary"),
+         (b"a\n\xff\n", "'utf-8' codec can't decode byte 0xff")],
+        ids=["duplicate", "empty", "whitespace", "blank-line", "not-utf-8"],
+    )
+    def test_every_refusal_names_the_file(self, tmp_path, data, reason):
+        # A duplicate once read "duplicate tokens in vocabulary", naming no file.
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(data)
+        with pytest.raises(CorpusError) as refused:
+            load_vocab(path)
+        assert str(refused.value).startswith(f"{path}: {reason}")
 
 
 class TestTokenDistribution:
@@ -745,12 +763,29 @@ class TestJsonFiles:
         path = tmp_path / "config.json"
         path.write_text('{"beam": 3')
         with pytest.raises(CorpusError, match=f"{path}: invalid JSON"):
-            read_json(path, CorpusError)
+            read_json(path, dict, CorpusError)
         path.write_bytes(b'{"beam": "\xff"}')
         with pytest.raises(CorpusError, match=f"{path}: invalid JSON"):
-            read_json(path, CorpusError)
+            read_json(path, dict, CorpusError)
         path.write_text('{"beam": 3}')
-        assert read_json(path, CorpusError) == {"beam": 3}
+        assert read_json(path, dict, CorpusError) == {"beam": 3}
+
+    def test_read_json_raises_the_builders_refusal_as_the_callers_error(self, tmp_path):
+        class Refused(NstError):
+            pass
+
+        def build(record):
+            return read_record(record, {"beam": int}, CorpusError, "test record")
+
+        path = tmp_path / "config.json"
+        path.write_text('{"beam": "3"}')
+        with pytest.raises(Refused) as refused:
+            read_json(path, build, Refused)
+        assert str(refused.value) == f"{path}: test record: beam must be an integer, got '3'"
+        assert isinstance(refused.value.__cause__, CorpusError)
+        # Only a refusal is renamed; a fault in the builder passes through as it is.
+        with pytest.raises(KeyError):
+            read_json(path, lambda record: record["depth"], Refused)
 
     def test_write_jsonl_bytes(self, tmp_path):
         path = tmp_path / "records.jsonl"

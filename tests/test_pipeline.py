@@ -1,6 +1,7 @@
 import copy
 import functools
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import replace
@@ -220,6 +221,22 @@ class TestFullLoop:
         assert run_pipeline(workdir, relative, seed=11).generation == 1
 
 
+    def test_a_state_with_absolute_input_paths_refused(self, task, tmp_path):
+        # The layout before paths were stored relative to the workdir; it has no second reader.
+        config = make_config(task, [gen_config(0)])
+        workdir = tmp_path / "work"
+        init_state(workdir, config, seed=11)
+        path = workdir / "state.json"
+        record = json.loads(path.read_text())
+        assert record["vocab"] == os.path.join("..", "task", "vocab.txt")
+        record.update({name: str((workdir / record[name]).resolve())
+                       for name in ("supervised", "unlabeled", "dev", "vocab")})
+        path.write_text(json.dumps(record))
+        with pytest.raises(PipelineError, match="another supervised, unlabeled, dev, vocab$"):
+            run_pipeline(workdir, config, seed=11)
+        assert sorted(p.name for p in workdir.iterdir()) == ["state.json"]
+
+
 class TestInputsReadOnce:
     def test_a_run_reads_each_input_once_and_a_resume_once_more(
         self, task, tmp_path, monkeypatch
@@ -306,7 +323,7 @@ class TestDecodeCount:
         built.clear()
         state = run_generation(state, config.generations[1], inputs)
         assert built == []
-        student = ToyRecognizer(load_vocab(state.vocab), 2)
+        student = ToyRecognizer(load_vocab(state.workdir / state.vocab), 2)
         student.load(state.workdir / "model_gen1.json")
         nbest = student.transcribe(list(load_manifest(task / "dev.jsonl")), 3)
         assert built == []
@@ -868,11 +885,18 @@ class TestConfigParsing:
              "multiplicity_cap-zero", "batch_fraction-zero", "batch_fraction-above-one",
              "min_tokens-negative", "smoothing_epsilon-zero", "smoothing_epsilon-inf"],
     )
-    def test_malformed_config_refused(self, where, key, value, error):
+    def test_malformed_config_refused(self, tmp_path, where, key, value, error):
         PipelineConfig.from_dict(VALID_CONFIG)
         # Each refusal names the key; the augment one names the mask it lacks.
-        with pytest.raises(error, match="time_mask" if key == "augment" else key):
+        named = "time_mask" if key == "augment" else key
+        with pytest.raises(error, match=named):
             PipelineConfig.from_dict(edited_config(where, key, value))
+        # Read from a file, each is a PipelineError naming the file, caused by the record's error.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(edited_config(where, key, value)))
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: .*{named}") as refused:
+            PipelineConfig.from_file(path)
+        assert type(refused.value) is PipelineError and type(refused.value.__cause__) is error
 
     def test_integers_read_as_floats_keep_the_state_bytes(self):
         record = {**VALID_CONFIG, "decode_lm_weight": 1}

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import tracemalloc
 from collections import Counter
 
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from nst import recognizer
 from nst.augment import identity_policy
 from nst.corpus import Dataset, TokenVocab, Utterance
+from nst.errors import NstError
 from nst.recognizer import (
     EmptyDatasetError,
     FrameAlignmentError,
@@ -746,9 +748,9 @@ class TestToyRecognizer:
     def test_malformed_model_file_refused(self, tmp_path, world, text):
         path = tmp_path / "model.json"
         path.write_text(text)
-        with pytest.raises(RecognizerError, match="not a toy model file"):
+        with pytest.raises(RecognizerError, match=f"^{re.escape(str(path))}: "):
             ToyRecognizer(world.vocab(), world.frames_per_token).load(path)
-        with pytest.raises(RecognizerError, match="not a toy model file"):
+        with pytest.raises(RecognizerError, match=f"^{re.escape(str(path))}: "):
             ToyRecognizer.from_file(path)
 
     def test_truncated_model_file_named_once(self, tmp_path, world):
@@ -756,7 +758,7 @@ class TestToyRecognizer:
         path = tmp_path / "m.json"
         path.write_text('{"tokens": ')
         for load in (ToyRecognizer.from_file, ToyRecognizer(world.vocab(), 2).load):
-            with pytest.raises(RecognizerError, match="not a toy model file") as refused:
+            with pytest.raises(RecognizerError, match="invalid JSON") as refused:
                 load(path)
             message = str(refused.value)
             assert message.startswith(f"{path}: invalid JSON (")
@@ -806,6 +808,36 @@ class TestToyRecognizer:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(record))
         with pytest.raises(RecognizerError, match=f"{path}: frames_per_token must be >= 1"):
+            ToyRecognizer.from_file(path)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda r: r["centroids"][1].pop(), "centroids must be a matrix of numbers"),
+            (lambda r: r["bigram_log"][0].__setitem__(0, "1.5"),
+             "bigram_log must be a matrix of numbers"),
+            (lambda r: r["centroids"][0].__setitem__(1, None),
+             "centroids must be a matrix of numbers"),
+            (lambda r: r["tokens"].__setitem__(0, 1), "toy model token 0 must be a string, got 1"),
+            (lambda r: r["tokens"].__setitem__(0, r["tokens"][1]),
+             "duplicate tokens in vocabulary"),
+        ],
+        ids=["ragged-centroids", "string-in-bigram", "null-in-centroids", "int-token",
+             "duplicate-token"],
+    )
+    def test_model_a_vocabulary_or_numpy_would_misread_refused(
+        self, tmp_path, trained, edit, reason
+    ):
+        # Numpy once raised its own ValueError for a ragged table and read "1.5" as 1.5, and
+        # an integer token died in TokenVocab with a TypeError.
+        world, model = trained
+        record = model.to_dict()
+        edit(record)
+        with pytest.raises(NstError, match=f"^{re.escape(reason)}$"):
+            ToyModel.from_dict(record)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(RecognizerError, match=f"^{re.escape(f'{path}: {reason}')}$"):
             ToyRecognizer.from_file(path)
 
     def test_from_file_takes_vocab_and_frame_rate_from_the_model(self, tmp_path, trained):
