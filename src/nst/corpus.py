@@ -523,12 +523,19 @@ def read_jsonl(
 
     Each line goes through ``read_record`` with ``spec`` and is built before the next is read, so
     a file's records are never all held at once. Every list in a manifest or hypotheses line is a
-    token list, so it must hold only strings, and every number must be finite. Invalid JSON or a
-    failed check raises ManifestError naming the file and the 1-based line.
+    token list, so it must hold only strings, and every number must be finite. Lines end at
+    newline bytes only. A line that is not UTF-8, invalid JSON or a failed check raises
+    ManifestError naming the file and the 1-based line.
     """
     built = []
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, 1):
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ManifestError(
+                    path, line_number, f"not UTF-8 at byte {exc.start + 1} ({exc.reason})"
+                ) from None
             if not line.strip():
                 continue
             try:

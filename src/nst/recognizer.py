@@ -19,7 +19,9 @@ first, longest utterance, so chunks of short utterances hold more. Each
 chunk's acoustic scores are computed in one pass, when it is decoded. Per
 block and column the search merges the states' already sorted paths instead
 of sorting all candidates (see ``_merge_top``), so its hypothesis lists are
-bit-identical to searching one utterance at a time.
+bit-identical to searching one utterance at a time. A path carries only its
+search key and a back-pointer; the am and lm scores of the hypotheses kept
+are summed along their tokens after the backtrace, in the search's order.
 
 The design gives self-training real signal at desk scale: more training
 text sharpens the bigram model and more frames sharpen the centroids, so a
@@ -250,11 +252,15 @@ class ToyModel:
         self.tokens = TokenVocab(string_tokens(self.tokens, RecognizerError, "toy model")).tokens
         v = len(self.tokens)
         for name in ("centroids", "bigram_log"):
+            rows = getattr(self, name)
             try:  # no dtype, which would read the string "1.5" as a number
-                table = np.asarray(getattr(self, name))
+                table = np.asarray(rows)
             except ValueError:  # ragged rows
                 table = np.asarray(None)
-            if table.dtype.kind not in "iuf":
+            # Numpy reads a JSON true among numbers as 1.0, so the rows are searched for bools.
+            if table.dtype.kind not in "iuf" or (
+                table.ndim == 2 and any(type(x) is bool for row in rows for x in row)
+            ):
                 raise RecognizerError(f"{name} must be a matrix of numbers")
             setattr(self, name, table.astype(np.float64, copy=False))
         if self.centroids.shape != (v, v):
@@ -421,47 +427,51 @@ def _utterance_bytes(blocks: int, v: int, beam: int, frames_per_token: int) -> i
     return 8 * (
         blocks * v  # padded acoustic scores
         + 3 * blocks * frames_per_token * v  # scoring: float64 frames, one difference, distances
-        + 3 * v * beam  # keys, am_tot, lm_tot
-        + 6 * v * beam  # one step's picks, their indices and the new scores
-        + 3 * v * v  # run heads, _merge_top's copy of them and its taken counts
+        + 3 * v * beam  # keys, and one step's picks and their values
+        # Headroom, which keeps chunks at the sizes that were tuned for cache, and which the
+        # chunk's (V, V * beam) candidate weights come out of.
+        + 6 * v * beam
+        + 3 * v * v  # run heads, _merge_top's copy of them and its source indices
         + beam * blocks  # the chunk's token ids, and their sorted copy (int32)
     ) + 4 * (blocks - 1) * v * beam  # backptr (int32)
 
 
 def _merge_top(
-    heads: np.ndarray, entry: Callable[[np.ndarray, np.ndarray], np.ndarray], k: int
-) -> np.ndarray:
+    heads: np.ndarray, entry: Callable[[np.ndarray], np.ndarray], k: int
+) -> tuple[np.ndarray, np.ndarray]:
     """The ``k`` best entries of each row, merged from the row's sorted runs.
 
-    Each row holds ``width`` runs of ``k`` entries, each run non-increasing.
-    ``heads`` is (rows, width), every run's first entry, and ``entry(run,
-    rank)`` gives, for every row, entry ``rank`` of its run ``run[row]``.
-    Returns (rows, k) indices ``run * k + rank``, which equal the first
-    ``k`` columns of a stable descending argsort of the rows laid out run
-    after run.
+    Each row holds ``width`` runs of ``k`` entries, each run non-increasing,
+    laid out run after run: entry ``rank`` of run ``run`` has the source
+    index ``run * k + rank``. ``heads`` is (rows, width), every run's first
+    entry, and ``entry(source)`` gives, for every row, the entry at its
+    source index ``source[row]``. Returns the (rows, k) source indices and
+    their values; the indices equal the first ``k`` columns of a stable
+    descending argsort of the rows.
 
-    Each of ``k`` rounds takes the best head by ``argmax``, whose first
-    maximum is the lowest run, then advances that run. A run holding the
-    best value left has it at its head, so this is the stable sort's tie
-    rule: lower run, then lower rank. Only picked runs are read past their
-    head, and no run runs out: before the last round it has given at most
-    ``k - 1`` entries.
+    Each run keeps the source index of its head. Each of ``k`` rounds takes
+    the best head by ``argmax``, whose first maximum is the lowest run, then
+    advances that run by one source index. A run holding the best value left
+    has it at its head, so this is the stable sort's tie rule: lower run,
+    then lower rank. Only picked runs are read past their head, and no run
+    runs out: before the last round it has given at most ``k - 1`` entries.
     """
     rows, width = heads.shape
-    heads = heads.copy()
+    # A C-contiguous copy: reshaping any other layout would copy, losing the updates.
+    heads = np.array(heads, order="C")
     head_flat = heads.reshape(-1)
-    taken = np.zeros(rows * width, dtype=np.intp)
+    source = np.tile(np.arange(width) * k, rows)
     first_head = np.arange(rows) * width
     picks = np.empty((rows, k), dtype=np.intp)
+    values = np.empty((rows, k))
     for r in range(k):
-        run = heads.argmax(axis=1)
-        head = first_head + run
-        rank = taken[head]
-        picks[:, r] = run * k + rank
+        head = first_head + heads.argmax(axis=1)
+        picks[:, r] = at = source[head]
+        values[:, r] = head_flat[head]
         if r + 1 < k:
-            taken[head] = rank + 1
-            head_flat[head] = entry(run, rank + 1)
-    return picks
+            source[head] = at + 1
+            head_flat[head] = entry(at + 1)
+    return picks, values
 
 
 def _decode_chunk(
@@ -488,52 +498,48 @@ def _decode_chunk(
     candidates for one column form a sorted run, and ``_merge_top`` takes
     the column's ``beam`` best from its ``V`` runs in that order. It reads
     a run past its head only when it picks from it, so no block builds all
-    ``V * beam`` candidates of a column.
+    ``V * beam`` candidates of a column, and the values it picks are the
+    new keys.
+
+    A path carries only its key and its back-pointer. After the backtrace,
+    each hypothesis's am and lm scores are summed along its tokens, block by
+    block from the first: the additions the search would have made, in the
+    same order.
     """
     n_utts, max_blocks, v = am.shape
-    lm = bigram_log[:v].T  # lm[t, s]: log P(t | s)
-    weighted = lm_weight * lm
-    lm_flat, weighted_flat = lm.reshape(-1), weighted.reshape(-1)
+    weighted = lm_weight * bigram_log[:v].T  # weighted[t, s]: lm_weight * log P(t | s)
+    # weighted_rank[t, s * beam + r] = weighted[t, s], for a candidate's source index.
+    weighted_rank = np.repeat(weighted, beam, axis=1).reshape(-1)
     # live[i]: rows that have a block i, a prefix of the chunk
     live = (n_blocks[:, None] > np.arange(max_blocks)).sum(axis=0).tolist()
-    # Per (utterance u, column t) cell: the offset of u's paths and of row t of lm.
+    # Per (utterance u, column t) cell: the offset of u's paths and of row t of weighted_rank.
     path_base = np.repeat(np.arange(n_utts) * (v * beam), v)
-    lm_base = np.tile(np.arange(v) * v, n_utts)
+    weight_base = np.tile(np.arange(v) * (v * beam), n_utts)
 
     keys = np.full((n_utts, v, beam), -np.inf)
-    am_tot = np.zeros((n_utts, v, beam))
-    lm_tot = np.zeros((n_utts, v, beam))
-    am_tot[:, :, 0] = am[:, 0]
-    lm_tot[:, :, 0] = bigram_log[v]
-    keys[:, :, 0] = am_tot[:, :, 0] + lm_weight * lm_tot[:, :, 0]
+    keys[:, :, 0] = am[:, 0] + lm_weight * bigram_log[v]
     backptr = np.empty((max_blocks - 1, n_utts, v, beam), dtype=np.int32)
 
     for i in range(1, max_blocks):
         n = live[i]
-        paths, lm_row = path_base[: n * v], lm_base[: n * v]
+        paths, weight_row = path_base[: n * v], weight_base[: n * v]
         step = am[:n, i].reshape(-1)
-        prev_keys, prev_am, prev_lm = (x[:n].reshape(-1) for x in (keys, am_tot, lm_tot))
+        prev_keys = keys[:n].reshape(-1)
 
-        def extend(state, rank):
-            # Rank ``rank`` of ``state`` extended with each cell's token.
-            return (prev_keys[paths + state * beam + rank] + weighted_flat[lm_row + state]) + step
+        def extend(source):
+            # The candidate at ``source``, state * beam + rank, extended with each cell's token.
+            return (prev_keys[paths + source] + weighted_rank[weight_row + source]) + step
 
         # lead[u, t, s]: the run heads, state s's best path extended with token t
         lead = (keys[:n, None, :, 0] + weighted) + step.reshape(n, v, 1)
-        pick = _merge_top(lead.reshape(n * v, v), extend, beam)
-        picked = paths[:, None] + pick
-        lm_index = lm_row[:, None] + pick // beam
-        new_keys = (prev_keys[picked] + weighted_flat[lm_index]) + step[:, None]
+        pick, new_keys = _merge_top(lead.reshape(n * v, v), extend, beam)
         keys[:n] = new_keys.reshape(n, v, beam)
-        am_tot[:n] = (prev_am[picked] + step[:, None]).reshape(n, v, beam)
-        lm_tot[:n] = (prev_lm[picked] + lm_flat[lm_index]).reshape(n, v, beam)
         backptr[i - 1, :n] = pick.reshape(n, v, beam)
 
     rows = np.arange(n_utts)
-    best = _merge_top(keys[:, :, 0], lambda state, rank: keys[rows, state, rank], beam)
-    found = np.isfinite(np.take_along_axis(keys.reshape(n_utts, -1), best, axis=1))
-    am_out = np.take_along_axis(am_tot.reshape(n_utts, -1), best, axis=1)
-    lm_out = np.take_along_axis(lm_tot.reshape(n_utts, -1), best, axis=1)
+    flat_keys = keys.reshape(n_utts, -1)
+    best, best_keys = _merge_top(keys[:, :, 0], lambda source: flat_keys[rows, source], beam)
+    found = np.isfinite(best_keys)
     tokens = np.zeros((n_utts, beam, max_blocks), dtype=np.int32)
     state, rank = np.divmod(best, beam)
     tokens[rows, :, n_blocks - 1] = state
@@ -541,6 +547,15 @@ def _decode_chunk(
         n = live[i]
         state[:n], rank[:n] = np.divmod(backptr[i - 1][rows[:n, None], state[:n], rank[:n]], beam)
         tokens[:n, :, i - 1] = state[:n]
+
+    first = tokens[:, :, 0]
+    am_out = np.take_along_axis(am[:, 0], first, axis=1)
+    lm_out = bigram_log[v][first]
+    for i in range(1, max_blocks):
+        n = live[i]
+        prev, cur = tokens[:n, :, i - 1], tokens[:n, :, i]
+        am_out[:n] += np.take_along_axis(am[:n, i], cur, axis=1)
+        lm_out[:n] += bigram_log[prev, cur]
 
     # Re-sort on the exact expression re-ranking uses, so equal fusion
     # parameters can never reorder the list (the search key accumulates the

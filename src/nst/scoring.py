@@ -284,24 +284,42 @@ def edit_alignment_counts(reference: Sequence, hypothesis: Sequence) -> int:
     """Levenshtein distance: the fewest substitutions, insertions and deletions
     that turn ``reference`` into ``hypothesis``. It is symmetric in its arguments.
 
+    Myers' bit-parallel algorithm, in Hyyrö's form for the distance of whole
+    sequences, over Python ints: bit ``i`` of a column vector stands for
+    reference position ``i``, and one pass of about a dozen integer operations
+    per hypothesis token advances every cell of a DP column at once. Tokens
+    are matched by dict lookup, so they must be hashable.
+
     ``bench/spans.py`` traces this function, and counts its calls, by this name.
     """
-    prev = list(range(len(hypothesis) + 1))
-    for i, r in enumerate(reference, 1):
-        cost = i
-        cur = [cost]
-        for h, diag, up in zip(hypothesis, prev, prev[1:]):
-            # cost = min(left + 1, up + 1, diag + (r != h)), where left is the previous cost.
-            if up < cost:
-                cost = up
-            cost += 1
-            if r != h:
-                diag += 1
-            if diag < cost:
-                cost = diag
-            cur.append(cost)
-        prev = cur
-    return prev[-1]
+    # masks[token]: the reference positions holding ``token``, one bit each
+    masks: dict = {}
+    bit = 1
+    for token in reference:
+        masks[token] = masks.get(token, 0) | bit
+        bit <<= 1
+    if bit == 1:
+        return len(hypothesis)
+    full, last = bit - 1, bit >> 1
+    distance = full.bit_length()
+    # Bit i of pv (mv): the current DP column rises (falls) by one from row i to row i + 1.
+    pv, mv = full, 0
+    for token in hypothesis:
+        eq = masks.get(token, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        # Bit i of ph (mh): row i + 1 rises (falls) by one from the last column to this one.
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            distance += 1
+        elif mh & last:
+            distance -= 1
+        # The top row counts insertions, so its horizontal step is always +1.
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return distance
 
 
 def wer(reference: Sequence, hypothesis: Sequence) -> WerResult:

@@ -143,6 +143,24 @@ def exhaustive_edit_distance(reference, hypothesis) -> int:
     return best
 
 
+def reference_edit_distance(reference, hypothesis) -> int:
+    """Levenshtein distance by the textbook dynamic program over the whole table.
+
+    ``table[i][j]`` is the distance between the first ``i`` reference tokens
+    and the first ``j`` hypothesis tokens; tokens are compared with ``!=``.
+    """
+    n, m = len(reference), len(hypothesis)
+    table = [[i + j if i == 0 or j == 0 else 0 for j in range(m + 1)] for i in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            table[i][j] = min(
+                table[i - 1][j] + 1,
+                table[i][j - 1] + 1,
+                table[i - 1][j - 1] + (1 if reference[i - 1] != hypothesis[j - 1] else 0),
+            )
+    return table[n][m]
+
+
 def reference_score_curves(entries, thresholds) -> list[tuple]:
     """Survival and WER-above-score rows, one threshold at a time.
 

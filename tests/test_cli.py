@@ -10,7 +10,15 @@ import pytest
 from nst import cli, recognizer
 from nst.augment import AugmentError, AugmentPolicy
 from nst.cli import main
-from nst.corpus import CorpusError, Dataset, load_manifest, load_vocab, read_json, save_manifest
+from nst.corpus import (
+    CorpusError,
+    Dataset,
+    ManifestError,
+    load_manifest,
+    load_vocab,
+    read_json,
+    save_manifest,
+)
 from nst.filtering import FilteringError, FilterModel
 from nst.mixing import MixPlan
 from nst.pipeline import (
@@ -341,6 +349,13 @@ def _toy_model_with(model, tmp_path, **values):
     return str(path)
 
 
+def _toy_model_with_true(model, tmp_path, table):
+    """``_toy_model_with`` a JSON ``true`` among the numbers of ``table``'s first row."""
+    rows = json.loads(model.read_text())[table]
+    rows[0][0] = True
+    return _toy_model_with(model, tmp_path, **{table: rows})
+
+
 def _config_with_balance(task, tmp_path, **balance):
     path = tmp_path / "cfg.json"
     datasets = {"supervised": "supervised.jsonl", "unlabeled": "unlabeled.jsonl",
@@ -373,6 +388,16 @@ BAD_VALUES = {
                                   "--model", _toy_model_with(model, tmp, frames_per_token=0),
                                   "--manifest", str(task / "dev.jsonl")],
         "edited_model.json: frames_per_token must be >= 1, got 0"),
+    "toy-transcribe-true-in-a-centroids-row": (
+        lambda task, model, tmp: ["toy-transcribe",
+                                  "--model", _toy_model_with_true(model, tmp, "centroids"),
+                                  "--manifest", str(task / "dev.jsonl")],
+        "edited_model.json: centroids must be a matrix of numbers"),
+    "toy-transcribe-true-in-a-bigram-row": (
+        lambda task, model, tmp: ["toy-transcribe",
+                                  "--model", _toy_model_with_true(model, tmp, "bigram_log"),
+                                  "--manifest", str(task / "dev.jsonl")],
+        "edited_model.json: bigram_log must be a matrix of numbers"),
     "toy-transcribe-nan-lm-weight": (
         lambda task, model, tmp: ["toy-transcribe", "--model", str(model), "--lm-weight", "nan",
                                   "--manifest", str(task / "dev.jsonl")],
@@ -796,6 +821,13 @@ def _edit_line(path, number, text):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _break_utf8(path, number):
+    """Put the byte 0xff, never valid UTF-8, after the ninth byte of line ``number``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[number - 1] = lines[number - 1][:9] + b"\xff" + lines[number - 1][9:]
+    path.write_bytes(b"\n".join(lines))
+
+
 def _resume(path):
     """Resume the run in ``path``'s workdir with its ``cfg.json``, at the seed it started with."""
     root = path.parent.parent
@@ -854,6 +886,19 @@ INPUT_FILES = {
                             "--out", str(root / "out.jsonl")],
         lambda path: _edit_json(path, lambda r: r["centroids"][0].pop()),
         "{path}: centroids must be a matrix of numbers"),
+    "manifest": (
+        "task/dev.jsonl", load_manifest, ManifestError,
+        lambda root, path: ["filter", "--manifest", str(path),
+                            "--filter-model", str(root / "work" / "filter_gen0.json"),
+                            "--cutoff", "0", "--out", str(root / "out.jsonl")],
+        lambda path: _break_utf8(path, 2),
+        "{path}: line 2: not UTF-8 at byte 10 (invalid start byte)"),
+    "hypotheses": (
+        "work/dev_hyps_gen0.jsonl", read_hypotheses, ManifestError,
+        lambda root, path: ["score", "--params", "0,0,0", "--hyps", str(path),
+                            "--out", str(root / "out.jsonl")],
+        lambda path: _break_utf8(path, 2),
+        "{path}: line 2: not UTF-8 at byte 10 (invalid start byte)"),
     "vocab": (
         "task/vocab.txt", load_vocab, CorpusError,
         lambda root, path: ["balance", "--manifest", str(root / "task" / "dev.jsonl"),

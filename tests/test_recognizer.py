@@ -687,10 +687,12 @@ def sorted_runs(draw):
 @given(sorted_runs())
 def test_merge_takes_what_a_stable_sort_takes(runs):
     rows, width, k = runs.shape
+    flat = runs.reshape(rows, -1)
     index = np.arange(rows)
-    got = recognizer._merge_top(runs[:, :, 0], lambda run, rank: runs[index, run, rank], k)
-    expected = np.argsort(-runs.reshape(rows, -1), axis=1, kind="stable")[:, :k]
+    got, values = recognizer._merge_top(runs[:, :, 0], lambda source: flat[index, source], k)
+    expected = np.argsort(-flat, axis=1, kind="stable")[:, :k]
     assert got.tolist() == expected.tolist()
+    assert values.tolist() == np.take_along_axis(flat, expected, axis=1).tolist()
 
 
 class TestToyRecognizer:
@@ -818,18 +820,22 @@ class TestToyRecognizer:
              "bigram_log must be a matrix of numbers"),
             (lambda r: r["centroids"][0].__setitem__(1, None),
              "centroids must be a matrix of numbers"),
+            (lambda r: r["centroids"][2].__setitem__(0, True),
+             "centroids must be a matrix of numbers"),
+            (lambda r: r["bigram_log"][-1].__setitem__(1, False),
+             "bigram_log must be a matrix of numbers"),
             (lambda r: r["tokens"].__setitem__(0, 1), "toy model token 0 must be a string, got 1"),
             (lambda r: r["tokens"].__setitem__(0, r["tokens"][1]),
              "duplicate tokens in vocabulary"),
         ],
-        ids=["ragged-centroids", "string-in-bigram", "null-in-centroids", "int-token",
-             "duplicate-token"],
+        ids=["ragged-centroids", "string-in-bigram", "null-in-centroids", "true-in-centroids",
+             "false-in-bigram", "int-token", "duplicate-token"],
     )
     def test_model_a_vocabulary_or_numpy_would_misread_refused(
         self, tmp_path, trained, edit, reason
     ):
-        # Numpy once raised its own ValueError for a ragged table and read "1.5" as 1.5, and
-        # an integer token died in TokenVocab with a TypeError.
+        # Numpy once raised its own ValueError for a ragged table, read "1.5" as 1.5 and a
+        # true among numbers as 1.0, and an integer token died in TokenVocab with a TypeError.
         world, model = trained
         record = model.to_dict()
         edit(record)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nst import scoring
@@ -29,10 +29,22 @@ from nst.scoring import (
 )
 
 from conftest import reference_best_of
-from oracles import exhaustive_edit_distance
+from oracles import exhaustive_edit_distance, reference_edit_distance
 
 WORDS = ["wa", "wb", "wc"]
 word_seq = st.lists(st.sampled_from(WORDS), max_size=8)
+
+
+@st.composite
+def token_pairs(draw):
+    """Two sequences of 0 to 150 tokens over one alphabet of 1 to 25 ints or strings."""
+    size = draw(st.integers(1, 25))
+    alphabet = draw(st.sampled_from([list(range(size)), [f"w{i}" for i in range(size)]]))
+    pair = []
+    for _ in range(2):
+        length = draw(st.integers(0, 150))
+        pair.append(draw(st.lists(st.sampled_from(alphabet), min_size=length, max_size=length)))
+    return tuple(pair)
 
 
 def hyp(tokens=(0,), am=0.0, lm=0.0, coverage=0.0):
@@ -143,6 +155,21 @@ class TestWer:
     def test_edit_distance_is_exhaustive_and_symmetric(self, ref, hypo):
         distance = edit_alignment_counts(ref, hypo)
         assert distance == exhaustive_edit_distance(ref, hypo) == edit_alignment_counts(hypo, ref)
+
+    @given(token_pairs())
+    @example(([], []))
+    @example(([], [0] * 150))
+    @example((["w0"] * 64, []))
+    @example(([0] * 63, [0] * 65))
+    @example(([0, 1] * 32 + [2], [1, 0] * 33))
+    @settings(max_examples=150, deadline=None)
+    def test_edit_distance_is_the_dynamic_program_past_one_machine_word(self, pair):
+        # The distance runs bit-parallel, one bit per reference token, over Python ints.
+        ref, hypo = pair
+        distance = edit_alignment_counts(ref, hypo)
+        assert distance == reference_edit_distance(ref, hypo) == edit_alignment_counts(hypo, ref)
+        if len(ref) + len(hypo) <= 12:
+            assert distance == exhaustive_edit_distance(ref, hypo)
 
     def test_corpus_wer_pools_counts(self):
         result = corpus_wer(
