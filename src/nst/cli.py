@@ -95,8 +95,22 @@ def cmd_toy_transcribe(args) -> int:
     return 0
 
 
+def _terms(flag: str, text: str, separator: str, kind: type, what: str) -> list:
+    """``text`` split at ``separator``, each term as ``kind``.
+
+    A term that is not one raises NstError naming ``flag``, the term and ``text``.
+    """
+    terms = []
+    for term in text.split(separator):
+        try:
+            terms.append(kind(term))
+        except ValueError:
+            raise NstError(f"{flag} term {term!r} is not {what}, in {text!r}") from None
+    return terms
+
+
 def _parse_params(args) -> FusionParams:
-    parts = [float(x) for x in args.params.split(",")]
+    parts = _terms("--params", args.params, ",", float, "a number")
     if len(parts) != 3:
         raise NstError("--params expects three comma-separated values: lm,coverage,reward")
     return FusionParams(*parts, mode=args.mode)
@@ -186,10 +200,10 @@ def cmd_augment(args) -> int:
 
 
 def cmd_mix(args) -> int:
+    ratio = tuple(_terms("--ratio", args.ratio, ":", int, "an integer"))
+    plan = MixPlan(mode=args.mode, ratio=ratio, batch_size=args.batch)
     sup = load_manifest(args.sup)
     semi = load_manifest(args.semi) if args.semi else Dataset([])
-    ratio = tuple(int(x) for x in args.ratio.split(":"))
-    plan = MixPlan(mode=args.mode, ratio=ratio, batch_size=args.batch)
     items = draw_mix(sup, semi, plan, derive_rng(args.seed, "mix"), args.num_batches)
     lines = ["batch\tutterance_id\torigin"]
     lines.extend(

@@ -7,12 +7,13 @@ so manifests stay diffable.
 
 A save writes a manifest's new feature matrices to one pack, ``<stem>.nstp``:
 feature records laid end to end, each referenced from its manifest line as
-``<pack>:<byte offset>``. A lone ``.nstf`` file is a one-record pack read
-whole. An utterance loaded from a manifest remembers the record its features
-came from, and a manifest derived from it (relabeled, filtered, rebalanced)
+``<pack>:<byte offset>``, the only form a reference takes: a manifest line
+without an offset, as written before packs, is refused with a ManifestError.
+An utterance loaded from a manifest remembers the record its features came
+from, and a manifest derived from it (relabeled, filtered, rebalanced)
 references that record by relative path instead of copying it. A derived
 manifest therefore stays loadable only while the files it points into exist
-unchanged.
+unchanged. Every text file is decoded by ``text_lines``.
 """
 from __future__ import annotations
 
@@ -390,8 +391,23 @@ def write_features(path: str | Path, *matrices: np.ndarray) -> None:
 _PACK_REFERENCE = re.compile(r"(.*):([0-9]+)", re.DOTALL)
 
 
+def _pack_record(reference: str) -> tuple[str, int]:
+    """The pack path and byte offset of ``reference``, ``<pack>:<byte offset>``.
+
+    A reference without an offset, as in a manifest written before packs,
+    raises FeatureFileError naming it.
+    """
+    packed = _PACK_REFERENCE.fullmatch(reference)
+    if packed is None:
+        raise FeatureFileError(
+            f"{reference}: not a <pack>:<byte offset> reference "
+            "(one .nstf file per utterance is no longer read)"
+        )
+    return packed[1], int(packed[2])
+
+
 class _FeatureFiles:
-    """Reads feature records, opening each file once until the reader is closed."""
+    """Reads feature records from packs, opening each pack once until the reader is closed."""
 
     def __init__(self):
         self._open: dict[str, tuple[int, int]] = {}
@@ -403,47 +419,39 @@ class _FeatureFiles:
         for fd, _ in self._open.values():
             os.close(fd)
 
-    def read(self, reference: str | Path) -> np.ndarray:
-        """The matrix at ``reference``, as ``read_features`` describes."""
-        reference = os.fspath(reference)
-        packed = _PACK_REFERENCE.fullmatch(reference)
-        path, offset = (packed[1], int(packed[2])) if packed else (reference, 0)
-        if path not in self._open:
+    def read(self, pack: str, offset: int) -> np.ndarray:
+        """The record at byte ``offset`` of ``pack``, as ``read_features`` describes."""
+        if pack not in self._open:
             try:
-                fd = os.open(path, os.O_RDONLY)
+                fd = os.open(pack, os.O_RDONLY)
             except FileNotFoundError:
-                raise MissingFeatureFileError(path) from None
-            self._open[path] = (fd, os.fstat(fd).st_size)
-        # A lone .nstf holds one record, so it is closed after it: an old
-        # manifest's thousands of files are never all open at once.
-        fd, size = self._open[path] if packed else self._open.pop(path)
-        try:
-            if offset >= size:  # an offset beyond int64 included
-                raise FeatureFileError(f"{reference}: offset past the end of {size} bytes")
-            header = os.pread(fd, 12, offset)
-            if len(header) < 12 or header[:4] != FEATURE_MAGIC:
-                raise FeatureFileError(f"{reference}: not a feature record (bad magic)")
-            rows, cols = struct.unpack("<II", header[4:])
-            end = offset + 12 + rows * cols * 4
-            if end > size or (not packed and end != size):
-                raise FeatureFileError(
-                    f"{reference}: truncated feature record ({size - offset} bytes, "
-                    f"expected {end - offset})"
-                )
-            data = os.pread(fd, end - offset - 12, offset + 12)
-        finally:
-            if not packed:
-                os.close(fd)
+                raise MissingFeatureFileError(pack) from None
+            self._open[pack] = (fd, os.fstat(fd).st_size)
+        fd, size = self._open[pack]
+        if offset >= size:  # an offset beyond int64 included
+            raise FeatureFileError(f"{pack}:{offset}: offset past the end of {size} bytes")
+        header = os.pread(fd, 12, offset)
+        if len(header) < 12 or header[:4] != FEATURE_MAGIC:
+            raise FeatureFileError(f"{pack}:{offset}: not a feature record (bad magic)")
+        rows, cols = struct.unpack("<II", header[4:])
+        end = offset + 12 + rows * cols * 4
+        if end > size:
+            raise FeatureFileError(
+                f"{pack}:{offset}: truncated feature record ({size - offset} bytes, "
+                f"expected {end - offset})"
+            )
+        data = os.pread(fd, end - offset - 12, offset + 12)
         return np.frombuffer(data, dtype="<f4").reshape(rows, cols)
 
 
 def read_features(reference: str | Path) -> np.ndarray:
-    """The matrix at ``reference``: ``<path>:<byte offset>`` in a pack, or a whole ``.nstf``.
+    """The matrix at ``reference``, ``<pack>:<byte offset>``.
 
-    A record must fit in its pack, and a whole file must be exactly one record.
+    The record must fit in its pack. A reference without an offset raises
+    FeatureFileError, and a missing pack MissingFeatureFileError.
     """
     with _FeatureFiles() as files:
-        return files.read(reference)
+        return files.read(*_pack_record(os.fspath(reference)))
 
 
 def _atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
@@ -494,15 +502,36 @@ def atomic_write_json(path: str | Path, record: object) -> None:
     atomic_write_text(path, _json_text(path, [record], sort_keys=True, indent=2))
 
 
+def text_lines(path: str | Path, error: type[NstError]) -> Iterator[str]:
+    """Each line of the UTF-8 text file ``path``, newline included, read one at a time.
+
+    Lines end at newline bytes only. A line that is not UTF-8 raises ``error`` (for
+    ManifestError, one carrying the line number), saying ``{path}: line N: not UTF-8 at
+    byte M (reason)`` with the line and the byte in it counted from 1.
+    """
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                reason = f"not UTF-8 at byte {exc.start + 1} ({exc.reason})"
+                if issubclass(error, ManifestError):
+                    raise ManifestError(path, line_number, reason) from None
+                raise error(f"{path}: line {line_number}: {reason}") from None
+            yield line
+
+
 def read_json(path: str | Path, build: Callable[[object], object], error: type[NstError]) -> object:
     """``build`` of the JSON document in ``path``, which is how every record file is read.
 
-    A file that does not parse, or an NstError that ``build`` raises, is raised again as
-    ``error``, naming ``path`` once, first; the builder's error is its ``__cause__``.
+    A file that is not UTF-8 raises ``error`` as ``text_lines`` does. A file that does not
+    parse, or an NstError that ``build`` raises, is raised again as ``error``, naming
+    ``path`` once, first; the builder's error is its ``__cause__``.
     """
+    text = "".join(text_lines(path, error))
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        document = json.loads(text)
+    except ValueError as exc:
         raise error(f"{path}: invalid JSON ({exc})") from None
     try:
         return build(document)
@@ -521,38 +550,31 @@ def read_jsonl(
 ) -> list:
     """``build(record, line number)`` of each nonblank line, in file order.
 
-    Each line goes through ``read_record`` with ``spec`` and is built before the next is read, so
-    a file's records are never all held at once. Every list in a manifest or hypotheses line is a
-    token list, so it must hold only strings, and every number must be finite. Lines end at
-    newline bytes only. A line that is not UTF-8, invalid JSON or a failed check raises
-    ManifestError naming the file and the 1-based line.
+    Each line of ``text_lines`` goes through ``read_record`` with ``spec`` and is built before
+    the next is read, so a file's records are never all held at once. Every list in a manifest or
+    hypotheses line is a token list, so it must hold only strings, and every number must be
+    finite. A line that is not UTF-8, invalid JSON or a failed check raises ManifestError naming
+    the file and the 1-based line.
     """
     built = []
-    with open(path, "rb") as handle:
-        for line_number, raw in enumerate(handle, 1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ManifestError(
-                    path, line_number, f"not UTF-8 at byte {exc.start + 1} ({exc.reason})"
-                ) from None
-            if not line.strip():
-                continue
-            try:
-                record = read_record(json.loads(line), spec, CorpusError, what, required)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(path, line_number, f"invalid JSON ({exc.msg})") from None
-            except CorpusError as exc:
-                raise ManifestError(path, line_number, str(exc)) from None
-            for key, value in record.items():
-                if type(value) is float:
-                    if not math.isfinite(value):
-                        raise ManifestError(path, line_number, f"{what}: {key} must be finite")
-                elif type(value) is list:
-                    for token in value:
-                        if type(token) is not str:
-                            raise ManifestError(path, line_number, f"{what}: non-string in {key}")
-            built.append(build(record, line_number))
+    for line_number, line in enumerate(text_lines(path, ManifestError), 1):
+        if not line.strip():
+            continue
+        try:
+            record = read_record(json.loads(line), spec, CorpusError, what, required)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(path, line_number, f"invalid JSON ({exc.msg})") from None
+        except CorpusError as exc:
+            raise ManifestError(path, line_number, str(exc)) from None
+        for key, value in record.items():
+            if type(value) is float:
+                if not math.isfinite(value):
+                    raise ManifestError(path, line_number, f"{what}: {key} must be finite")
+            elif type(value) is list:
+                for token in value:
+                    if type(token) is not str:
+                        raise ManifestError(path, line_number, f"{what}: non-string in {key}")
+        built.append(build(record, line_number))
     return built
 
 
@@ -618,11 +640,12 @@ def load_manifest(path: str | Path) -> Dataset:
     """Load a JSONL manifest, reading feature records relative to it.
 
     Utterance order follows manifest order. A malformed line raises
-    ManifestError with its 1-based line number before its record is read, and
-    a record holding NaN or an infinity raises one naming the utterance; a
-    dangling feature reference raises MissingFeatureFileError naming the
-    resolved file, and a bad offset FeatureFileError naming the reference.
-    Each file is opened once per load.
+    ManifestError with its 1-based line number before its record is read, as
+    does a feature reference without a byte offset, and a record holding NaN
+    or an infinity raises one naming the utterance; a dangling feature
+    reference raises MissingFeatureFileError naming the resolved pack, and a
+    bad offset FeatureFileError naming the reference. Each pack is opened once
+    per load, and its records are read one at a time.
     """
     manifest_path = Path(path)
     manifest_dir = os.path.abspath(manifest_path.parent)
@@ -633,7 +656,11 @@ def load_manifest(path: str | Path) -> Dataset:
         if record.get("multiplicity", 1) < 1:
             raise ManifestError(manifest_path, line_number, "multiplicity must be >= 1")
         reference = os.path.join(manifest_dir, record["features"])
-        features = files.read(reference)
+        try:
+            pack, offset = _pack_record(reference)
+        except FeatureFileError as exc:
+            raise ManifestError(manifest_path, line_number, str(exc)) from None
+        features = files.read(pack, offset)
         if not np.isfinite(features).all():
             raise ManifestError(manifest_path, line_number,
                                 f"utterance {record['id']}: features hold a non-finite value")
@@ -660,11 +687,11 @@ def load_vocab(path: str | Path) -> TokenVocab:
 
     Every refusal raises CorpusError naming ``path``.
     """
+    lines = "".join(text_lines(path, CorpusError)).splitlines()
+    for line_number, line in enumerate(lines, 1):
+        if not line.strip():
+            raise CorpusError(f"{path}: line {line_number}: blank line in vocabulary")
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        for line_number, line in enumerate(lines, 1):
-            if not line.strip():
-                raise CorpusError(f"line {line_number}: blank line in vocabulary")
         return TokenVocab(lines)
-    except (CorpusError, UnicodeDecodeError) as exc:
+    except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from exc

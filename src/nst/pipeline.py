@@ -58,6 +58,7 @@ from .corpus import (
     load_vocab,
     read_json,
     save_manifest,
+    text_lines,
     token_distribution,
 )
 from .errors import NstError, read_record
@@ -666,7 +667,7 @@ def emit_reports(state: PipelineState) -> dict[str, Path]:
     for m in state.metrics:
         tables["wer_by_generation"].append(f"{m.generation}\t{m.dev_wer:.6g}")
         path = state.workdir / f"curves_gen{m.generation}.tsv"
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = "".join(text_lines(path, PipelineError)).splitlines()
         if lines[:1] != curves_to_tsv([]).splitlines():
             raise PipelineError(f"{path}: line 1: not the header of a curves table")
         for line_number, row in enumerate(lines[1:], 2):

@@ -415,6 +415,13 @@ BAD_VALUES = {
         lambda task, model, tmp: ["run", "--workdir", str(tmp / "work"), "--config",
                                   _config_with_balance(task, tmp, smoothing_epsilon=math.inf)],
         "smoothing_epsilon must be finite and > 0, got inf"),
+    "score-word-in-params": (
+        lambda task, model, tmp: ["score", "--params", "0,a,0", "--hyps", str(tmp / "h.jsonl")],
+        "--params term 'a' is not a number, in '0,a,0'"),
+    "mix-word-in-ratio": (
+        lambda task, model, tmp: ["mix", "--sup", str(task / "supervised.jsonl"),
+                                  "--ratio", "1:x"],
+        "--ratio term 'x' is not an integer, in '1:x'"),
 }
 
 
@@ -843,11 +850,21 @@ INPUT_FILES = {
         lambda root, path: ["run", "--config", str(path), "--workdir", str(root / "work")],
         lambda path: _edit_json(path, lambda c: c["generations"][1].update(filter_cuttoff=0)),
         "{path}: unknown generation settings: filter_cuttoff"),
+    "config-not-utf-8": (
+        "cfg.json", PipelineConfig.from_file, PipelineError,
+        lambda root, path: ["run", "--config", str(path), "--workdir", str(root / "work")],
+        lambda path: _break_utf8(path, 1),
+        "{path}: line 1: not UTF-8 at byte 10 (invalid start byte)"),
     "state": (
         "work/state.json", lambda path: load_state(path.parent), PipelineError,
         lambda root, path: ["report", "--workdir", str(path.parent)],
         lambda path: _edit_json(path, lambda r: r.update(metrics=[])),
         "{path}: unknown pipeline state: metrics"),
+    "state-not-utf-8": (
+        "work/state.json", lambda path: load_state(path.parent), PipelineError,
+        lambda root, path: ["report", "--workdir", str(path.parent)],
+        lambda path: _break_utf8(path, 2),
+        "{path}: line 2: not UTF-8 at byte 10 (invalid start byte)"),
     "info": (
         "work/info_gen0.json", lambda path: load_state(path.parent), PipelineError,
         lambda root, path: ["report", "--workdir", str(path.parent)],
@@ -906,6 +923,13 @@ INPUT_FILES = {
                             "--vocab", str(path), "--out", str(root / "out.jsonl")],
         lambda path: path.write_text(path.read_text() + path.read_text().split()[0] + "\n"),
         "{path}: duplicate tokens in vocabulary"),
+    "vocab-not-utf-8": (
+        "task/vocab.txt", load_vocab, CorpusError,
+        lambda root, path: ["balance", "--manifest", str(root / "task" / "dev.jsonl"),
+                            "--target", str(root / "task" / "supervised.jsonl"),
+                            "--vocab", str(path), "--out", str(root / "out.jsonl")],
+        lambda path: _break_utf8(path, 2),  # line 2 is a two-byte token
+        "{path}: line 2: not UTF-8 at byte 3 (invalid start byte)"),
     "curves": (
         "work/curves_gen0.tsv", lambda path: emit_reports(load_state(path.parent)),
         PipelineError,
@@ -918,6 +942,12 @@ INPUT_FILES = {
         lambda root, path: ["report", "--workdir", str(path.parent)],
         lambda path: path.write_text(""),
         "{path}: line 1: not the header of a curves table"),
+    "curves-not-utf-8": (
+        "work/curves_gen0.tsv", lambda path: emit_reports(load_state(path.parent)),
+        PipelineError,
+        lambda root, path: ["report", "--workdir", str(path.parent)],
+        lambda path: _break_utf8(path, 2),
+        "{path}: line 2: not UTF-8 at byte 10 (invalid start byte)"),
 }
 
 

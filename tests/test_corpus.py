@@ -1,7 +1,6 @@
 import json
 import os
 import re
-import resource
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -96,7 +95,7 @@ class TestVocab:
          (b"", "vocabulary must contain at least one token"),
          (b"a\nb c\n", "tokens must be nonempty and whitespace-free: 'b c'"),
          (b"a\n\nb\n", "line 2: blank line in vocabulary"),
-         (b"a\n\xff\n", "'utf-8' codec can't decode byte 0xff")],
+         (b"a\n\xff\n", "line 2: not UTF-8 at byte 1 (invalid start byte)")],
         ids=["duplicate", "empty", "whitespace", "blank-line", "not-utf-8"],
     )
     def test_every_refusal_names_the_file(self, tmp_path, data, reason):
@@ -284,35 +283,48 @@ class TestTypes:
         assert stripped.ids() == small_dataset.ids()
 
 
+def _record_opens(monkeypatch) -> list:
+    """The paths ``nst.corpus`` passes to ``os.open`` from now on, in call order."""
+    opened = []
+    real_open = os.open
+
+    def record(path, *args, **kwargs):
+        opened.append(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("nst.corpus.os.open", record)
+    return opened
+
+
 class TestFeatureFiles:
     def test_roundtrip(self, tmp_path):
         matrix = np.arange(12, dtype=np.float32).reshape(3, 4)
-        write_features(tmp_path / "f.nstf", matrix)
-        assert np.array_equal(read_features(tmp_path / "f.nstf"), matrix)
+        write_features(tmp_path / "f.nstp", matrix)
+        assert np.array_equal(read_features(tmp_path / "f.nstp:0"), matrix)
 
     def test_header_layout(self, tmp_path):
-        write_features(tmp_path / "f.nstf", np.zeros((2, 3), dtype=np.float32))
-        raw = (tmp_path / "f.nstf").read_bytes()
+        write_features(tmp_path / "f.nstp", np.zeros((2, 3), dtype=np.float32))
+        raw = (tmp_path / "f.nstp").read_bytes()
         assert raw[:4] == b"NSTF"
         assert raw[4:8] == (2).to_bytes(4, "little")
         assert raw[8:12] == (3).to_bytes(4, "little")
         assert len(raw) == 12 + 2 * 3 * 4
 
     def test_bad_magic(self, tmp_path):
-        (tmp_path / "junk.nstf").write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(FeatureFileError):
-            read_features(tmp_path / "junk.nstf")
+        (tmp_path / "junk.nstp").write_bytes(b"XXXX" + b"\x00" * 16)
+        with pytest.raises(FeatureFileError, match="bad magic"):
+            read_features(tmp_path / "junk.nstp:0")
 
     def test_truncated(self, tmp_path):
-        write_features(tmp_path / "f.nstf", np.zeros((2, 3), dtype=np.float32))
-        raw = (tmp_path / "f.nstf").read_bytes()
-        (tmp_path / "f.nstf").write_bytes(raw[:-4])
-        with pytest.raises(FeatureFileError):
-            read_features(tmp_path / "f.nstf")
+        write_features(tmp_path / "f.nstp", np.zeros((2, 3), dtype=np.float32))
+        raw = (tmp_path / "f.nstp").read_bytes()
+        (tmp_path / "f.nstp").write_bytes(raw[:-4])
+        with pytest.raises(FeatureFileError, match="truncated"):
+            read_features(tmp_path / "f.nstp:0")
 
     def test_missing(self, tmp_path):
         with pytest.raises(MissingFeatureFileError):
-            read_features(tmp_path / "absent.nstf")
+            read_features(tmp_path / "absent.nstp:0")
 
     def test_failed_replace_leaves_no_file(self, tmp_path, monkeypatch):
         # A torn pack would make the overwrite guard refuse to re-run the same save.
@@ -333,8 +345,8 @@ class TestFeatureFiles:
         for offset, matrix in zip(offsets, matrices):
             assert raw[offset:offset + 4] == b"NSTF"
             assert np.array_equal(read_features(f"{tmp_path / 'p.nstp'}:{offset}"), matrix)
-        # A pack read whole is not one record.
-        with pytest.raises(FeatureFileError, match="truncated"):
+        # A reference is always to one record: a pack named without an offset is refused.
+        with pytest.raises(FeatureFileError, match="not a <pack>:<byte offset> reference"):
             read_features(tmp_path / "p.nstp")
 
     @pytest.mark.parametrize(
@@ -356,6 +368,30 @@ class TestFeatureFiles:
         with pytest.raises(MissingFeatureFileError) as err:
             read_features(f"{tmp_path / 'absent.nstp'}:0")
         assert err.value.path == str(tmp_path / "absent.nstp")
+
+    @pytest.mark.parametrize("bad_line", [1, 3])
+    def test_a_reference_without_an_offset_is_refused_before_any_open(
+        self, tmp_path, small_dataset, monkeypatch, bad_line
+    ):
+        # A manifest written before packs referenced one .nstf file per utterance.
+        write_features(tmp_path / "u-1.nstf", small_dataset[0].features)
+        with pytest.raises(FeatureFileError, match="u-1.nstf: not a <pack>:<byte offset>"):
+            read_features(tmp_path / "u-1.nstf")
+        path = tmp_path / "data.jsonl"
+        save_manifest(small_dataset, path)
+        lines = path.read_text().splitlines()
+        lines[bad_line - 1] = json.dumps({**json.loads(lines[bad_line - 1]), "features": "u-1.nstf"})
+        path.write_text("\n".join(lines) + "\n")
+        opened = _record_opens(monkeypatch)
+        with pytest.raises(ManifestError) as err:
+            load_manifest(path)
+        assert err.value.line_number == bad_line
+        assert str(err.value) == (
+            f"{path}: line {bad_line}: {tmp_path / 'u-1.nstf'}: not a <pack>:<byte offset> "
+            "reference (one .nstf file per utterance is no longer read)"
+        )
+        # The lines before it read their records; the refused line opens no file.
+        assert opened == ([] if bad_line == 1 else [str(tmp_path / "data.nstp")])
 
 
 class TestManifests:
@@ -545,6 +581,18 @@ class TestManifests:
         assert np.array_equal(reloaded[0].features, loaded[0].features)
         assert np.array_equal(reloaded[1].features, loaded[1].features + 1)
 
+    def test_each_pack_is_opened_once_per_load(self, tmp_path, small_dataset, monkeypatch):
+        # Records are read one at a time from packs held open for the load.
+        source = tmp_path / "data.jsonl"
+        save_manifest(small_dataset, source)
+        derived = Dataset(replace(u, features=u.features + 1) if i % 2 else u
+                          for i, u in enumerate(load_manifest(source)))
+        save_manifest(derived, tmp_path / "derived.jsonl")
+        opened = _record_opens(monkeypatch)
+        reloaded = load_manifest(tmp_path / "derived.jsonl")
+        assert sorted(opened) == [str(tmp_path / "data.nstp"), str(tmp_path / "derived.nstp")]
+        assert_datasets_equal(reloaded, derived)
+
     def test_overwriting_a_loaded_sidecar_is_refused_before_any_write(
         self, tmp_path, small_dataset
     ):
@@ -628,77 +676,6 @@ class TestManifests:
         assert path.read_bytes() == before
 
 
-class TestLegacyFeatureFiles:
-    """Manifests written before packs: one ``<stem>_features/<id>.nstf`` file per utterance."""
-
-    @staticmethod
-    def write_legacy(directory, dataset, stem="old"):
-        (directory / f"{stem}_features").mkdir(parents=True)
-        for u in dataset:
-            write_features(directory / f"{stem}_features" / f"{u.id}.nstf", u.features)
-        path = directory / f"{stem}.jsonl"
-        path.write_text("".join(
-            json.dumps({"id": u.id, "features": f"{stem}_features/{u.id}.nstf",
-                        "transcript": list(u.transcript), "score": u.score}) + "\n"
-            for u in dataset
-        ))
-        return path
-
-    def test_legacy_manifest_loads(self, tmp_path, small_dataset):
-        path = self.write_legacy(tmp_path, small_dataset)
-        assert_datasets_equal(load_manifest(path), small_dataset)
-
-    def test_derived_save_keeps_referencing_the_nstf_files(self, tmp_path, small_dataset):
-        path = self.write_legacy(tmp_path / "task", small_dataset)
-        derived = tmp_path / "out" / "derived.jsonl"
-        derived.parent.mkdir()
-        save_manifest(load_manifest(path), derived)
-        assert list(derived.parent.iterdir()) == [derived]
-        references = [json.loads(line)["features"] for line in derived.read_text().splitlines()]
-        assert references == [f"../task/old_features/{u.id}.nstf" for u in small_dataset]
-        assert_datasets_equal(load_manifest(derived), small_dataset)
-
-    def test_mixed_pack_and_nstf_rows_round_trip_bit_for_bit(self, tmp_path, small_dataset):
-        legacy = load_manifest(self.write_legacy(tmp_path, small_dataset))
-        mixed = Dataset(
-            u if i % 2 else replace(u, features=u.features * 2) for i, u in enumerate(legacy)
-        )
-        path = tmp_path / "mixed.jsonl"
-        save_manifest(mixed, path)
-        references = [json.loads(line)["features"] for line in path.read_text().splitlines()]
-        assert references == [
-            "mixed.nstp:0", "old_features/u-1.nstf", "mixed.nstp:60", "old_features/u-3.nstf"
-        ]
-        again = tmp_path / "again" / "mixed.jsonl"
-        again.parent.mkdir()
-        save_manifest(load_manifest(path), again)
-        for loaded in (load_manifest(path), load_manifest(again)):
-            assert [u.features.tobytes() for u in loaded] == [
-                u.features.tobytes() for u in mixed
-            ]
-
-    def test_legacy_files_are_not_all_held_open(self, tmp_path):
-        # One file per utterance, more than the process may hold open at once.
-        path = self.write_legacy(tmp_path, Dataset(
-            Utterance(id=f"u{i}", features=np.full((1, 1), i), transcript=(), score=0.0)
-            for i in range(300)
-        ))
-        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-        resource.setrlimit(resource.RLIMIT_NOFILE, (256, hard))
-        try:
-            loaded = load_manifest(path)
-        finally:
-            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
-        assert [u.features[0, 0] for u in loaded] == list(range(300))
-
-    def test_legacy_file_keeps_its_whole_file_length_check(self, tmp_path, small_dataset):
-        path = self.write_legacy(tmp_path, small_dataset)
-        victim = tmp_path / "old_features" / "u-2.nstf"
-        victim.write_bytes(victim.read_bytes() + b"\0" * 4)
-        with pytest.raises(FeatureFileError, match="u-2.nstf: truncated"):
-            load_manifest(path)
-
-
 @given(
     st.lists(st.integers(1, 6), min_size=1, max_size=6),
     st.integers(1, 4),
@@ -765,8 +742,9 @@ class TestJsonFiles:
         with pytest.raises(CorpusError, match=f"{path}: invalid JSON"):
             read_json(path, dict, CorpusError)
         path.write_bytes(b'{"beam": "\xff"}')
-        with pytest.raises(CorpusError, match=f"{path}: invalid JSON"):
+        with pytest.raises(CorpusError) as refused:
             read_json(path, dict, CorpusError)
+        assert str(refused.value) == f"{path}: line 1: not UTF-8 at byte 11 (invalid start byte)"
         path.write_text('{"beam": 3}')
         assert read_json(path, dict, CorpusError) == {"beam": 3}
 

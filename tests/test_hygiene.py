@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports, layered imports, independent oracles, checked record
-readers, one JSON parser, a public API that resolves, no definition nothing uses."""
+readers, one JSON parser, one text decoder, a public API that resolves, no definition nothing
+uses."""
 import ast
 from pathlib import Path
 
@@ -217,8 +218,8 @@ def test_unchecked_reader_is_detected():
 JSON_PARSERS = {"corpus.read_json", "corpus.read_jsonl"}
 
 
-def _json_parse_sites(module: str, tree: ast.Module) -> list[str]:
-    """``<module>.<function> (line)`` of every use of ``json.loads``/``json.load``."""
+def _sites(module: str, tree: ast.Module, matches) -> list[str]:
+    """``<module>.<function> (line)`` of every node for which ``matches`` holds."""
     found = []
 
     def visit(node: ast.AST, where: str) -> None:
@@ -226,19 +227,27 @@ def _json_parse_sites(module: str, tree: ast.Module) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{module}.{child.name}")
                 continue
-            parses = (
-                isinstance(child, ast.Attribute) and child.attr in ("loads", "load")
-                and isinstance(child.value, ast.Name) and child.value.id == "json"
-            ) or (
-                isinstance(child, ast.ImportFrom) and child.module == "json"
-                and any(alias.name in ("loads", "load") for alias in child.names)
-            )
-            if parses:
+            if matches(child):
                 found.append(f"{where} (line {child.lineno})")
             visit(child, where)
 
     visit(tree, module)
     return found
+
+
+def _parses_json(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute) and node.attr in ("loads", "load")
+        and isinstance(node.value, ast.Name) and node.value.id == "json"
+    ) or (
+        isinstance(node, ast.ImportFrom) and node.module == "json"
+        and any(alias.name in ("loads", "load") for alias in node.names)
+    )
+
+
+def _json_parse_sites(module: str, tree: ast.Module) -> list[str]:
+    """``<module>.<function> (line)`` of every use of ``json.loads``/``json.load``."""
+    return _sites(module, tree, _parses_json)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -266,6 +275,56 @@ def test_stray_json_parse_is_detected():
     assert _json_parse_sites("corpus", tree) == [
         "corpus (line 2)", "corpus.read_json (line 4)", "corpus.from_file (line 7)",
         "corpus (line 10)",
+    ]
+
+
+# The only function that turns file bytes into text; every text file is read through it.
+TEXT_DECODERS = {"corpus.text_lines"}
+
+
+def _decodes_text(node: ast.AST) -> bool:
+    """A text-mode ``open``, ``read_text``, ``bytes.decode`` or a catch of its failure."""
+    if isinstance(node, ast.Name):
+        return node.id == "UnicodeDecodeError"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "read_text"
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Attribute) and node.func.attr == "decode":
+        # ``bytes.decode(encoding)``, not ``TokenVocab.decode(ids)``
+        return not node.args or isinstance(node.args[0], ast.Constant)
+    if isinstance(node.func, ast.Name) and node.func.id == "open":
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), None)
+        return not (isinstance(mode, ast.Constant) and "b" in mode.value)
+    return False
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_text_is_decoded_only_by_the_corpus_reader(path):
+    # Each reader once refused a byte that is not UTF-8 its own way, or named no file.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    stray = [site for site in _sites(path.stem, tree, _decodes_text)
+             if site.split(" ")[0] not in TEXT_DECODERS]
+    assert not stray, f"text decoded outside {sorted(TEXT_DECODERS)}: {', '.join(stray)}"
+
+
+def test_stray_text_decode_is_detected():
+    tree = ast.parse(
+        "def load(path, vocab, ids):\n"
+        "    vocab.decode(ids)\n"
+        "    open(path, 'rb').read().decode('utf-8')\n"
+        "    open(path, mode='wb')\n"
+        "    open(path)\n"
+        "    return path.read_text()\n"
+        "try:\n"
+        "    b''.decode()\n"
+        "except UnicodeDecodeError:\n"
+        "    pass\n"
+    )
+    assert _sites("pipeline", tree, _decodes_text) == [
+        "pipeline.load (line 3)", "pipeline.load (line 5)", "pipeline.load (line 6)",
+        "pipeline (line 8)", "pipeline (line 9)",
     ]
 
 
